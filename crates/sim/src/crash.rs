@@ -181,6 +181,25 @@ impl CrashPlan {
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.budgets.iter().map(|(&p, &s)| (p, s))
     }
+
+    /// Checks the plan against a fleet of `m` processes: an entry for a pid
+    /// outside `1..=m` could never fire, and a run meant to inject that
+    /// fault would silently go without it.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the offending pid if a crash or restart entry names a pid
+    /// outside `1..=m`.
+    pub fn assert_fits(&self, m: usize) {
+        if let Some(pid) = self
+            .budgets
+            .keys()
+            .chain(self.restarts.keys())
+            .find(|&&pid| pid == 0 || pid > m)
+        {
+            panic!("crash plan names pid {pid}, but the fleet has pids 1..={m}");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -160,6 +160,9 @@ impl Execution {
 pub struct Engine<R, P, S> {
     mem: R,
     slots: Vec<Slot<P>>,
+    /// Indices of the [`Running`](LifeState::Running) slots, ascending —
+    /// handed to schedulers as [`SchedView::live`].
+    live: Vec<usize>,
     scheduler: S,
     max_crashes: usize,
     trace_cap: usize,
@@ -186,6 +189,7 @@ where
             assert_eq!(p.pid(), i + 1, "processes must be ordered by pid 1..=m");
         }
         let max_crashes = processes.len() - 1;
+        let live = (0..processes.len()).collect();
         let slots = processes
             .into_iter()
             .map(|p| Slot {
@@ -197,6 +201,7 @@ where
         Self {
             mem,
             slots,
+            live,
             scheduler,
             max_crashes,
             trace_cap: 0,
@@ -269,20 +274,18 @@ where
         // granularity; the hot (trace-disabled) path skips trace bookkeeping
         // entirely.
         let tracing = self.trace_cap > 0;
-        // Liveness is tracked by counter — the historical `slots.iter().any`
-        // scan cost O(m) per action and dominated small-step loops.
-        let mut running = self.slots.len();
 
         loop {
             let view = SchedView {
                 slots: &self.slots,
+                live: &self.live,
                 total_steps,
                 crashes: crashed.len(),
                 max_crashes: self.max_crashes,
             };
             // The run stays alive with zero running processes only while the
             // scheduler still intends to restart a crashed one.
-            if running == 0 && !self.scheduler.pending_restart(&view) {
+            if self.live.is_empty() && !self.scheduler.pending_restart(&view) {
                 break;
             }
             if total_steps >= limits.max_steps {
@@ -352,7 +355,7 @@ where
                         total_steps += consumed;
                         if terminated {
                             slot.state = LifeState::Terminated;
-                            running -= 1;
+                            leave(&mut self.live, i);
                             // Clean shutdown flushes the write-behind buffer.
                             self.mem.perform_barrier();
                         }
@@ -389,7 +392,7 @@ where
                         total_steps += consumed;
                         if terminated {
                             slot.state = LifeState::Terminated;
-                            running -= 1;
+                            leave(&mut self.live, i);
                             // Clean shutdown flushes the write-behind buffer.
                             self.mem.perform_barrier();
                         }
@@ -410,7 +413,7 @@ where
                         i + 1
                     );
                     slot.state = LifeState::Crashed;
-                    running -= 1;
+                    leave(&mut self.live, i);
                     crashed.push(i + 1);
                     // Durable backends lose (part of) the crasher's
                     // unflushed write-behind suffix and recover the file
@@ -437,7 +440,8 @@ where
                     // its volatile state from shared memory.
                     slot.process.on_restart(&self.mem);
                     slot.state = LifeState::Running;
-                    running += 1;
+                    let at = self.live.partition_point(|&j| j < i);
+                    self.live.insert(at, i);
                     restarted.push(i + 1);
                 }
             }
@@ -456,6 +460,12 @@ where
         };
         (execution, self.slots, self.mem)
     }
+}
+
+/// Removes slot `i` from the ascending live list (it terminated or crashed).
+fn leave(live: &mut Vec<usize>, i: usize) {
+    let at = live.binary_search(&i).expect("a running slot is live");
+    live.remove(at);
 }
 
 #[cfg(test)]

@@ -58,6 +58,24 @@
 //! bit-for-bit unaffected; tracing ([`Engine::with_trace`]) forces
 //! single-step granularity so every action is attributed.
 //!
+//! # What a scheduler decision costs
+//!
+//! At quantum `1` the engine consults the scheduler before every action,
+//! so a decision must not scan the fleet. The engine keeps the running
+//! slots as an ascending list, [`SchedView::live`], updated when a process
+//! terminates, crashes or restarts; [`SchedView::running`] and
+//! [`SchedView::running_count`] read it. Per decision:
+//!
+//! * [`RandomScheduler`] and [`BlockScheduler`]: O(1), one RNG draw that
+//!   indexes `live` (or, inside a burst, no draw at all);
+//! * [`RoundRobin`]: O(1) while the process at its cursor runs, otherwise
+//!   a scan on to the next running slot;
+//! * [`ScriptedScheduler`]: O(1) while the script lasts, then round-robin;
+//! * [`WithCrashes`]: O(pending events) on top of its inner scheduler —
+//!   the planned crashes still armed and the restarts waiting on an
+//!   observed crash — and O(1) once every planned crash and restart has
+//!   happened.
+//!
 //! # Register epochs (the announcement-cache invariant)
 //!
 //! [`Registers`] optionally exposes per-cell *epochs* plus a global

@@ -1,5 +1,3 @@
-use std::collections::{BTreeMap, BTreeSet};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,6 +27,14 @@ pub enum Decision {
 pub struct SchedView<'a, P> {
     /// All process slots, in pid order (slot `i` holds pid `i + 1`).
     pub slots: &'a [Slot<P>],
+    /// Indices of the slots that can still take steps.
+    ///
+    /// Invariant: `live` holds exactly the slots whose state is
+    /// [`Running`](LifeState::Running), each once, in ascending order. The
+    /// engine keeps the list as processes terminate, crash and restart, so
+    /// a scheduler reads the running set in O(1) instead of scanning all
+    /// `m` slots.
+    pub live: &'a [usize],
     /// Total actions executed so far.
     pub total_steps: u64,
     /// Crashes injected so far.
@@ -38,18 +44,15 @@ pub struct SchedView<'a, P> {
 }
 
 impl<P> SchedView<'_, P> {
-    /// Indices of slots that can still take steps.
+    /// Indices of slots that can still take steps, ascending (reads
+    /// [`live`](Self::live)).
     pub fn running(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state == LifeState::Running)
-            .map(|(i, _)| i)
+        self.live.iter().copied()
     }
 
-    /// Number of running processes.
+    /// Number of running processes, in O(1).
     pub fn running_count(&self) -> usize {
-        self.running().count()
+        self.live.len()
     }
 
     /// Remaining crash budget.
@@ -66,7 +69,11 @@ impl<P> SchedView<'_, P> {
 /// `max_crashes`. A scheduler returning an invalid decision is a bug in the
 /// harness, and the engine panics.
 pub trait Scheduler<P> {
-    /// Chooses the next move. Called only while at least one process runs.
+    /// Chooses the next move.
+    ///
+    /// The engine calls this while at least one process runs, and also with
+    /// *zero* running processes while [`pending_restart`](Self::pending_restart)
+    /// returns `true`; the decision must then be a [`Decision::Restart`].
     fn decide(&mut self, view: &SchedView<'_, P>) -> Decision;
 
     /// The quantum for the process just chosen by [`decide`](Self::decide):
@@ -140,6 +147,9 @@ impl<P> Scheduler<P> for Box<dyn Scheduler<P> + '_> {
 /// This is the "benign" schedule: every process advances in turn, which is a
 /// fair execution in the sense of §2.1 (every enabled action eventually
 /// runs).
+///
+/// A decision costs O(1) while the process at the cursor runs; otherwise
+/// it scans on past stopped slots to the next running one (at most `m`).
 ///
 /// A quantum may be attached with [`with_quantum`](Self::with_quantum): each
 /// turn then grants that many consecutive actions (a *quantized* round-robin
@@ -217,6 +227,8 @@ impl<P> Scheduler<P> for RoundRobin {
 /// Random schedules are fair with probability 1 and are the workhorse of the
 /// randomized safety experiments (Table 2 / experiment E2).
 ///
+/// A decision costs O(1): one RNG draw indexes [`SchedView::live`].
+///
 /// A quantum may be attached with [`with_quantum`](Self::with_quantum):
 /// each decision then grants the chosen process that many consecutive
 /// actions — a *quantized* random schedule (still fair with probability 1),
@@ -252,9 +264,7 @@ impl RandomScheduler {
 
 impl<P> Scheduler<P> for RandomScheduler {
     fn decide(&mut self, view: &SchedView<'_, P>) -> Decision {
-        let running: Vec<usize> = view.running().collect();
-        debug_assert!(!running.is_empty());
-        Decision::Step(running[self.rng.gen_range(0..running.len())])
+        Decision::Step(view.live[self.rng.gen_range(0..view.live.len())])
     }
 
     fn quantum(&self, _view: &SchedView<'_, P>, _chosen: usize) -> u64 {
@@ -267,6 +277,9 @@ impl<P> Scheduler<P> for RandomScheduler {
 ///
 /// Long bursts maximise the staleness of other processes' views of shared
 /// memory, which is what drives collisions in KKβ (§5).
+///
+/// A decision costs O(1): it continues the current burst, or starts a new
+/// one with one RNG draw that indexes [`SchedView::live`].
 #[derive(Debug, Clone)]
 pub struct BlockScheduler {
     rng: StdRng,
@@ -299,9 +312,7 @@ impl<P> Scheduler<P> for BlockScheduler {
                 return Decision::Step(i);
             }
         }
-        let running: Vec<usize> = view.running().collect();
-        debug_assert!(!running.is_empty());
-        let i = running[self.rng.gen_range(0..running.len())];
+        let i = view.live[self.rng.gen_range(0..view.live.len())];
         self.current = Some(i);
         self.left = self.burst;
         Decision::Step(i)
@@ -328,6 +339,9 @@ impl<P> Scheduler<P> for BlockScheduler {
 ///
 /// Used to reproduce specific interleavings (e.g. counter-example traces
 /// from the explorer) and in unit tests of the engine itself.
+///
+/// A scripted decision costs O(1); the fallback costs what [`RoundRobin`]
+/// does.
 #[derive(Debug, Clone)]
 pub struct ScriptedScheduler {
     script: std::vec::IntoIter<Decision>,
@@ -374,17 +388,36 @@ impl<P> Scheduler<P> for ScriptedScheduler {
 ///   ever advance the clock otherwise).
 /// * Each pid restarts at most once; a restarted process may crash again
 ///   (by an adversary), consuming crash budget each time.
+///
+/// # Cost
+///
+/// The first decision indexes the plan: a list of armed planned crashes, a
+/// list of pending restarts (one entry per observed crash whose restart is
+/// unspent) and a restart delay per slot. Each list entry leaves when it
+/// fires. [`decide`](Scheduler::decide), [`quantum`](Scheduler::quantum)
+/// and [`pending_restart`](Scheduler::pending_restart) scan only those
+/// lists, so on top of the inner scheduler they cost O(pending events), and
+/// O(1) once every planned crash and restart has happened.
+///
+/// # Panics
+///
+/// The first decision panics if the plan names a pid outside `1..=m` (see
+/// [`CrashPlan::assert_fits`]): such an entry could never fire.
 #[derive(Debug, Clone)]
 pub struct WithCrashes<S> {
     inner: S,
-    plan: CrashPlan,
-    /// Pids whose planned crash already fired (so cumulative step counters
-    /// cannot re-trigger it after a restart).
-    fired: BTreeSet<usize>,
-    /// Global step at which each pid last crashed (feeds restart delays).
-    crashed_at: BTreeMap<usize, u64>,
-    /// Pids already restarted (one restart per pid).
-    restarted: BTreeSet<usize>,
+    /// The plan, until the first decision indexes it (the fleet size is
+    /// unknown before).
+    plan: Option<CrashPlan>,
+    /// Planned crashes that can still fire, as `(slot, step budget)` in
+    /// slot order. An entry leaves when it fires or its process terminates;
+    /// all leave once the crash budget is spent.
+    armed: Vec<(usize, u64)>,
+    /// The restart delay of each slot whose one restart is unspent.
+    restart_delay: Vec<Option<u64>>,
+    /// Restarts of observed crashes, as `(due global step, slot)`. An entry
+    /// leaves when its restart fires.
+    pending: Vec<(u64, usize)>,
 }
 
 impl<S> WithCrashes<S> {
@@ -392,65 +425,97 @@ impl<S> WithCrashes<S> {
     pub fn new(inner: S, plan: CrashPlan) -> Self {
         Self {
             inner,
-            plan,
-            fired: BTreeSet::new(),
-            crashed_at: BTreeMap::new(),
-            restarted: BTreeSet::new(),
+            plan: Some(plan),
+            armed: Vec::new(),
+            restart_delay: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
-    /// The earliest `(due_step, slot)` among restarts whose pid is
-    /// currently crashed and not yet restarted.
-    fn earliest_restart<P>(&self, view: &SchedView<'_, P>) -> Option<(u64, usize)> {
-        if !self.plan.has_restarts() {
+    /// Indexes `plan` for a fleet of `m`: its armed crashes and each slot's
+    /// restart delay.
+    fn index(&mut self, plan: CrashPlan, m: usize) {
+        plan.assert_fits(m);
+        self.armed = plan.iter().map(|(pid, budget)| (pid - 1, budget)).collect();
+        self.restart_delay = vec![None; m];
+        for (pid, delay) in plan.restarts() {
+            self.restart_delay[pid - 1] = Some(delay);
+        }
+    }
+
+    /// Disarms and returns the first planned crash that is due: the lowest
+    /// running slot whose step count has reached its budget. Entries that
+    /// can never fire again are dropped on the way: those of terminated
+    /// processes, and all of them once the crash budget is spent.
+    fn due_crash<P>(&mut self, view: &SchedView<'_, P>) -> Option<usize> {
+        if view.crashes >= view.max_crashes {
+            self.armed.clear();
             return None;
         }
-        self.plan
-            .restarts()
-            .filter_map(|(pid, delay)| {
-                let i = pid.checked_sub(1)?;
-                if i >= view.slots.len()
-                    || view.slots[i].state != LifeState::Crashed
-                    || self.restarted.contains(&pid)
-                {
-                    return None;
+        let mut k = 0;
+        while k < self.armed.len() {
+            let (i, budget) = self.armed[k];
+            let slot = &view.slots[i];
+            match slot.state {
+                LifeState::Running if slot.steps >= budget => {
+                    self.armed.remove(k);
+                    return Some(i);
                 }
-                let at = self.crashed_at.get(&pid)?;
-                Some((at.saturating_add(delay), i))
-            })
+                LifeState::Terminated => {
+                    self.armed.remove(k);
+                }
+                _ => k += 1,
+            }
+        }
+        None
+    }
+
+    /// Records that slot `i` crashed at global step `now`: an unspent
+    /// restart falls due `delay` steps later (a re-crash moves it).
+    fn note_crash(&mut self, i: usize, now: u64) {
+        if let Some(delay) = self.restart_delay[i] {
+            let due = now.saturating_add(delay);
+            match self.pending.iter_mut().find(|(_, j)| *j == i) {
+                Some(entry) => entry.0 = due,
+                None => self.pending.push((due, i)),
+            }
+        }
+    }
+
+    /// The earliest `(due_step, slot)` among pending restarts whose slot is
+    /// currently crashed.
+    fn earliest_restart<P>(&self, view: &SchedView<'_, P>) -> Option<(u64, usize)> {
+        self.pending
+            .iter()
+            .copied()
+            .filter(|&(_, i)| view.slots[i].state == LifeState::Crashed)
             .min()
     }
 }
 
 impl<P, S: Scheduler<P>> Scheduler<P> for WithCrashes<S> {
     fn decide(&mut self, view: &SchedView<'_, P>) -> Decision {
-        // The empty plan (the common benchmarking case) must not tax every
-        // decision with an O(m) budget scan.
-        if self.plan.crash_count() > 0 && view.crashes < view.max_crashes {
-            for (i, slot) in view.slots.iter().enumerate() {
-                if slot.state == LifeState::Running
-                    && !self.fired.contains(&(i + 1))
-                    && self.plan.should_crash(i + 1, slot.steps)
-                {
-                    self.fired.insert(i + 1);
-                    self.crashed_at.insert(i + 1, view.total_steps);
-                    return Decision::Crash(i);
-                }
-            }
+        if let Some(plan) = self.plan.take() {
+            self.index(plan, view.slots.len());
+        }
+        if let Some(i) = self.due_crash(view) {
+            self.note_crash(i, view.total_steps);
+            return Decision::Crash(i);
         }
         if let Some((due, i)) = self.earliest_restart(view) {
             // Fire at the due step — or immediately if the fleet has
             // stalled (nobody left to advance the step clock).
-            if view.total_steps >= due || view.running_count() == 0 {
-                self.restarted.insert(i + 1);
+            if view.total_steps >= due || view.live.is_empty() {
+                self.restart_delay[i] = None;
+                self.pending.retain(|&(_, j)| j != i);
                 return Decision::Restart(i);
             }
         }
         let decision = self.inner.decide(view);
         if let Decision::Crash(i) = decision {
-            // Adversary-injected crash: record it so a restart entry for
-            // this pid has a crash instant to measure its delay from.
-            self.crashed_at.insert(i + 1, view.total_steps);
+            // Adversary-injected crash: a restart entry for this pid
+            // measures its delay from this instant.
+            self.note_crash(i, view.total_steps);
         }
         decision
     }
@@ -460,16 +525,12 @@ impl<P, S: Scheduler<P>> Scheduler<P> for WithCrashes<S> {
     // restart's due step — so both injections happen at the same global
     // action they would under single-stepping. (Other processes' crash
     // thresholds cannot fire mid-quantum: their step counts do not
-    // advance.)
+    // advance.) `decide` ran first on this view, so `armed` is already
+    // empty if the crash budget is spent.
     fn quantum(&self, view: &SchedView<'_, P>, chosen: usize) -> u64 {
         let mut q = self.inner.quantum(view, chosen);
-        if self.plan.is_empty() {
-            return q;
-        }
-        if let Some(b) = self.plan.budget(chosen + 1) {
-            if view.crashes < view.max_crashes && !self.fired.contains(&(chosen + 1)) {
-                q = q.min(b.saturating_sub(view.slots[chosen].steps).max(1));
-            }
+        if let Some(&(_, budget)) = self.armed.iter().find(|&&(i, _)| i == chosen) {
+            q = q.min(budget.saturating_sub(view.slots[chosen].steps).max(1));
         }
         if let Some((due, _)) = self.earliest_restart(view) {
             q = q.min(due.saturating_sub(view.total_steps).max(1));
@@ -557,6 +618,26 @@ mod tests {
         assert_eq!(exec.crashed, vec![2]);
         assert_eq!(exec.per_proc_steps[1], 1, "pid 2 took exactly one step");
         assert!(exec.completed);
+    }
+
+    #[test]
+    #[should_panic(expected = "crash plan names pid 4, but the fleet has pids 1..=3")]
+    fn plan_naming_a_missing_pid_fails_loudly() {
+        // Without the check this entry could never fire and the "crash" run
+        // would silently be crash-free.
+        let (mem, procs) = fleet(2);
+        let sched = WithCrashes::new(RoundRobin::new(), CrashPlan::at_steps([(4usize, 1u64)]));
+        let _ = Engine::new(mem, procs, sched).run(EngineLimits::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "crash plan names pid 0")]
+    fn restart_entry_for_pid_zero_fails_loudly() {
+        let (mem, procs) = fleet(2);
+        let mut plan = CrashPlan::none();
+        plan.restart_after(0, 1);
+        let sched = WithCrashes::new(RoundRobin::new(), plan);
+        let _ = Engine::new(mem, procs, sched).run(EngineLimits::default());
     }
 
     #[test]

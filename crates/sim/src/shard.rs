@@ -587,6 +587,7 @@ where
     for (i, p) in fleet.iter().enumerate() {
         assert_eq!(p.pid(), i + 1, "processes must be ordered by pid 1..=m");
     }
+    spec.crash_plan.assert_fits(fleet.len());
 
     // Hook wiring — exactly the run_scenario_on rules.
     if spec.epoch_cache && spec.grants_quanta() {
@@ -967,6 +968,16 @@ mod tests {
         plan.restart_after(1, 5);
         let spec = ScenarioSpec::round_robin_batched()
             .with_crash_plan(plan)
+            .with_shard_spec(ShardSpec::sequential(2));
+        let (mem, fleet) = writer_fleet(4, 3);
+        let _ = run_scenario(mem, fleet, &spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "crash plan names pid 5, but the fleet has pids 1..=4")]
+    fn plans_naming_a_missing_pid_rejected() {
+        let spec = ScenarioSpec::round_robin_batched()
+            .with_crash_plan(CrashPlan::at_steps([(5usize, 2u64)]))
             .with_shard_spec(ShardSpec::sequential(2));
         let (mem, fleet) = writer_fleet(4, 3);
         let _ = run_scenario(mem, fleet, &spec);
