@@ -35,8 +35,14 @@
 //! 3. **At-most-once, audited.** No global job id is granted twice —
 //!    within a generation by the algorithm's guarantee, across
 //!    generations by disjoint id blocks — and the service does not take
-//!    this on faith: every performed id passes through a global audit
-//!    set, and [`ServiceReport::violations`] must read zero.
+//!    this on faith: each generation keeps one audit bit per job, and a
+//!    performed local job `j` is a violation when `j ∉ 1..=n` or its bit
+//!    was already set. The global id `g·n + j` is injective over `g` and
+//!    `j ∈ 1..=n`, so a global id performed twice sets one bit twice: the
+//!    bitmaps catch every repeat a set of all global ids ever performed
+//!    would, in `n/8` bytes per live generation and without a lock, and
+//!    the range check also catches an id outside its generation's block.
+//!    [`ServiceReport::violations`] must read zero.
 //!
 //! ## Shape of the crate
 //!

@@ -8,12 +8,24 @@
 //! or by an immediate [`SubmitError::Full`] ([`IngestQueue::try_push`]) —
 //! instead of the service buffering unboundedly and collapsing later.
 //!
+//! A condvar is **notified only when a thread is parked on it**. The state
+//! counts, under the mutex, the consumers parked in `pop` and the producers
+//! parked in `push`; each parked thread raises its count before it waits
+//! and lowers it after it wakes, so the count never reads below the number
+//! of threads actually waiting, and a push or pop that sees zero has no one
+//! to wake. The check is what saves the claim path its cost: std's condvar
+//! makes a wake-up system call on every `notify_one`, whether or not a
+//! thread is parked, and a busy service pushes and pops with nobody
+//! waiting. [`close`](IngestQueue::close) still wakes everyone.
+//!
 //! The queue is **poison-tolerant**: a worker that panics while holding
 //! the lock (a chaos kill, a process bug) leaves the mutex poisoned but
 //! the state itself consistent — it is a plain deque plus counters, with
-//! no invariant ever spanning a panic point — so every operation recovers
-//! the guard from [`PoisonError`](std::sync::PoisonError) instead of
-//! cascading the panic into blocked producers as a deadlock-by-unwind.
+//! no invariant ever spanning a panic point (a parked thread alone changes
+//! its waiter count, under the lock, with no panic point between raising
+//! and lowering it) — so every operation recovers the guard from
+//! [`PoisonError`](std::sync::PoisonError) instead of cascading the panic
+//! into blocked producers as a deadlock-by-unwind.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -68,6 +80,10 @@ struct State<T> {
     buf: VecDeque<T>,
     closed: bool,
     stats: QueueStats,
+    /// Consumers waiting on `not_empty` in [`IngestQueue::pop`].
+    parked_consumers: usize,
+    /// Producers waiting on `not_full` in [`IngestQueue::push`].
+    parked_producers: usize,
 }
 
 /// A bounded blocking MPMC queue (see the module docs).
@@ -91,6 +107,8 @@ impl<T> IngestQueue<T> {
                 buf: VecDeque::with_capacity(capacity),
                 closed: false,
                 stats: QueueStats::default(),
+                parked_consumers: 0,
+                parked_producers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -124,7 +142,9 @@ impl<T> IngestQueue<T> {
         st.buf.push_back(item);
         st.stats.accepted += 1;
         st.stats.peak_depth = st.stats.peak_depth.max(st.buf.len());
-        self.not_empty.notify_one();
+        if st.parked_consumers > 0 {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -143,10 +163,14 @@ impl<T> IngestQueue<T> {
                 st.buf.push_back(item);
                 st.stats.accepted += 1;
                 st.stats.peak_depth = st.stats.peak_depth.max(st.buf.len());
-                self.not_empty.notify_one();
+                if st.parked_consumers > 0 {
+                    self.not_empty.notify_one();
+                }
                 return Ok(());
             }
+            st.parked_producers += 1;
             st = recover(self.not_full.wait(st));
+            st.parked_producers -= 1;
         }
     }
 
@@ -157,13 +181,17 @@ impl<T> IngestQueue<T> {
         let mut st = recover(self.state.lock());
         loop {
             if let Some(item) = st.buf.pop_front() {
-                self.not_full.notify_one();
+                if st.parked_producers > 0 {
+                    self.not_full.notify_one();
+                }
                 return Some(item);
             }
             if st.closed {
                 return None;
             }
+            st.parked_consumers += 1;
             st = recover(self.not_empty.wait(st));
+            st.parked_consumers -= 1;
         }
     }
 
@@ -187,7 +215,26 @@ impl<T> IngestQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// Runs `body` on its own thread and waits at most 10 s for it, so a
+    /// lost wake-up fails the test loudly instead of hanging it.
+    fn within_watchdog<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done_tx, done_rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let result = body();
+            let _ = done_tx.send(());
+            result
+        });
+        if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(10)) {
+            panic!("lost wake-up: a queue thread is still parked after 10 s");
+        }
+        handle
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
 
     #[test]
     fn bounded_try_push_signals_backpressure() {
@@ -276,5 +323,67 @@ mod tests {
         assert_eq!(q.pop(), Some(2), "drain guarantee survives the poison");
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Two pushes must wake both parked consumers, not one: each push
+    /// finds a consumer still counted as parked and notifies.
+    #[test]
+    fn every_parked_consumer_is_woken() {
+        within_watchdog(|| {
+            let q = Arc::new(IngestQueue::new(4));
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || q.pop())
+                })
+                .collect();
+            while recover(q.state.lock()).parked_consumers < 2 {
+                std::thread::yield_now();
+            }
+            q.try_push(1u32).unwrap();
+            q.try_push(2).unwrap();
+            let mut got: Vec<_> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
+            got.sort_unstable();
+            assert_eq!(got, [Some(1), Some(2)]);
+        });
+    }
+
+    /// Blocking producers and consumers on a one-slot queue, so nearly
+    /// every operation parks or wakes someone: every item must come out
+    /// exactly once, and nobody may stay parked.
+    #[test]
+    fn parked_producers_and_consumers_never_lose_a_wake_up() {
+        const ITEMS: u32 = 20_000;
+        const PRODUCERS: u32 = 3;
+        within_watchdog(|| {
+            let q = Arc::new(IngestQueue::new(1));
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || {
+                        for item in (p..ITEMS).step_by(PRODUCERS as usize) {
+                            q.push(item).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || std::iter::from_fn(|| q.pop()).collect::<Vec<_>>())
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            q.close();
+            let mut got: Vec<u32> = consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect();
+            got.sort_unstable();
+            assert!(got.iter().copied().eq(0..ITEMS), "every item exactly once");
+            assert_eq!(q.stats().peak_depth, 1);
+        });
     }
 }

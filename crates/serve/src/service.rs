@@ -13,6 +13,17 @@
 //! service additionally *audits* at runtime rather than trusts
 //! ([`ServiceReport::violations`], pinned at zero by the soak suites).
 //!
+//! The audit is a bitmap per generation: `n` bits, set with `fetch_or`
+//! as local jobs are performed. A performed local job `j` is a violation
+//! when `j ∉ 1..=n` or when its bit was already set. No service-wide
+//! check is needed: the global id `g·n + j` is injective over `g` and
+//! `j ∈ 1..=n`, so two performs of one global id are two performs of one
+//! bit of one generation, and a `j` outside the range — whose global id
+//! would alias another generation's block — is flagged outright. The
+//! bitmap takes no lock, and it lives only as long as its generation. Its
+//! popcount, taken by the last worker to retire, is the generation's count
+//! of distinct jobs performed.
+//!
 //! Workers rotate independently: when a worker's automaton terminates its
 //! generation (everything claimable is claimed), it retires from that
 //! generation and joins the next, building a fresh automaton from the
@@ -58,7 +69,7 @@
 //! [`late_recovered`](ServiceReport::late_recovered), and the
 //! delivered-only [`grant_waits`](ServiceReport::grant_waits) histogram.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -264,8 +275,9 @@ struct Generation {
     /// Global-id offset: local job `j` (1-based) is global `base + j`.
     base: u64,
     mem: AtomicRegisters,
-    /// Jobs performed in this generation so far.
-    performed: AtomicU64,
+    /// The at-most-once audit: bit `j − 1` is set once local job `j` is
+    /// performed (see the module docs).
+    audit: Box<[AtomicU64]>,
     /// Workers that finished their automaton here.
     retired: AtomicU64,
 }
@@ -274,8 +286,6 @@ struct Shared {
     queue: IngestQueue<ClaimRequest>,
     blueprint: Box<dyn FleetBlueprint>,
     generations: Mutex<HashMap<u64, Arc<Generation>>>,
-    /// The at-most-once audit: every performed global job id, exactly once.
-    audit: Mutex<HashSet<u64>>,
     violations: AtomicU64,
     granted: AtomicU64,
     /// Grants whose client had already left (reply channel dropped).
@@ -301,22 +311,35 @@ impl Shared {
     fn enter_generation(&self, index: u64) -> Arc<Generation> {
         let mut gens = self.generations.lock().expect("generation table poisoned");
         Arc::clone(gens.entry(index).or_insert_with(|| {
+            let n = self.blueprint.jobs_per_generation();
+            let words = usize::try_from(n.div_ceil(64)).expect("audit bitmap fits in memory");
             Arc::new(Generation {
                 index,
-                base: index * self.blueprint.jobs_per_generation(),
+                base: index * n,
                 mem: AtomicRegisters::new(self.blueprint.cells(), MemOrder::SeqCst),
-                performed: AtomicU64::new(0),
+                audit: (0..words).map(|_| AtomicU64::new(0)).collect(),
                 retired: AtomicU64::new(0),
             })
         }))
     }
 
     fn retire(&self, gen: &Arc<Generation>) {
-        let done = gen.retired.fetch_add(1, Ordering::Relaxed) + 1;
+        // AcqRel, not Relaxed: each worker sets its audit bits before its
+        // own increment here (the release half), and the last retirer's
+        // increment reads the value every earlier one wrote into this
+        // read-modify-write chain (the acquire half), so its popcount below
+        // sees every bit the generation's workers set. With Relaxed, weakly
+        // ordered hardware could undercount `performed_in_completed`.
+        let done = gen.retired.fetch_add(1, Ordering::AcqRel) + 1;
         if done == self.blueprint.workers() as u64 {
             self.completed_generations.fetch_add(1, Ordering::Relaxed);
+            let performed: u64 = gen
+                .audit
+                .iter()
+                .map(|word| u64::from(word.load(Ordering::Relaxed).count_ones()))
+                .sum();
             self.performed_in_completed
-                .fetch_add(gen.performed.load(Ordering::Relaxed), Ordering::Relaxed);
+                .fetch_add(performed, Ordering::Relaxed);
             self.generations
                 .lock()
                 .expect("generation table poisoned")
@@ -325,11 +348,19 @@ impl Shared {
     }
 
     fn audit_perform(&self, gen: &Generation, lo: u64, hi: u64) {
-        let mut seen = self.audit.lock().expect("audit set poisoned");
-        for j in lo..=hi {
-            if !seen.insert(gen.base + j) {
-                self.violations.fetch_add(1, Ordering::Relaxed);
-            }
+        let n = self.blueprint.jobs_per_generation();
+        let violations = (lo..=hi)
+            .filter(|&j| {
+                if j == 0 || j > n {
+                    return true;
+                }
+                let (word, bit) = ((j - 1) / 64, 1 << ((j - 1) % 64));
+                gen.audit[word as usize].fetch_or(bit, Ordering::Relaxed) & bit != 0
+            })
+            .count();
+        if violations > 0 {
+            self.violations
+                .fetch_add(violations as u64, Ordering::Relaxed);
         }
     }
 }
@@ -371,10 +402,6 @@ fn worker_drive(shared: &Shared, pid: usize, state: &mut WorkerState) {
             }
             match state.automaton.step(&state.gen.mem) {
                 StepEvent::Perform { span } => {
-                    state
-                        .gen
-                        .performed
-                        .fetch_add(span.count(), Ordering::Relaxed);
                     shared.audit_perform(&state.gen, span.lo, span.hi);
                     for j in span.jobs() {
                         state.stash.push_back(state.gen.base + j);
@@ -694,7 +721,9 @@ pub struct ServiceReport {
     /// Jobs performed but never granted (stash remainders at close).
     pub stranded: u64,
     /// **The at-most-once audit**: global job ids performed more than
-    /// once. Zero for a correct fleet, asserted by the soak suites.
+    /// once, plus performed ids outside their generation's block (a
+    /// local job `j ∉ 1..=n`). Zero for a correct fleet, asserted by the
+    /// soak suites.
     pub violations: u64,
     /// Worker panics recovered by supervision — injected chaos kills
     /// resumed in place, plus unrecognised panics restarted into the next
@@ -712,7 +741,9 @@ pub struct ServiceReport {
     pub grant_waits: LatencyHistogram,
     /// Generations all `m` workers retired from.
     pub completed_generations: u64,
-    /// Jobs performed within those completed generations.
+    /// Distinct jobs performed within those completed generations, as
+    /// the paper's effectiveness counts them: a job performed twice counts
+    /// once, and an id outside its generation's block not at all.
     pub performed_in_completed: u64,
     /// Ingest-queue counters (admission control evidence:
     /// `peak_depth ≤ capacity`).
@@ -789,7 +820,6 @@ impl ClaimService {
             queue: IngestQueue::new(queue_capacity),
             blueprint,
             generations: Mutex::new(HashMap::new()),
-            audit: Mutex::new(HashSet::new()),
             violations: AtomicU64::new(0),
             granted: AtomicU64::new(0),
             abandoned: AtomicU64::new(0),
@@ -880,6 +910,7 @@ impl ClaimService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn grants_are_unique_and_complete() {
@@ -1083,6 +1114,109 @@ mod tests {
         fn label(&self) -> &'static str {
             "faulty-once"
         }
+    }
+
+    /// A solo automaton that performs a fixed script of local jobs, one
+    /// per step, then terminates — a way to make the audit fire.
+    #[derive(Debug)]
+    struct ScriptedProcess {
+        pid: usize,
+        script: &'static [u64],
+        next: usize,
+    }
+
+    impl<R: amo_sim::Registers + ?Sized> amo_sim::Process<R> for ScriptedProcess {
+        fn step(&mut self, _mem: &R) -> StepEvent {
+            let Some(&j) = self.script.get(self.next) else {
+                return StepEvent::Terminated;
+            };
+            self.next += 1;
+            StepEvent::Perform { span: j.into() }
+        }
+
+        fn pid(&self) -> usize {
+            self.pid
+        }
+
+        fn is_terminated(&self) -> bool {
+            self.next >= self.script.len()
+        }
+    }
+
+    impl amo_sim::scenario::ScenarioHooks for ScriptedProcess {}
+
+    #[derive(Debug, Clone)]
+    struct ScriptedBlueprint {
+        jobs: u64,
+        script: &'static [u64],
+    }
+
+    impl FleetBlueprint for ScriptedBlueprint {
+        fn workers(&self) -> usize {
+            1
+        }
+
+        fn jobs_per_generation(&self) -> u64 {
+            self.jobs
+        }
+
+        fn cells(&self) -> usize {
+            1
+        }
+
+        fn build(&self, pid: usize) -> BoxProcess {
+            boxed(ScriptedProcess {
+                pid,
+                script: self.script,
+                next: 0,
+            })
+        }
+
+        fn label(&self) -> &'static str {
+            "scripted"
+        }
+    }
+
+    /// Claims `claims` grants from a solo service; the worker steps only
+    /// on demand, so the claim count fixes exactly which steps run.
+    fn claim_scripted(
+        jobs: u64,
+        script: &'static [u64],
+        claims: usize,
+    ) -> (Vec<Grant>, ServiceReport) {
+        let svc = ClaimService::start(ScriptedBlueprint { jobs, script }, 4);
+        let client = svc.client();
+        let grants = (0..claims).map(|_| client.claim().unwrap()).collect();
+        (grants, svc.shutdown())
+    }
+
+    #[test]
+    fn audit_counts_a_job_performed_twice() {
+        // Generation 0 performs 1, 1, 2, 3, 4; the sixth claim terminates
+        // it and takes job 1 of generation 1.
+        let (grants, report) = claim_scripted(4, &[1, 1, 2, 3, 4], 6);
+        let jobs: Vec<u64> = grants.iter().map(|g| g.job).collect();
+        assert_eq!(jobs, [1, 1, 2, 3, 4, 5], "the duplicate reached a client");
+        assert_eq!(report.violations, 1);
+        assert_eq!(report.completed_generations, 1);
+        assert_eq!(report.performed_in_completed, 4, "job 1 counts once");
+    }
+
+    #[test]
+    fn audit_flags_a_job_outside_its_generation() {
+        // An off-by-one automaton performs 2..=n + 1: generation g's local
+        // job 5 is global id 4g + 5, job 1 of generation g + 1's block. No
+        // global id repeats (generation g + 1 never performs its own job
+        // 1), so only the per-generation range check can see it.
+        let (grants, report) = claim_scripted(4, &[2, 3, 4, 5], 5);
+        let jobs: Vec<u64> = grants.iter().map(|g| g.job).collect();
+        assert_eq!(jobs, [2, 3, 4, 5, 6]);
+        assert_eq!(report.violations, 1, "job 5 lies outside 1..=4");
+        assert_eq!(report.completed_generations, 1);
+        assert_eq!(
+            report.performed_in_completed, 3,
+            "an id outside the block is not a job of this generation"
+        );
     }
 
     #[test]
