@@ -8,10 +8,10 @@
 //!           [--tolerance 0.2] [--mem-tolerance 0.25] [--summary PATH]
 //! ```
 //!
-//! Deterministic counters (`total_steps`, `shared_ops`, `effectiveness`,
-//! `epoch_mem_bytes`) must match exactly; speed ratios may dip at most
-//! `tolerance` below the baseline; banded memory columns (`peak_rss_mb`)
-//! must stay within `±mem-tolerance` of the baseline (see
+//! Deterministic counters (`total_steps`, `local_work`, `shared_ops`,
+//! `effectiveness`, `epoch_mem_bytes`) must match exactly; speed ratios
+//! may dip at most `tolerance` below the baseline; banded memory columns
+//! (`peak_rss_mb`) must stay within `±mem-tolerance` of the baseline (see
 //! [`amo_bench::gate`] for the rationale). A markdown comparison table is appended to `--summary` if
 //! given, else to `$GITHUB_STEP_SUMMARY` if set, and always printed to
 //! stdout. Exit code 1 on regression.

@@ -28,11 +28,12 @@
 //! configuration): wall-clock on shared runners wobbles by tens of percent,
 //! and the interleaved minimum is the standard way to estimate the
 //! undisturbed cost of each configuration under the same machine state.
-//! The deterministic fields (`total_steps`, `shared_ops`, `effectiveness`,
-//! and `epoch_mem_bytes` — the tracked-prefix high-water is a deterministic
-//! function of the execution) are what the CI gate pins exactly; the ratio
-//! fields carry a tolerance and the noisy memory column (`peak_rss_mb` from
-//! Linux procfs) a ±25% band (see the `perf_gate` binary).
+//! The deterministic fields (`total_steps`, `local_work`, `shared_ops`,
+//! `effectiveness`, and `epoch_mem_bytes` — the tracked-prefix high-water is
+//! a deterministic function of the execution) are what the CI gate pins
+//! exactly; the ratio fields carry a tolerance and the noisy memory column
+//! (`peak_rss_mb` from Linux procfs) a ±25% band (see the `perf_gate`
+//! binary).
 
 use std::time::Instant;
 
@@ -72,6 +73,9 @@ struct Entry {
     fast_ms: f64,
     total_steps: u64,
     shared_ops: u64,
+    /// Local basic operations (Definition 2.5's local share of work), the
+    /// set layer's charges included.
+    local_work: u64,
     effectiveness: Option<u64>,
     /// Peak resident set over this workload's runs (Linux procfs; `None`
     /// elsewhere, and `None` for workloads that run after a bigger one —
@@ -197,6 +201,7 @@ fn kk_workload(n: usize, m: usize) -> Entry {
         fast_ms,
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
+        local_work: fast.local_work,
         effectiveness: Some(fast.effectiveness),
         peak_rss_kb: amo_bench::mem::peak_rss_kb(),
         epoch_mem_bytes: Some(fast.epoch_mem_bytes),
@@ -253,6 +258,7 @@ fn kk_mega_workload(name: &'static str, n: usize, m: usize) -> Entry {
         fast_ms,
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
+        local_work: fast.local_work,
         effectiveness: Some(fast.effectiveness),
         peak_rss_kb: amo_bench::mem::peak_rss_kb(),
         epoch_mem_bytes: Some(fast.epoch_mem_bytes),
@@ -317,6 +323,7 @@ fn kk_sharded_workload(
         fast_ms,
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
+        local_work: fast.local_work,
         effectiveness: Some(fast.effectiveness),
         // No RSS column: this workload runs after the mega workload (see
         // iter_workload for why a post-mega VmHWM reading is not its own).
@@ -367,6 +374,7 @@ fn iter_workload(n: usize, m: usize) -> Entry {
         fast_ms,
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
+        local_work: fast.local_work,
         effectiveness: Some(fast.effectiveness),
         // No RSS column: VmHWM resets only to *current* RSS, which after
         // the mega workload is dominated by allocator-retained heap — a
@@ -413,6 +421,7 @@ fn write_all_workload(n: usize, m: usize) -> Entry {
         fast_ms,
         total_steps: fast.total_steps,
         shared_ops: fast.mem_work.total(),
+        local_work: fast.local_work,
         effectiveness: None,
         // See iter_workload: a post-mega RSS reading is not this
         // workload's own.
@@ -485,6 +494,7 @@ fn quorum_workload(n: usize, m: usize) -> Entry {
         fast_ms,
         total_steps: quorum_run.total_steps,
         shared_ops: quorum_run.work(),
+        local_work: quorum_run.local_work,
         effectiveness: Some(quorum_run.effectiveness),
         peak_rss_kb: None,
         epoch_mem_bytes: None,
@@ -583,6 +593,7 @@ fn atomic_threads_workload(n: usize, m: usize) -> Entry {
         fast_ms,
         total_steps: atomic_exec.total_steps,
         shared_ops: atomic_exec.mem_work.total(),
+        local_work: atomic_exec.local_work,
         effectiveness: Some(atomic_exec.effectiveness()),
         peak_rss_kb: None,
         epoch_mem_bytes: None,
@@ -657,6 +668,7 @@ fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
             out.push_str(&format!("      \"epoch_mem_bytes\": {b},\n"));
         }
         out.push_str(&format!("      \"total_steps\": {},\n", e.total_steps));
+        out.push_str(&format!("      \"local_work\": {},\n", e.local_work));
         for (key, v) in &e.extra {
             // Deterministic protocol counters: integers on purpose, so the
             // gate pins them exactly like the step counters.

@@ -3,7 +3,7 @@
 //!
 //! Two classes of fields are checked per workload (matched by `name`):
 //!
-//! * **deterministic counters** (`total_steps`, `shared_ops`,
+//! * **deterministic counters** (`total_steps`, `local_work`, `shared_ops`,
 //!   `effectiveness`, and `epoch_mem_bytes` — the tracked-prefix epoch
 //!   high-water is a deterministic function of the execution) must match
 //!   the baseline **exactly** — the simulator is deterministic, so any

@@ -140,8 +140,28 @@ pub enum KkPhase {
     End,
 }
 
-/// The KKβ I/O automaton of one process — a field-for-field transcription of
-/// paper Fig. 1 (state) and Fig. 2 (transitions).
+/// The KKβ I/O automaton of one process — paper Fig. 1 (state) and Fig. 2
+/// (transitions), with one set of Fig. 1 kept only where it carries
+/// information.
+///
+/// Fig. 1 gives each process both `FREE` and `DONE`. Every `DONE` insert
+/// removes the same job from `FREE`, so when `FREE` starts as the whole
+/// universe `J` (plain KKβ, and every iterated stage handed a full set),
+/// `DONE = J \ FREE` at every step. Such a process keeps `FREE` alone and
+/// answers `DONE` from it: `check`, [`has_done`](Self::has_done),
+/// [`done_len`](Self::done_len), [`check_invariants`](Self::check_invariants)
+/// and `Eq`/`Hash` (the explorer's state partition is unchanged, since
+/// `DONE` is a function of `FREE`). A `gatherDone` merge is then one
+/// `FREE` removal, and the `DONE` leg's insert is charged logically — as
+/// much as the removal itself charged (inserting an absent id costs what
+/// removing a present one does on every [`OrderedJobSet`]) — so the work
+/// measure of Definition 2.5 is unchanged.
+///
+/// `DONE` stays a physical set when the initial `FREE` is a proper subset
+/// of the universe (iterated stages after the first). There `DONE` also
+/// holds foreign jobs outside the initial `FREE`, and exact accounting must
+/// tell a first merge of such a job (charged as an insert) from a repeat of
+/// an already-merged one (a duplicate probe), which `FREE` alone cannot.
 ///
 /// Deviation D4 (DESIGN.md): `gatherDone` checks `POS(q) ≤ n` *before*
 /// reading `done_{q,POS(q)}` instead of after, because reading out of bounds
@@ -180,7 +200,10 @@ pub struct KkProcess<S: OrderedJobSet = FenwickSet> {
     pick_rule: PickRule,
     phase: KkPhase,
     free: S,
-    done_set: S,
+    /// `DONE` when kept physically (initial `FREE` a proper subset of the
+    /// universe); `None` when it is derived as `J \ FREE` (see the type
+    /// docs).
+    done_set: Option<S>,
     /// `TRY`, kept sorted; `|TRY| ≤ m − 1` by construction.
     try_set: Vec<u64>,
     /// `POS(q)` for `q ∈ 1..=m` at index `q − 1`; 1-based log positions.
@@ -322,6 +345,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
             );
         }
         let n = layout.n();
+        let done_set = (free.len() < n).then(|| S::empty(n));
         Self {
             pid,
             m,
@@ -332,7 +356,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
             pick_rule: PickRule::RankSplit,
             phase: KkPhase::CompNext,
             free,
-            done_set: S::empty(n),
+            done_set,
             try_set: Vec::with_capacity(m),
             pos: vec![1; m],
             next_job: 0,
@@ -437,7 +461,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
     /// Local basic operations executed so far (inherent twin of the
     /// [`Process`] trait method).
     pub fn local_work(&self) -> u64 {
-        self.local_ops + self.free.ops() + self.done_set.ops()
+        self.local_ops + self.free.ops() + self.done_set.as_ref().map_or(0, |d| d.ops())
     }
 
     /// The announced candidate (`NEXT`), if one has been computed.
@@ -464,15 +488,26 @@ impl<S: OrderedJobSet> KkProcess<S> {
         self.free.len()
     }
 
-    /// Size of the current `DONE` estimate.
+    /// Size of the current `DONE` estimate: `n − |FREE|` where `DONE` is
+    /// derived, the physical set's size otherwise.
     pub fn done_len(&self) -> usize {
-        self.done_set.len()
+        match &self.done_set {
+            Some(done) => done.len(),
+            None => self.layout.n() - self.free.len(),
+        }
     }
 
     /// `true` if this process already knows `job` to be performed (it is in
-    /// its `DONE` estimate). Used by the omniscient adversaries of §5.
+    /// its `DONE` estimate). Used by `check` and by the omniscient
+    /// adversaries of §5.
+    ///
+    /// Where `DONE` is derived this is `job ∈ 1..=n` and `job ∉ FREE`, and
+    /// the `FREE` probe charges the one operation a `DONE` probe would.
     pub fn has_done(&self, job: u64) -> bool {
-        self.done_set.contains(job)
+        match &self.done_set {
+            Some(done) => done.contains(job),
+            None => !self.free.contains(job) && (1..=self.layout.n() as u64).contains(&job),
+        }
     }
 
     /// Collisions detected against each other process (index `q − 1`);
@@ -494,35 +529,40 @@ impl<S: OrderedJobSet> KkProcess<S> {
 
     /// Checks the state invariants the paper's analysis relies on.
     ///
-    /// * `FREE ∩ DONE = ∅` — a job leaves `FREE` exactly when it enters
-    ///   `DONE` (§3's set maintenance);
+    /// * where `DONE` is physical, `|FREE| + |DONE| ≤ n` and
+    ///   `FREE ∩ DONE = ∅` — a job leaves `FREE` exactly when it enters
+    ///   `DONE` (§3's set maintenance); a derived `DONE` is `J \ FREE`, so
+    ///   both hold by construction and are not checked;
     /// * `|TRY| ≤ m − 1`, sorted, within the universe — one announcement
     ///   slot per other process;
     /// * `Q ∈ 1..=m`, `POS(q) ∈ 1..=n+1` — loop and log cursors in range;
     /// * `NEXT` is defined in every phase that uses it.
     ///
-    /// Intended for tests and the exhaustive explorer (it walks `TRY`
-    /// and is `O(|TRY|·log n)`); production steps do not call it.
+    /// Intended for tests: it walks a physical `DONE` (`O(|DONE|)` rank
+    /// probes, made on copies so the work measure is untouched), and
+    /// neither production steps nor the exhaustive explorer call it.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.layout.n() as u64;
-        for t in &self.try_set {
-            if self.done_set.contains(*t) && self.free.contains(*t) {
-                return Err(format!("job {t} in both FREE and DONE"));
+        if let Some(done) = &self.done_set {
+            if self.free.len() + done.len() > self.layout.n() {
+                return Err(format!(
+                    "|FREE| + |DONE| = {} + {} exceeds n = {}",
+                    self.free.len(),
+                    done.len(),
+                    self.layout.n()
+                ));
             }
-        }
-        // FREE ∩ DONE emptiness via sizes: every done job was removed from
-        // free by done_insert, so |FREE| + |DONE| ≤ n always.
-        if self.free.len() + self.done_set.len() > self.layout.n() {
-            return Err(format!(
-                "|FREE| + |DONE| = {} + {} exceeds n = {}",
-                self.free.len(),
-                self.done_set.len(),
-                self.layout.n()
-            ));
+            let (free, done) = (self.free.clone(), done.clone());
+            for rank in 1..=done.len() {
+                let job = done.select(rank).expect("rank within |DONE|");
+                if free.contains(job) {
+                    return Err(format!("job {job} in both FREE and DONE"));
+                }
+            }
         }
         if self.try_set.len() > self.m.saturating_sub(1) {
             return Err(format!("|TRY| = {} > m − 1", self.try_set.len()));
@@ -870,7 +910,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
     fn check(&mut self) -> StepEvent {
         self.local_ops += 1;
         let try_hit = self.try_set.binary_search(&self.next_job).ok();
-        let done_hit = self.done_set.contains(self.next_job);
+        let done_hit = self.has_done(self.next_job);
         if try_hit.is_none() && !done_hit {
             self.phase = match self.mode {
                 KkMode::Plain => KkPhase::Do,
@@ -1009,11 +1049,40 @@ impl<S: OrderedJobSet> KkProcess<S> {
             // is no longer trustworthy.
             self.scratch_valid = false;
         }
-        // The fused `done.insert` + `free.remove` pair (see
-        // `OrderedJobSet::insert_paired_remove`): one coordinate
-        // computation serves both structures, with work accounting
-        // identical to the unpaired sequence.
-        let (inserted, removed) = self.done_set.insert_paired_remove(&mut self.free, v);
+        self.merge_done(v, src);
+    }
+
+    /// Merges job `v`, logged by process `src`, into `DONE` and out of
+    /// `FREE` — the one merge site of the single-step and batched paths.
+    ///
+    /// A physical `DONE` takes the fused `done.insert` + `free.remove`
+    /// pair ([`OrderedJobSet::insert_paired_remove`]). A derived `DONE`
+    /// gains `v` exactly when `v` leaves `FREE`, so `free.remove(v)` alone
+    /// does the structural work; a successful removal then charges its own
+    /// `ops` delta once more for the `DONE` leg's insert, and a failed one
+    /// charges only its probe, as a duplicate insert did.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v ∉ 1..=n` (a corrupted log), in both modes.
+    #[inline]
+    fn merge_done(&mut self, v: u64, src: usize) {
+        let (inserted, removed) = match &mut self.done_set {
+            Some(done) => done.insert_paired_remove(&mut self.free, v),
+            None => {
+                let n = self.layout.n();
+                assert!(
+                    (1..=n as u64).contains(&v),
+                    "insert of {v} outside universe 1..={n}"
+                );
+                let before = self.free.ops();
+                let removed = self.free.remove(v);
+                if removed {
+                    self.local_ops += self.free.ops() - before;
+                }
+                (removed, removed)
+            }
+        };
         if inserted {
             if removed {
                 self.repair_hint_after_free_removal(v);
@@ -1115,7 +1184,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
                     // membership probe still runs (it is part of the
                     // measured work, and provably returns false).
                     self.local_ops += 1;
-                    let done_hit = self.done_set.contains(self.next_job);
+                    let done_hit = self.has_done(self.next_job);
                     debug_assert!(!done_hit, "fused-cycle candidate already performed");
                     debug_assert!(
                         self.try_set.binary_search(&self.next_job).is_err(),
@@ -1312,19 +1381,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
                                         reads += 1;
                                         steps += 1;
                                         if v > 0 {
-                                            // Fused foreign merge, as in
-                                            // `done_insert`.
-                                            let (inserted, removed) = self
-                                                .done_set
-                                                .insert_paired_remove(&mut self.free, v);
-                                            if inserted {
-                                                if removed {
-                                                    self.repair_hint_after_free_removal(v);
-                                                }
-                                                if self.track_collisions {
-                                                    self.done_src.insert(v, self.q);
-                                                }
-                                            }
+                                            self.merge_done(v, self.q);
                                             pos += 1;
                                             // A freshly exhausted row is
                                             // left for the outer loop: the
@@ -1481,7 +1538,9 @@ impl<S: OrderedJobSet> amo_sim::ScenarioHooks for KkProcess<S> {
 // remaining cache fields (`gt_epochs`, stamps, `gd_epochs`, `my_writes`) are
 // pure memoisation — a hit returns exactly what a re-read would — and stay
 // excluded; so is `sel_hint`, since hinted and unhinted selection walks
-// return identical elements.
+// return identical elements. A derived `DONE` (`done_set == None`) is
+// `J \ FREE`, so comparing `FREE` partitions states exactly as comparing
+// both sets did.
 impl<S: OrderedJobSet> PartialEq for KkProcess<S> {
     fn eq(&self, other: &Self) -> bool {
         self.pid == other.pid
@@ -1869,6 +1928,77 @@ mod tests {
             p.check_invariants().expect("invariant");
         }
         p.check_invariants().expect("terminal invariant");
+    }
+
+    /// A process over `1..=8` with initial `FREE = {1..=6}`: `DONE` stays
+    /// physical.
+    fn partial_free(m: usize, pid: usize) -> (KkProcess, VecRegisters) {
+        let layout = KkLayout::contiguous(m, 8, true);
+        let mem = VecRegisters::new(layout.cells());
+        let p = KkProcess::new(
+            pid,
+            m,
+            m as u64,
+            layout,
+            FenwickSet::with_members(8, 1..=6),
+            KkMode::IterStep { output_free: false },
+            SpanMap::Identity,
+        );
+        (p, mem)
+    }
+
+    #[test]
+    fn done_is_physical_only_below_a_full_universe() {
+        let (plain, _) = single(5);
+        assert!(plain.done_set.is_none(), "plain KKβ allocates no DONE set");
+        let (partial, _) = partial_free(1, 1);
+        assert!(partial.done_set.is_some());
+        assert_eq!(partial.done_len(), 0);
+        assert!(!partial.has_done(7), "outside FREE₀ is not DONE");
+    }
+
+    #[test]
+    fn derived_done_answers_from_free() {
+        let (mut p, mem) = single(6);
+        drive(&mut p, &mem);
+        assert_eq!(p.done_len(), 6);
+        assert!((1..=6).all(|j| p.has_done(j)));
+        assert!(!p.has_done(0) && !p.has_done(7), "outside the universe");
+    }
+
+    #[test]
+    fn check_invariants_rejects_each_corruption() {
+        let m = 3;
+        let (mut p, mem) = partial_free(m, 1);
+        drive_to_phase(&mut p, &mem, KkPhase::Check);
+        p.check_invariants().expect("valid state");
+        // Each corruption with the report it must produce.
+        type Corrupt = fn(&mut KkProcess);
+        let corruptions: [(&str, Corrupt); 5] = [
+            ("TRY not strictly sorted", |p| p.try_set = vec![5, 3]),
+            ("POS(2) = 0", |p| p.pos[1] = 0),
+            ("Q = 4", |p| p.q = p.m + 1),
+            ("NEXT = 0 undefined in phase Check", |p| p.next_job = 0),
+            ("in both FREE and DONE", |p| {
+                let job = p.free.select(1).expect("FREE nonempty");
+                p.done_set.as_mut().expect("physical DONE").insert(job);
+            }),
+        ];
+        for (want, corrupt) in corruptions {
+            let mut bad = p.clone();
+            corrupt(&mut bad);
+            let err = bad.check_invariants().expect_err(want);
+            assert!(err.contains(want), "{want:?} reported as {err:?}");
+        }
+    }
+
+    fn drive_to_phase(p: &mut KkProcess, mem: &VecRegisters, phase: KkPhase) {
+        let mut guard = 0;
+        while p.phase() != phase {
+            p.step(mem);
+            guard += 1;
+            assert!(guard < 1_000, "never reached {phase:?}");
+        }
     }
 
     #[test]

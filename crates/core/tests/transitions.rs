@@ -2,7 +2,7 @@
 //! behaviour of Fig. 2 that the coarser integration tests could mask.
 
 use amo_core::{KkConfig, KkLayout, KkMode, KkPhase, KkProcess, SpanMap};
-use amo_ostree::FenwickSet;
+use amo_ostree::{DenseFenwickSet, FenwickSet, OrderedJobSet};
 use amo_sim::{Process, Registers, StepEvent, VecRegisters};
 
 fn step(p: &mut KkProcess, mem: &VecRegisters) -> StepEvent {
@@ -225,4 +225,48 @@ fn blocks_span_map_partial_tail_in_do() {
         spans.iter().any(|s| s.lo == 9 && s.hi == 10),
         "tail block clipped: {spans:?}"
     );
+}
+
+/// Writes `n + 1` into process 2's log row and lets process 1 gather it,
+/// through `step` or the batched `step_many`. A corrupted log entry must
+/// panic, never be merged or silently dropped.
+fn gather_corrupted_log<S: OrderedJobSet>(batched: bool) {
+    let n = 8;
+    let config = KkConfig::new(n, 2).unwrap();
+    let layout = KkLayout::contiguous(2, n, false);
+    let mem = VecRegisters::new(layout.cells());
+    mem.write(layout.done_cell(2, 1), n as u64 + 1);
+    let mut p: KkProcess<S> = KkProcess::from_config(1, &config, layout);
+    for _ in 0..100 {
+        if batched {
+            Process::<VecRegisters>::step_many(&mut p, &mem, 100);
+        } else {
+            Process::<VecRegisters>::step(&mut p, &mem);
+        }
+    }
+    unreachable!("the corrupted entry was never merged");
+}
+
+#[test]
+#[should_panic(expected = "outside universe")]
+fn corrupted_log_panics_in_step_on_fenwick() {
+    gather_corrupted_log::<FenwickSet>(false);
+}
+
+#[test]
+#[should_panic(expected = "outside universe")]
+fn corrupted_log_panics_in_step_many_on_fenwick() {
+    gather_corrupted_log::<FenwickSet>(true);
+}
+
+#[test]
+#[should_panic(expected = "outside universe")]
+fn corrupted_log_panics_in_step_on_dense() {
+    gather_corrupted_log::<DenseFenwickSet>(false);
+}
+
+#[test]
+#[should_panic(expected = "outside universe")]
+fn corrupted_log_panics_in_step_many_on_dense() {
+    gather_corrupted_log::<DenseFenwickSet>(true);
 }

@@ -132,6 +132,14 @@ pub trait RankedSet {
 /// [`DenseFenwickSet`](crate::DenseFenwickSet) (per-element Fenwick tree,
 /// `O(log n)` updates — the paper-faithful baseline), so the automaton and
 /// the benchmarks can swap backends.
+///
+/// **Charge symmetry.** For an in-universe `id`, inserting it when absent
+/// must charge the same [`ops`](Self::ops) as removing it when present, and
+/// inserting it when present the same as removing it when absent. A KKβ
+/// process whose `DONE` is the complement of its `FREE` keeps `FREE` alone
+/// and charges each merge's `DONE` insert as the matching `FREE` removal,
+/// which is exact only under this symmetry (the `backend_equivalence`
+/// suite pins it on both bitmap backends).
 pub trait OrderedJobSet:
     RankedSet + Clone + PartialEq + Eq + std::hash::Hash + std::fmt::Debug
 {
@@ -152,9 +160,14 @@ pub trait OrderedJobSet:
 
     /// The paired foreign-merge operation: inserts `id` into `self` (the
     /// `DONE` role) and, exactly when it was newly inserted, removes it
-    /// from `free` — fusing the `done.insert` + `free.remove` pair the KKβ
-    /// `gatherDone` merge performs once per observed log entry, the hottest
-    /// mutation pair of the whole simulation.
+    /// from `free` — fusing the `done.insert` + `free.remove` pair of the
+    /// KKβ `gatherDone` merge, once per observed log entry.
+    ///
+    /// Only processes that keep `DONE` as a physical set call it: iterated
+    /// stages whose initial `FREE` is a proper subset of the universe. A
+    /// process whose `FREE` starts full derives `DONE` from `FREE` and
+    /// merges with [`remove`](Self::remove) alone (plain KKβ, and so every
+    /// paper-scale run).
     ///
     /// Returns `(inserted, removed)`: `inserted` is what `self.insert(id)`
     /// would have returned, `removed` what the conditional `free.remove(id)`

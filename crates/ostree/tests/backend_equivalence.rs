@@ -15,6 +15,7 @@
 
 use amo_ostree::{rank_excluding, DenseFenwickSet, FenwickSet, OrderedJobSet, RankedSet};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
@@ -247,6 +248,70 @@ proptest! {
         let b = dense.select_excluding(&excl, i);
         prop_assert_eq!(a, b, "universe={} excl={:?} i={}", universe, &excl, i);
     }
+
+    /// Insert/remove charge symmetry on both bitmap backends, over random
+    /// universes (across word and block boundaries), members and ids.
+    #[test]
+    fn insert_and_remove_charge_symmetrically(
+        universe in 1usize..1100,
+        picks in prop::collection::vec(any::<u64>(), 0..40),
+        id_pick in any::<u64>(),
+    ) {
+        let u = universe as u64;
+        let members: Vec<u64> = picks.iter().map(|&p| p % u + 1).collect();
+        let id = id_pick % u + 1;
+        check_charge_symmetry::<FenwickSet>(universe, &members, id)?;
+        check_charge_symmetry::<DenseFenwickSet>(universe, &members, id)?;
+    }
+}
+
+/// The charge symmetry a derived `DONE` set relies on: a KKβ process whose
+/// `FREE` starts full keeps `DONE = J \ FREE` implicit and charges each
+/// merge's `DONE` insert as its `FREE` removal's own charge. So, with the
+/// two sets complementary, `DONE.insert(id)` must charge exactly what
+/// `FREE.remove(id)` does: an absent id's insert as a present id's removal,
+/// and a present id's insert as an absent in-universe id's removal.
+fn check_charge_symmetry<S: OrderedJobSet>(
+    universe: usize,
+    members: &[u64],
+    id: u64,
+) -> Result<(), TestCaseError> {
+    fn charge<S: OrderedJobSet>(set: &S, op: impl FnOnce(&mut S) -> bool) -> (bool, u64) {
+        let mut set = set.clone();
+        let before = set.ops();
+        let hit = op(&mut set);
+        (hit, set.ops() - before)
+    }
+    for id_in_free in [true, false] {
+        let mut free = S::empty(universe);
+        for &x in members {
+            free.insert(x);
+        }
+        if id_in_free {
+            free.insert(id);
+        } else {
+            free.remove(id);
+        }
+        let mut done = S::full(universe);
+        for x in 1..=universe as u64 {
+            if free.contains(x) {
+                done.remove(x);
+            }
+        }
+        let (inserted, insert_cost) = charge(&done, |d| d.insert(id));
+        let (removed, remove_cost) = charge(&free, |f| f.remove(id));
+        prop_assert_eq!(inserted, id_in_free, "DONE = J \\ FREE");
+        prop_assert_eq!(removed, id_in_free);
+        prop_assert_eq!(
+            insert_cost,
+            remove_cost,
+            "universe {} id {} in FREE: {}",
+            universe,
+            id,
+            id_in_free
+        );
+    }
+    Ok(())
 }
 
 fn clamp_op(op: Op, universe: u64) -> Op {
