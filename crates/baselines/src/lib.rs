@@ -22,10 +22,11 @@
 //! # Examples
 //!
 //! ```
-//! use amo_baselines::{run_baseline_simulated, AmoBaselineKind, BaselineOptions};
+//! use amo_baselines::{run_baseline_scenario, AmoBaselineKind};
+//! use amo_sim::ScenarioSpec;
 //!
-//! let report = run_baseline_simulated(AmoBaselineKind::TrivialSplit, 100, 4,
-//!                                     BaselineOptions::default());
+//! let spec = ScenarioSpec::round_robin();
+//! let report = run_baseline_scenario(AmoBaselineKind::TrivialSplit, 100, 4, &spec);
 //! assert!(report.violations.is_empty());
 //! assert_eq!(report.effectiveness, 100);
 //! ```
@@ -42,10 +43,7 @@ mod two_process;
 
 pub use pairs::PairsHybrid;
 pub use randomized::randomized_kk_fleet;
-pub use runner::{
-    run_baseline_scenario, run_baseline_simulated, run_baseline_threads, AmoBaselineKind,
-    BaselineOptions,
-};
+pub use runner::{run_baseline_scenario, run_baseline_threads, AmoBaselineKind};
 pub use tas::TasAmo;
 pub use trivial::TrivialSplit;
 pub use two_process::{TwoProcess, TwoProcessRole};

@@ -1,18 +1,16 @@
 //! Unified runner producing [`AmoReport`]s for every comparator, so the
 //! comparison tables (experiment E6) are generated through one interface.
 //!
-//! Simulated runs route through the shared scenario layer
-//! ([`amo_sim::run_scenario`]): [`BaselineOptions`] lowers bit-identically
-//! via [`to_scenario`](BaselineOptions::to_scenario), and
-//! [`run_baseline_scenario`] accepts a full [`ScenarioSpec`] — giving the
-//! comparators schedulers the legacy options never could (bursty blocks,
-//! quantized fairness, the lockstep adversary).
+//! A simulated run takes a full [`ScenarioSpec`] and goes through the
+//! shared scenario driver ([`amo_sim::run_scenario`]), so the comparators
+//! run under every scheduler the other algorithms do (bursty blocks,
+//! quantized fairness, the lockstep adversary). A threaded run takes a
+//! [`ThreadSpec`].
 
 use amo_core::{AmoReport, KkConfig};
 use amo_sim::thread::ThreadSpec;
 use amo_sim::{
-    AtomicRegisters, CrashPlan, EngineLimits, Execution, MemOrder, Process, ScenarioHooks,
-    ScenarioProcess, ScenarioSpec, Scheduler, SchedulerSpec, VecRegisters,
+    AtomicRegisters, Process, ScenarioHooks, ScenarioProcess, ScenarioSpec, Scheduler, VecRegisters,
 };
 
 use crate::pairs::PairsHybrid;
@@ -78,53 +76,6 @@ impl AmoBaselineKind {
     }
 }
 
-/// Options shared by the baseline runners.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineOptions {
-    /// Seeded random schedule; `None` = round-robin.
-    pub schedule_seed: Option<u64>,
-    /// Deterministic crash injection.
-    pub crash_plan: CrashPlan,
-    /// Step cap.
-    pub limits: EngineLimits,
-}
-
-impl BaselineOptions {
-    /// Random schedule from a seed.
-    pub fn random(seed: u64) -> Self {
-        Self {
-            schedule_seed: Some(seed),
-            ..Self::default()
-        }
-    }
-
-    /// Adds a crash plan.
-    pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
-        self
-    }
-
-    /// Lowers these options into the shared [`ScenarioSpec`] (strict
-    /// round-robin or seeded random, single-step, no epoch cache — the
-    /// comparator processes have none).
-    pub fn to_scenario(&self) -> ScenarioSpec {
-        ScenarioSpec {
-            scheduler: match self.schedule_seed {
-                Some(seed) => SchedulerSpec::Random(seed),
-                None => SchedulerSpec::RoundRobin,
-            },
-            crash_plan: self.crash_plan.clone(),
-            limits: self.limits,
-            quantum: 1,
-            epoch_cache: false,
-            reference_single_step: false,
-            backend: Default::default(),
-            collisions: false,
-            shard: Default::default(),
-        }
-    }
-}
-
 /// Registers the process-agnostic adversaries (via
 /// [`amo_core::generic_adversary`] — one shared spelling of the registry
 /// names) for a comparator process type; none of them carries an epoch
@@ -142,24 +93,6 @@ macro_rules! generic_adversaries_scenario {
 
 generic_adversaries_scenario!(TrivialSplit, TwoProcess, PairsHybrid, TasAmo);
 
-fn to_report(exec: Execution, label: &'static str) -> AmoReport {
-    let (effectiveness, violations) = exec.summary();
-    AmoReport {
-        effectiveness,
-        violations,
-        performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
-        crashed: exec.crashed.clone(),
-        restarted: exec.restarted.clone(),
-        completed: exec.completed,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.total_steps,
-        epoch_mem_bytes: 0,
-        collisions: None,
-        scheduler_label: label,
-    }
-}
-
 fn run_generic<P: ScenarioProcess>(
     cells: usize,
     fleet: Vec<P>,
@@ -167,30 +100,13 @@ fn run_generic<P: ScenarioProcess>(
     label: &'static str,
 ) -> AmoReport {
     let (exec, _slots, _mem) = amo_sim::run_scenario(VecRegisters::new(cells), fleet, spec);
-    to_report(exec, label)
+    AmoReport::from_execution(exec, label, 0)
 }
 
-/// Runs a comparator in the simulator.
+/// Runs a comparator under `spec` in the simulator.
 ///
 /// [`AmoBaselineKind::TwoProcess`] requires `m == 2`; everything else
 /// accepts any `m ≥ 1` (with `n ≥ m`).
-///
-/// # Panics
-///
-/// Panics on invalid `(n, m)` combinations for the chosen kind.
-pub fn run_baseline_simulated(
-    kind: AmoBaselineKind,
-    n: usize,
-    m: usize,
-    options: BaselineOptions,
-) -> AmoReport {
-    run_baseline_scenario(kind, n, m, &options.to_scenario())
-}
-
-/// Runs a comparator under an explicit [`ScenarioSpec`] — the spec-first
-/// twin of [`run_baseline_simulated`], through which the scenario matrix
-/// drives previously inexpressible cells (bursty blocks, quantized
-/// fairness, the lockstep adversary) over the comparators.
 ///
 /// The report label stays the *algorithm's* (for the E6 comparison
 /// tables); the spec's scheduler label is reported by the scenario-first
@@ -233,72 +149,45 @@ pub fn run_baseline_scenario(
     }
 }
 
-/// Runs a comparator on OS threads.
+/// Runs a comparator on OS threads, configured by `spec`.
 pub fn run_baseline_threads(
     kind: AmoBaselineKind,
     n: usize,
     m: usize,
-    crash_plan: CrashPlan,
-    order: MemOrder,
+    spec: &ThreadSpec,
 ) -> AmoReport {
     let n64 = n as u64;
     fn go<P: Process<AtomicRegisters> + Send>(
         cells: usize,
         fleet: Vec<P>,
-        crash_plan: CrashPlan,
-        order: MemOrder,
+        spec: &ThreadSpec,
         label: &'static str,
     ) -> AmoReport {
-        let spec = ThreadSpec::new()
-            .with_crash_plan(crash_plan)
-            .with_order(order);
         let mem = spec.alloc(cells);
-        let exec = spec.run(&mem, fleet);
-        let (effectiveness, violations) =
-            amo_sim::perform_summary(exec.performed.iter().map(|r| r.span));
-        AmoReport {
-            effectiveness,
-            violations,
-            performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
-            crashed: exec.crashed.clone(),
-            restarted: Vec::new(),
-            completed: exec.completed,
-            mem_work: exec.mem_work,
-            local_work: exec.local_work,
-            total_steps: exec.per_proc_steps.iter().sum(),
-            epoch_mem_bytes: 0,
-            collisions: None,
-            scheduler_label: label,
-        }
+        AmoReport::from_threads(spec.run(&mem, fleet), label)
     }
     match kind {
         AmoBaselineKind::TrivialSplit => {
             let fleet: Vec<_> = (1..=m).map(|p| TrivialSplit::new(p, m, n64)).collect();
-            go(0, fleet, crash_plan, order, kind.label())
+            go(0, fleet, spec, kind.label())
         }
         AmoBaselineKind::TwoProcess => {
             assert_eq!(m, 2, "TwoProcess is defined for m = 2");
             let (l, r) = TwoProcess::pair(n64);
-            go(2, vec![l, r], crash_plan, order, kind.label())
+            go(2, vec![l, r], spec, kind.label())
         }
         AmoBaselineKind::PairsHybrid => {
             let fleet = PairsHybrid::fleet(n64, m);
-            go(
-                PairsHybrid::cells(m),
-                fleet,
-                crash_plan,
-                order,
-                kind.label(),
-            )
+            go(PairsHybrid::cells(m), fleet, spec, kind.label())
         }
         AmoBaselineKind::TasAmo => {
             let fleet: Vec<_> = (1..=m).map(|p| TasAmo::new(p, m, n64)).collect();
-            go(TasAmo::cells(n), fleet, crash_plan, order, kind.label())
+            go(TasAmo::cells(n), fleet, spec, kind.label())
         }
         AmoBaselineKind::RandomizedKk(seed) => {
             let config = KkConfig::new(n, m).expect("valid n/m");
             let (layout, fleet) = randomized_kk_fleet(&config, seed, false);
-            go(layout.cells(), fleet, crash_plan, order, kind.label())
+            go(layout.cells(), fleet, spec, kind.label())
         }
     }
 }
@@ -306,6 +195,7 @@ pub fn run_baseline_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_sim::CrashPlan;
 
     #[test]
     fn all_baselines_safe_crash_free() {
@@ -315,15 +205,15 @@ mod tests {
             AmoBaselineKind::TasAmo,
             AmoBaselineKind::RandomizedKk(3),
         ] {
-            let report = run_baseline_simulated(kind, 48, 4, BaselineOptions::random(1));
+            let report = run_baseline_scenario(kind, 48, 4, &ScenarioSpec::random(1));
             assert!(report.violations.is_empty(), "{}", kind.label());
             assert!(report.completed, "{}", kind.label());
         }
-        let two = run_baseline_simulated(
+        let two = run_baseline_scenario(
             AmoBaselineKind::TwoProcess,
             48,
             2,
-            BaselineOptions::default(),
+            &ScenarioSpec::round_robin(),
         );
         assert!(two.violations.is_empty());
         assert!(two.effectiveness >= 47);
@@ -334,11 +224,11 @@ mod tests {
         let n = 100;
         let m = 4;
         let f = 2;
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             AmoBaselineKind::TrivialSplit,
             n,
             m,
-            BaselineOptions::default().with_crash_plan(CrashPlan::first_f_immediately(f)),
+            &ScenarioSpec::round_robin().with_crash_plan(CrashPlan::first_f_immediately(f)),
         );
         let predicted = AmoBaselineKind::TrivialSplit
             .predicted_effectiveness(n as u64, m, f)
@@ -362,7 +252,7 @@ mod tests {
             AmoBaselineKind::TasAmo,
             AmoBaselineKind::RandomizedKk(9),
         ] {
-            let report = run_baseline_threads(kind, 40, 4, CrashPlan::none(), MemOrder::SeqCst);
+            let report = run_baseline_threads(kind, 40, 4, &ThreadSpec::new());
             assert!(report.violations.is_empty(), "{}", kind.label());
         }
     }
@@ -370,11 +260,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "m = 2")]
     fn two_process_wrong_m_rejected() {
-        let _ = run_baseline_simulated(
+        let _ = run_baseline_scenario(
             AmoBaselineKind::TwoProcess,
             10,
             3,
-            BaselineOptions::default(),
+            &ScenarioSpec::round_robin(),
         );
     }
 }

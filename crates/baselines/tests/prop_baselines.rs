@@ -1,8 +1,10 @@
 //! Property tests for the comparators: safety under arbitrary schedules and
 //! crash plans, plus the closed-form effectiveness predictions.
 
-use amo_baselines::{run_baseline_simulated, AmoBaselineKind, BaselineOptions, TwoProcess};
-use amo_sim::{CrashPlan, Engine, EngineLimits, RandomScheduler, VecRegisters, WithCrashes};
+use amo_baselines::{run_baseline_scenario, AmoBaselineKind, TwoProcess};
+use amo_sim::{
+    CrashPlan, Engine, EngineLimits, RandomScheduler, ScenarioSpec, VecRegisters, WithCrashes,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -47,11 +49,11 @@ proptest! {
         let n = n_mult * m;
         let plan = CrashPlan::random(m, m - 1, 60, seed);
         let f = plan.crash_count() as u64;
-        let r = run_baseline_simulated(
+        let r = run_baseline_scenario(
             AmoBaselineKind::TasAmo,
             n,
             m,
-            BaselineOptions::random(seed).with_crash_plan(plan),
+            &ScenarioSpec::random(seed).with_crash_plan(plan),
         );
         prop_assert!(r.violations.is_empty());
         prop_assert!(r.effectiveness >= n as u64 - f, "f={f} got {}", r.effectiveness);
@@ -68,11 +70,11 @@ proptest! {
     ) {
         let n = n_mult * m; // divisible: chunks are exactly n/m
         let f = f_pick % m;
-        let r = run_baseline_simulated(
+        let r = run_baseline_scenario(
             AmoBaselineKind::TrivialSplit,
             n,
             m,
-            BaselineOptions::default().with_crash_plan(CrashPlan::first_f_immediately(f)),
+            &ScenarioSpec::round_robin().with_crash_plan(CrashPlan::first_f_immediately(f)),
         );
         prop_assert!(r.violations.is_empty());
         prop_assert_eq!(r.effectiveness, ((m - f) * (n / m)) as u64);
@@ -87,11 +89,11 @@ proptest! {
     ) {
         let n = n_mult * m;
         let plan = CrashPlan::random(m, m - 1, 80, seed);
-        let r = run_baseline_simulated(
+        let r = run_baseline_scenario(
             AmoBaselineKind::PairsHybrid,
             n,
             m,
-            BaselineOptions::random(seed).with_crash_plan(plan),
+            &ScenarioSpec::random(seed).with_crash_plan(plan),
         );
         prop_assert!(r.violations.is_empty());
         prop_assert!(r.completed);

@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use amo_core::{run_simulated, KkConfig, SimOptions};
-use amo_iterative::{run_iterative_simulated, IterConfig, IterSimOptions};
+use amo_core::{run_scenario_simulated, KkConfig};
+use amo_iterative::{run_iterative_scenario, IterConfig};
+use amo_sim::ScenarioSpec;
 
 fn bench_iterative_vs_plain(c: &mut Criterion) {
     let mut group = c.benchmark_group("iterative/vs_plain");
@@ -19,7 +20,7 @@ fn bench_iterative_vs_plain(c: &mut Criterion) {
             &iter_config,
             |b, config| {
                 b.iter(|| {
-                    let r = run_iterative_simulated(config, IterSimOptions::round_robin());
+                    let r = run_iterative_scenario(config, &ScenarioSpec::round_robin());
                     assert!(r.violations.is_empty());
                     r.work()
                 });
@@ -28,7 +29,7 @@ fn bench_iterative_vs_plain(c: &mut Criterion) {
         let plain = KkConfig::with_beta(n, m, KkConfig::work_optimal_beta(m)).expect("valid");
         group.bench_with_input(BenchmarkId::new("plain-kk-3m2", n), &plain, |b, config| {
             b.iter(|| {
-                let r = run_simulated(config, SimOptions::round_robin());
+                let r = run_scenario_simulated(config, &ScenarioSpec::round_robin());
                 assert!(r.violations.is_empty());
                 r.work()
             });
@@ -48,7 +49,7 @@ fn bench_eps_sweep(c: &mut Criterion) {
             BenchmarkId::from_parameter(inv_eps),
             &config,
             |b, config| {
-                b.iter(|| run_iterative_simulated(config, IterSimOptions::round_robin()).work());
+                b.iter(|| run_iterative_scenario(config, &ScenarioSpec::round_robin()).work());
             },
         );
     }

@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use amo_core::{run_threads, KkConfig, ThreadRunOptions};
+use amo_core::{run_threads, KkConfig};
+use amo_sim::thread::ThreadSpec;
 use amo_sim::MemOrder;
 
 fn bench_m_sweep(c: &mut Criterion) {
@@ -15,7 +16,7 @@ fn bench_m_sweep(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(m), &config, |b, config| {
             b.iter(|| {
-                let report = run_threads(config, ThreadRunOptions::default());
+                let report = run_threads(config, &ThreadSpec::new());
                 assert!(report.violations.is_empty());
                 report.effectiveness
             });
@@ -34,7 +35,7 @@ fn bench_ordering(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(label), &config, |b, config| {
             b.iter(|| {
-                let report = run_threads(config, ThreadRunOptions::default().with_order(order));
+                let report = run_threads(config, &ThreadSpec::new().with_order(order));
                 // The AcqRel run is an ablation measurement, not a verified
                 // configuration; violations are counted, not asserted.
                 (report.effectiveness, report.violations.len())
@@ -52,7 +53,7 @@ fn bench_beta(c: &mut Criterion) {
     for beta in [m as u64, KkConfig::work_optimal_beta(m)] {
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
         group.bench_with_input(BenchmarkId::from_parameter(beta), &config, |b, config| {
-            b.iter(|| run_threads(config, ThreadRunOptions::default()).effectiveness);
+            b.iter(|| run_threads(config, &ThreadSpec::new()).effectiveness);
         });
     }
     group.finish();

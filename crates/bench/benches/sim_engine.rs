@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use amo_core::{run_simulated, KkConfig, SimOptions};
+use amo_core::{run_scenario_simulated, KkConfig};
+use amo_sim::ScenarioSpec;
 
 fn bench_schedulers(c: &mut Criterion) {
     let n = 2048;
@@ -12,25 +13,21 @@ fn bench_schedulers(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_engine/scheduler");
     group.sample_size(20);
     // Calibrate throughput with a probe run's step count.
-    let steps = run_simulated(&config, SimOptions::round_robin()).total_steps;
+    let steps = run_scenario_simulated(&config, &ScenarioSpec::round_robin()).total_steps;
     group.throughput(Throughput::Elements(steps));
-    for (label, options) in [
-        ("round-robin", SimOptions::round_robin()),
-        ("random", SimOptions::random(42)),
-        ("lockstep", SimOptions::lockstep()),
-        ("block", SimOptions::block(42, 32)),
+    for (label, spec) in [
+        ("round-robin", ScenarioSpec::round_robin()),
+        ("random", ScenarioSpec::random(42)),
+        ("lockstep", ScenarioSpec::adversary("lockstep")),
+        ("block", ScenarioSpec::block(42, 32)),
     ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &options,
-            |b, options| {
-                b.iter(|| {
-                    let r = run_simulated(&config, options.clone());
-                    assert!(r.violations.is_empty());
-                    r.total_steps
-                });
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(label), &spec, |b, spec| {
+            b.iter(|| {
+                let r = run_scenario_simulated(&config, spec);
+                assert!(r.violations.is_empty());
+                r.total_steps
+            });
+        });
     }
     group.finish();
 }
@@ -42,7 +39,7 @@ fn bench_instance_scaling(c: &mut Criterion) {
         let config = KkConfig::new(n, 4).expect("valid");
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &config, |b, config| {
-            b.iter(|| run_simulated(config, SimOptions::round_robin()).effectiveness);
+            b.iter(|| run_scenario_simulated(config, &ScenarioSpec::round_robin()).effectiveness);
         });
     }
     group.finish();

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use amo_sim::{CrashPlan, MemOrder};
+use amo_sim::thread::ThreadSpec;
 use amo_write_all::{run_baseline_threads, run_wa_threads, WaBaselineKind, WaConfig};
 
 fn bench_algorithms(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_algorithms(c: &mut Criterion) {
     let config = WaConfig::new(n, m, 1).expect("valid");
     group.bench_function("wa-iterative-kk", |b| {
         b.iter(|| {
-            let r = run_wa_threads(&config, CrashPlan::none(), MemOrder::SeqCst);
+            let r = run_wa_threads(&config, &ThreadSpec::new());
             assert!(r.complete);
             r.total_steps
         });
@@ -33,7 +33,7 @@ fn bench_algorithms(c: &mut Criterion) {
             &kind,
             |b, &kind| {
                 b.iter(|| {
-                    let r = run_baseline_threads(kind, n, m, CrashPlan::none(), MemOrder::SeqCst);
+                    let r = run_baseline_threads(kind, n, m, &ThreadSpec::new());
                     assert!(r.complete);
                     r.total_steps
                 });
@@ -52,7 +52,7 @@ fn bench_wa_m_sweep(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(m), &config, |b, config| {
             b.iter(|| {
-                let r = run_wa_threads(config, CrashPlan::none(), MemOrder::SeqCst);
+                let r = run_wa_threads(config, &ThreadSpec::new());
                 assert!(r.complete);
                 r.total_steps
             });

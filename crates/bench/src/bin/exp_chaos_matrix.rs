@@ -1,142 +1,8 @@
-//! E12: seeded chaos sweep — composed fault schedules × every algorithm.
-//!
-//! Besides the usual `--quick`/`--full` experiment behaviour, the nightly
-//! deep-chaos leg passes `--trajectory BENCH_trajectory.jsonl` to append
-//! one machine-readable summary row (cells run, composed cells, total
-//! violations, excused-incomplete cells) stamped with `--sha`/`--date`,
-//! so the chaos history rides the same committed log as the perf history.
-
-use amo_bench::experiments::exp_chaos_matrix;
-use amo_bench::gate::arg_value;
-use amo_bench::Table;
-use std::fmt::Write as _;
-
-/// Keeps only characters safe inside a JSON string literal (the same
-/// filter as `bench_trajectory`), so a hostile stamp cannot corrupt the
-/// append-only log.
-fn sanitize(s: &str) -> String {
-    s.chars()
-        .filter(|c| c.is_ascii_alphanumeric() || "-_.:+/".contains(*c))
-        .collect()
-}
-
-/// Renders the one-line chaos summary row for the trajectory log.
-fn row(t: &Table, scale_label: &str, sha: &str, date: &str) -> String {
-    let violations: u64 = t
-        .column("violations")
-        .iter()
-        .map(|v| v.parse::<u64>().expect("violations column is numeric"))
-        .sum();
-    let incomplete = t
-        .column("complete")
-        .iter()
-        .filter(|c| **c == "false")
-        .count();
-    let composed = t
-        .column("chaos")
-        .iter()
-        .filter(|s| s.contains(" + "))
-        .count();
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"amo-bench/chaos-trajectory-v1\",\"date\":\"{}\",\"sha\":\"{}\",\
-         \"scale\":\"{}\",\"cells\":{},\"composed_cells\":{composed},\
-         \"violations\":{violations},\"incomplete_excused\":{incomplete}}}",
-        sanitize(date),
-        sanitize(sha),
-        sanitize(scale_label),
-        t.len(),
-    );
-    out.push('\n');
-    out
-}
+//! Regenerates table(s) for experiment: the seeded chaos sweep — composed
+//! fault schedules × every algorithm (E12). Pass `--quick` for the CI grid.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = amo_bench::cli_scale();
-    let started = std::time::Instant::now();
-    let t = exp_chaos_matrix(scale);
-    println!("{t}");
-    eprintln!(
-        "[exp_chaos_matrix] completed in {:.1?} ({scale:?})",
-        started.elapsed()
-    );
-
-    if let Some(out_path) = arg_value(&args, "--trajectory") {
-        let sha = arg_value(&args, "--sha")
-            .or_else(|| std::env::var("GITHUB_SHA").ok())
-            .unwrap_or_else(|| "unknown".to_owned());
-        let date = arg_value(&args, "--date")
-            .or_else(|| std::env::var("BENCH_DATE").ok())
-            .unwrap_or_else(|| "unknown".to_owned());
-        let scale_label = if scale.is_quick() { "quick" } else { "full" };
-        let line = row(&t, scale_label, &sha, &date);
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&out_path)
-            .unwrap_or_else(|e| {
-                eprintln!("[exp_chaos_matrix] cannot open {out_path}: {e}");
-                std::process::exit(2);
-            });
-        f.write_all(line.as_bytes()).expect("append chaos row");
-        eprintln!("[exp_chaos_matrix] appended chaos trajectory row to {out_path}");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Table {
-        let mut t = Table::new(
-            "T",
-            &[
-                "algorithm",
-                "tier",
-                "seed",
-                "chaos",
-                "effectiveness",
-                "bound",
-                "complete",
-                "violations",
-            ],
-        );
-        t.row(["kk", "light", "0x1", "quiet", "398", "394", "true", "0"]);
-        t.row([
-            "kk",
-            "heavy",
-            "0x2",
-            "2 crash + storage(torn-write)",
-            "395",
-            "394",
-            "true",
-            "0",
-        ]);
-        t.row([
-            "wa-tas",
-            "heavy",
-            "0x3",
-            "1 crash + storage(torn-write)",
-            "399",
-            "-",
-            "false",
-            "0",
-        ]);
-        t
-    }
-
-    #[test]
-    fn chaos_row_is_valid_jsonl_with_hostile_stamps() {
-        let line = row(&sample(), "full", "sha\"", "da\\te");
-        assert!(!line.contains('\\'), "no unescaped backslashes: {line}");
-        assert_eq!(line.matches('"').count() % 2, 0, "quotes balanced: {line}");
-        assert!(line.contains("\"cells\":3"), "{line}");
-        assert!(line.contains("\"composed_cells\":2"), "{line}");
-        assert!(line.contains("\"violations\":0"), "{line}");
-        assert!(line.contains("\"incomplete_excused\":1"), "{line}");
-        assert!(line.ends_with("}\n"));
-    }
+    amo_bench::experiment_main("exp_chaos_matrix", |s| {
+        [amo_bench::experiments::exp_chaos_matrix(s)]
+    });
 }

@@ -1,7 +1,8 @@
 //! Engine performance smoke test: times the canonical simulated workloads
 //! through three configurations of increasing speed, verifies they agree
 //! observable-for-observable, and writes the results to `BENCH_engine.json`
-//! so every PR leaves a perf trajectory.
+//! (ignored by git) or the `--out` path. `perf_gate` compares a quick run
+//! against the committed `BENCH_engine.quick.json` baseline.
 //!
 //! Usage: `cargo run --release -p amo-bench --bin perf_smoke [-- --quick]
 //! [--out PATH]`.
@@ -37,15 +38,15 @@
 
 use std::time::Instant;
 
-use amo_core::{run_scenario_simulated, run_simulated, KkConfig, KkLayout, KkProcess, SimOptions};
-use amo_iterative::{run_iterative_simulated, IterConfig, IterSimOptions};
+use amo_core::{run_scenario_simulated, KkConfig, KkLayout, KkProcess};
+use amo_iterative::{run_iterative_scenario, IterConfig};
 use amo_ostree::DenseFenwickSet;
 use amo_sim::{
     boxed, last_net_stats, run_scenario, run_scenario_on, AtomicRegisters, BackendSpec, BoxProcess,
     CrashPlan, Engine, EngineLimits, LatencyDist, MemOrder, NetworkSpec, RoundRobin, ScenarioSpec,
     ShardSpec, ThreadSpec, VecRegisters, WithCrashes,
 };
-use amo_write_all::{run_wa_simulated, WaConfig};
+use amo_write_all::{run_wa_scenario, WaConfig};
 
 /// Timed rounds per configuration (minimum is reported).
 const ROUNDS: usize = 3;
@@ -132,9 +133,9 @@ fn kk_workload(n: usize, m: usize) -> Entry {
     };
     // The same strict round-robin schedule through today's single-step
     // engine path with the production (blocked) structures.
-    let run_single = || run_simulated(&config, SimOptions::round_robin());
+    let run_single = || run_scenario_simulated(&config, &ScenarioSpec::round_robin());
     // The macro-stepping fast path (+ epoch cache + interleaved layout).
-    let run_fast = || run_simulated(&config, SimOptions::round_robin_batched());
+    let run_fast = || run_scenario_simulated(&config, &ScenarioSpec::round_robin_batched());
 
     let mut seed_ms = f64::MAX;
     let mut single_ms = f64::MAX;
@@ -156,7 +157,8 @@ fn kk_workload(n: usize, m: usize) -> Entry {
 
     // Quantized round-robin, single-step reference (equivalence witness for
     // the fast path: identical schedule and options, per-action dispatch).
-    let reference = run_simulated(&config, SimOptions::round_robin_batched().single_step());
+    let reference =
+        run_scenario_simulated(&config, &ScenarioSpec::round_robin_batched().single_step());
 
     assert!(fast.violations.is_empty(), "kk safety");
     // Batching + caching must be observationally invisible (same quantized
@@ -235,12 +237,13 @@ fn kk_mega_workload(name: &'static str, n: usize, m: usize) -> Entry {
     let mut pair = None;
     for _ in 0..2 {
         let t = Instant::now();
-        let single = run_simulated(&config, SimOptions::round_robin().with_limits(limits));
+        let single =
+            run_scenario_simulated(&config, &ScenarioSpec::round_robin().with_limits(limits));
         single_ms = single_ms.min(ms(t));
         let t = Instant::now();
-        let fast = run_simulated(
+        let fast = run_scenario_simulated(
             &config,
-            SimOptions::round_robin_batched().with_limits(limits),
+            &ScenarioSpec::round_robin_batched().with_limits(limits),
         );
         fast_ms = fast_ms.min(ms(t));
         pair = Some((single, fast));
@@ -343,10 +346,10 @@ fn iter_workload(n: usize, m: usize) -> Entry {
     for _ in 0..ROUNDS {
         let t = Instant::now();
         let single =
-            run_iterative_simulated(&config, IterSimOptions::round_robin_batched().single_step());
+            run_iterative_scenario(&config, &ScenarioSpec::round_robin_batched().single_step());
         single_ms = single_ms.min(ms(t));
         let t = Instant::now();
-        let fast = run_iterative_simulated(&config, IterSimOptions::round_robin_batched());
+        let fast = run_iterative_scenario(&config, &ScenarioSpec::round_robin_batched());
         fast_ms = fast_ms.min(ms(t));
         pair = Some((single, fast));
     }
@@ -394,10 +397,10 @@ fn write_all_workload(n: usize, m: usize) -> Entry {
     let mut pair = None;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        let single = run_wa_simulated(&config, IterSimOptions::round_robin_batched().single_step());
+        let single = run_wa_scenario(&config, &ScenarioSpec::round_robin_batched().single_step());
         single_ms = single_ms.min(ms(t));
         let t = Instant::now();
-        let fast = run_wa_simulated(&config, IterSimOptions::round_robin_batched());
+        let fast = run_wa_scenario(&config, &ScenarioSpec::round_robin_batched());
         fast_ms = fast_ms.min(ms(t));
         pair = Some((single, fast));
     }
@@ -609,8 +612,8 @@ fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
         "  \"scale\": \"{}\",\n",
         if scale.is_quick() { "quick" } else { "full" }
     ));
-    // The resolved kernel tier (scalar / avx2), so trajectory rows stay
-    // comparable across machines; the gate treats a tier mismatch against
+    // The resolved kernel tier (scalar / avx2), so runs stay comparable
+    // across machines; the gate treats a tier mismatch against
     // the baseline as informational (timing columns are not comparable
     // across tiers — deterministic counters are, and stay pinned exactly).
     out.push_str(&format!(

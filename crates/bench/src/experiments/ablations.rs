@@ -8,10 +8,10 @@
 //!   candidate picks: same safety, different collision behaviour.
 
 use amo_baselines::randomized_kk_fleet;
-use amo_core::{run_fleet_simulated, KkConfig, SimOptions};
+use amo_core::{run_fleet_simulated, KkConfig};
 
 use crate::run_simulated_pooled;
-use amo_sim::VecRegisters;
+use amo_sim::{ScenarioSpec, VecRegisters};
 
 use crate::{fmt_f64, par_map, Scale, Table};
 
@@ -38,8 +38,11 @@ pub fn exp_beta_ablation(scale: Scale) -> Table {
     let betas = vec![m64, 2 * m64, m64 * m64, 3 * m64 * m64];
     for row in par_map(betas, |beta| {
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
-        let adv = run_simulated_pooled(&config, SimOptions::stuck_announcement());
-        let lock = run_simulated_pooled(&config, SimOptions::staleness().with_collision_tracking());
+        let adv = run_simulated_pooled(&config, &ScenarioSpec::adversary("stuck-announcement"));
+        let lock = run_simulated_pooled(
+            &config,
+            &ScenarioSpec::adversary("staleness").with_collision_tracking(),
+        );
         assert!(adv.violations.is_empty() && lock.violations.is_empty());
         let collisions = lock.collisions.as_ref().map(|c| c.total()).unwrap_or(0);
         [
@@ -85,14 +88,17 @@ pub fn exp_pick_ablation(scale: Scale) -> Table {
         let beta = KkConfig::work_optimal_beta(m);
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
         let r = if rule == "rank-split" {
-            run_simulated_pooled(&config, SimOptions::lockstep().with_collision_tracking())
+            run_simulated_pooled(
+                &config,
+                &ScenarioSpec::adversary("lockstep").with_collision_tracking(),
+            )
         } else {
             let (layout, fleet) = randomized_kk_fleet(&config, 0xA4, true);
             run_fleet_simulated(
                 VecRegisters::new(layout.cells()),
                 fleet,
                 config.n(),
-                SimOptions::lockstep().with_collision_tracking(),
+                &ScenarioSpec::adversary("lockstep").with_collision_tracking(),
             )
         };
         [

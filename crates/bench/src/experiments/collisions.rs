@@ -19,10 +19,10 @@
 //! (Lemma 5.1).
 
 use amo_baselines::randomized_kk_fleet;
-use amo_core::{run_fleet_simulated, AmoReport, KkConfig, SimOptions};
+use amo_core::{run_fleet_simulated, AmoReport, KkConfig};
 
 use crate::run_simulated_pooled;
-use amo_sim::VecRegisters;
+use amo_sim::{ScenarioSpec, VecRegisters};
 
 use crate::{fmt_ratio, par_map, Scale, Table};
 
@@ -56,19 +56,21 @@ pub fn exp_collisions(scale: Scale) -> Table {
         let beta = KkConfig::work_optimal_beta(m);
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
         let r = match (picks, sched) {
-            ("rank-split", "staleness") => {
-                run_simulated_pooled(&config, SimOptions::staleness().with_collision_tracking())
-            }
-            ("rank-split", "lockstep") => {
-                run_simulated_pooled(&config, SimOptions::lockstep().with_collision_tracking())
-            }
+            ("rank-split", "staleness") => run_simulated_pooled(
+                &config,
+                &ScenarioSpec::adversary("staleness").with_collision_tracking(),
+            ),
+            ("rank-split", "lockstep") => run_simulated_pooled(
+                &config,
+                &ScenarioSpec::adversary("lockstep").with_collision_tracking(),
+            ),
             _ => {
                 let (layout, fleet) = randomized_kk_fleet(&config, 0xE7, true);
                 run_fleet_simulated(
                     VecRegisters::new(layout.cells()),
                     fleet,
                     config.n(),
-                    SimOptions::staleness().with_collision_tracking(),
+                    &ScenarioSpec::adversary("staleness").with_collision_tracking(),
                 )
             }
         };

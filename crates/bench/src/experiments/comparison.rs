@@ -15,11 +15,11 @@
 //! The shape to reproduce: KKβ beats every read/write comparator for
 //! `m > 2` and sits within an additive `m` of the TAS/RMW ceiling.
 
-use amo_baselines::{run_baseline_simulated, AmoBaselineKind, BaselineOptions};
-use amo_core::{KkConfig, SimOptions};
+use amo_baselines::{run_baseline_scenario, AmoBaselineKind};
+use amo_core::KkConfig;
 
 use crate::run_simulated_pooled;
-use amo_sim::CrashPlan;
+use amo_sim::{CrashPlan, ScenarioSpec};
 
 use crate::{par_map, Scale, Table};
 
@@ -48,7 +48,7 @@ pub fn exp_comparison(scale: Scale) -> Table {
 
         // KKβ with β = m under its tight adversary.
         let config = KkConfig::new(n, m).expect("valid");
-        let kk = run_simulated_pooled(&config, SimOptions::stuck_announcement());
+        let kk = run_simulated_pooled(&config, &ScenarioSpec::adversary("stuck-announcement"));
         assert!(kk.violations.is_empty());
         group.push([
             m.to_string(),
@@ -86,11 +86,11 @@ pub fn exp_comparison(scale: Scale) -> Table {
             ),
         ];
         for (kind, plan, regs) in cases {
-            let r = run_baseline_simulated(
+            let r = run_baseline_scenario(
                 kind,
                 n,
                 m,
-                BaselineOptions::default().with_crash_plan(plan),
+                &ScenarioSpec::round_robin().with_crash_plan(plan),
             );
             assert!(r.violations.is_empty(), "{} must stay safe", kind.label());
             let predicted = kind
@@ -110,11 +110,11 @@ pub fn exp_comparison(scale: Scale) -> Table {
 
         // The optimal two-process building block, where applicable.
         if m == 2 {
-            let r = run_baseline_simulated(
+            let r = run_baseline_scenario(
                 AmoBaselineKind::TwoProcess,
                 n,
                 2,
-                BaselineOptions::default().with_crash_plan(CrashPlan::at_steps([(2usize, 1u64)])),
+                &ScenarioSpec::round_robin().with_crash_plan(CrashPlan::at_steps([(2usize, 1u64)])),
             );
             group.push([
                 "2".to_owned(),

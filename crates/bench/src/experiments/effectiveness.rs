@@ -7,7 +7,8 @@
 //! * a fair round-robin and a seeded random schedule with no crashes —
 //!   measured effectiveness must sit between the bound and `n`.
 
-use amo_core::{KkConfig, SimOptions};
+use amo_core::KkConfig;
+use amo_sim::ScenarioSpec;
 
 use crate::{par_map, Scale, Table};
 
@@ -49,10 +50,11 @@ pub fn exp_effectiveness(scale: Scale) -> Table {
     for row in par_map(cells, |(n, m, beta)| {
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
         let bound = config.effectiveness_bound();
-        let adv = crate::run_simulated_pooled(&config, SimOptions::stuck_announcement());
+        let adv =
+            crate::run_simulated_pooled(&config, &ScenarioSpec::adversary("stuck-announcement"));
         assert!(adv.violations.is_empty(), "E1 safety");
-        let rr = crate::run_simulated_pooled(&config, SimOptions::round_robin());
-        let rnd = crate::run_simulated_pooled(&config, SimOptions::random(0xE1));
+        let rr = crate::run_simulated_pooled(&config, &ScenarioSpec::round_robin());
+        let rnd = crate::run_simulated_pooled(&config, &ScenarioSpec::random(0xE1));
         [
             n.to_string(),
             m.to_string(),

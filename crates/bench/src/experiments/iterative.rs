@@ -6,8 +6,8 @@
 //! flatten to a constant as `n` grows at fixed `m` — the work-optimality
 //! claim for `m = O((n / log n)^{1/(3+ε)})`.
 
-use amo_iterative::{run_iterative_simulated, IterConfig, IterSimOptions};
-use amo_sim::CrashPlan;
+use amo_iterative::{run_iterative_scenario, IterConfig};
+use amo_sim::{CrashPlan, ScenarioSpec};
 
 use crate::{fmt_f64, fmt_ratio, par_map, Scale, Table};
 
@@ -59,9 +59,9 @@ pub fn exp_iterative(scale: Scale) -> Vec<Table> {
         let config = IterConfig::new(n, m, inv_eps).expect("valid");
         let envelope = (m * m) as f64 * (n as f64).log2().max(1.0) * (m as f64).log2().max(1.0);
         let plan = CrashPlan::at_steps((1..=f).map(|p| (p, 50 * p as u64 + n as u64 / 10)));
-        let r = run_iterative_simulated(
+        let r = run_iterative_scenario(
             &config,
-            IterSimOptions::random(0xE4 + f as u64).with_crash_plan(plan),
+            &ScenarioSpec::random(0xE4 + f as u64).with_crash_plan(plan),
         );
         assert!(r.violations.is_empty(), "E4 safety");
         let lost = n as u64 - r.effectiveness;

@@ -9,10 +9,11 @@
 //! 4. exhaustive exploration of small instances (every schedule and crash
 //!    pattern — the machine-checked version of the lemma).
 
-use amo_core::{kk_fleet, run_threads, KkConfig, SimOptions, ThreadRunOptions};
+use amo_core::{kk_fleet, run_threads, KkConfig};
 
 use crate::run_simulated_pooled;
-use amo_sim::{explore, CrashPlan, ExploreConfig, VecRegisters};
+use amo_sim::thread::ThreadSpec;
+use amo_sim::{explore, CrashPlan, ExploreConfig, ScenarioSpec, VecRegisters};
 
 use crate::{par_map, Scale, Table};
 
@@ -46,7 +47,8 @@ pub fn exp_safety(scale: Scale) -> Table {
             let config = KkConfig::new(n, m).unwrap();
             let f = (seed as usize) % m;
             let plan = CrashPlan::at_steps((1..=f).map(|p| (p, seed * 13 + p as u64 * 7)));
-            let r = run_simulated_pooled(&config, SimOptions::random(seed).with_crash_plan(plan));
+            let r =
+                run_simulated_pooled(&config, &ScenarioSpec::random(seed).with_crash_plan(plan));
             (r.effectiveness, r.violations.len() as u64)
         });
         let execs = results.len() as u64;
@@ -65,7 +67,7 @@ pub fn exp_safety(scale: Scale) -> Table {
     {
         let results = par_map((0..rand_runs / 2).collect(), |seed| {
             let config = KkConfig::new(128, 4).unwrap();
-            let r = run_simulated_pooled(&config, SimOptions::block(seed, 1 + seed % 64));
+            let r = run_simulated_pooled(&config, &ScenarioSpec::block(seed, 1 + seed % 64));
             (r.effectiveness, r.violations.len() as u64)
         });
         let execs = results.len() as u64;
@@ -92,7 +94,7 @@ pub fn exp_safety(scale: Scale) -> Table {
             let config = KkConfig::new(64 * m, m).unwrap();
             let f = run as usize % m;
             let plan = CrashPlan::at_steps((1..=f).map(|p| (p, run * 29 + p as u64 * 17)));
-            let r = run_threads(&config, ThreadRunOptions::default().with_crash_plan(plan));
+            let r = run_threads(&config, &ThreadSpec::new().with_crash_plan(plan));
             execs += 1;
             jobs += r.effectiveness;
             violations += r.violations.len() as u64;

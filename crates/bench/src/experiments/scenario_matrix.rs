@@ -1,22 +1,17 @@
 //! E9 — the cross-algorithm adversary matrix: every algorithm stack under
 //! the *same* scenario cells, through the one generic scenario driver.
 //!
-//! Before the unified scenario layer each crate carried its own runner
-//! stack, so the scheduler × crash grid each algorithm could even be asked
-//! to run was an accident of its option struct: the iterated and Write-All
-//! runners had no quantized-random cells, the comparators knew neither
-//! bursty blocks nor the lockstep adversary, and nothing guaranteed that
-//! "random(seed) with crashes" meant the same environment on two stacks.
-//! This experiment sweeps one algorithm × scheduler × crash-plan grid where
-//! every cell is a single [`ScenarioSpec`] handed to the shared
-//! [`amo_sim::run_scenario`] driver — including the cells marked `new`,
-//! which **no pre-refactor runner could express**:
+//! Every cell is a single [`ScenarioSpec`] handed to the shared
+//! [`amo_sim::run_scenario`] driver, so "random(seed) with crashes" means
+//! the same environment on every stack. The sweep covers one algorithm ×
+//! scheduler × crash-plan grid. The cells marked `new` are the ones the
+//! per-crate option structs that predate the scenario layer could not
+//! express:
 //!
 //! * `rand-q64` (a quantum-granting random schedule) on *every* stack —
-//!   the legacy option structs granted quanta only under round-robin;
-//! * `block` and `lockstep` on the at-most-once comparators, whose
-//!   [`BaselineOptions`](amo_baselines::BaselineOptions) knew only
-//!   round-robin and seeded-random.
+//!   those structs granted quanta only under round-robin;
+//! * `block` and `lockstep` on the at-most-once comparators, whose options
+//!   knew only round-robin and seeded-random.
 //!
 //! Safety assertions run in every cell (at-most-once for the AMO
 //! algorithms, certified completeness for fault-tolerant Write-All), so

@@ -4,7 +4,8 @@
 
 use std::time::Instant;
 
-use amo_core::{run_threads, KkConfig, ThreadRunOptions};
+use amo_core::{run_threads, KkConfig};
+use amo_sim::thread::ThreadSpec;
 use amo_sim::MemOrder;
 
 use crate::{fmt_f64, Scale, Table};
@@ -42,7 +43,7 @@ pub fn exp_threads(scale: Scale) -> Table {
             let mut total_jobs = 0u64;
             let started = Instant::now();
             for _ in 0..reps {
-                let r = run_threads(&config, ThreadRunOptions::default().with_order(order));
+                let r = run_threads(&config, &ThreadSpec::new().with_order(order));
                 violations += r.violations.len();
                 min_eff = min_eff.min(r.effectiveness);
                 total_jobs += r.effectiveness;

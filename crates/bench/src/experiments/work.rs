@@ -6,7 +6,8 @@
 //! `work / (n·m·log₂n·log₂m)`; the theorem predicts it stays bounded by a
 //! constant as `n` and `m` grow (the column must not trend upward).
 
-use amo_core::{KkConfig, SimOptions};
+use amo_core::KkConfig;
+use amo_sim::{ScenarioSpec, SchedulerSpec};
 
 use crate::run_simulated_pooled;
 
@@ -39,18 +40,18 @@ pub fn exp_work_kk(scale: Scale) -> Table {
             if beta + m as u64 >= n as u64 {
                 continue;
             }
-            for options in [SimOptions::round_robin(), SimOptions::block(0xE3, 32)] {
-                cells.push((n, m, beta, options));
+            for spec in [ScenarioSpec::round_robin(), ScenarioSpec::block(0xE3, 32)] {
+                cells.push((n, m, beta, spec));
             }
         }
     }
-    for row in par_map(cells, |(n, m, beta, options)| {
+    for row in par_map(cells, |(n, m, beta, spec)| {
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
-        let label = match options.scheduler {
-            amo_core::SchedulerKind::RoundRobin => "round-robin",
+        let label = match spec.scheduler {
+            SchedulerSpec::RoundRobin => "round-robin",
             _ => "block(32)",
         };
-        let r = run_simulated_pooled(&config, options);
+        let r = run_simulated_pooled(&config, &spec);
         assert!(r.violations.is_empty(), "E3 safety");
         let work = r.work();
         [

@@ -8,9 +8,8 @@
 //! *fails* under crashes, TAS needs RMW, the permutation scan pays `Θ(nm)`
 //! reads, and WA_IterativeKK completes with near-`n` work for small `m`.
 
-use amo_iterative::IterSimOptions;
-use amo_sim::CrashPlan;
-use amo_write_all::{run_baseline_simulated, run_wa_simulated, WaBaselineKind, WaConfig};
+use amo_sim::{CrashPlan, ScenarioSpec};
+use amo_write_all::{run_baseline_scenario, run_wa_scenario, WaBaselineKind, WaConfig};
 
 use crate::{fmt_f64, fmt_ratio, par_map, Scale, Table};
 
@@ -47,7 +46,7 @@ pub fn exp_write_all(scale: Scale) -> Vec<Table> {
     for row in par_map(cells, |(n, m, f)| {
         let config = WaConfig::new(n, m, 1).expect("valid");
         let plan = CrashPlan::at_steps((1..=f).map(|p| (p, 40 * p as u64 + n as u64 / 8)));
-        let r = run_wa_simulated(&config, IterSimOptions::random(0xE5).with_crash_plan(plan));
+        let r = run_wa_scenario(&config, &ScenarioSpec::random(0xE5).with_crash_plan(plan));
         assert!(r.complete, "Thm 7.1: must complete (n={n} m={m} f={f})");
         [
             n.to_string(),
@@ -103,18 +102,18 @@ pub fn exp_write_all(scale: Scale) -> Vec<Table> {
             m
         };
         let plan = CrashPlan::at_steps((1..fleet).map(|p| (p, 25 * p as u64 + 11)));
-        let options = IterSimOptions::random(5).with_crash_plan(plan);
+        let spec = ScenarioSpec::random(5).with_crash_plan(plan);
         let (label, r) = match kind {
             None => {
                 let config = WaConfig::new(n, m, 1).expect("valid");
                 (
                     "wa-iterative-kk".to_owned(),
-                    run_wa_simulated(&config, options),
+                    run_wa_scenario(&config, &spec),
                 )
             }
             Some(kind) => (
                 kind.label().to_owned(),
-                run_baseline_simulated(kind, n, m, options),
+                run_baseline_scenario(kind, n, m, &spec),
             ),
         };
         [

@@ -44,8 +44,7 @@
 
 use std::fmt::Write as _;
 
-/// Value of a `--flag VALUE` pair in an argv slice (shared by the gate and
-/// trajectory binaries).
+/// Value of a `--flag VALUE` pair in an argv slice.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)

@@ -28,14 +28,14 @@ pub use table::{fmt_f64, fmt_ratio, Table};
 /// struct-of-arrays arena locality the experiment grids run on.
 pub fn run_simulated_pooled(
     config: &amo_core::KkConfig,
-    options: amo_core::SimOptions,
+    spec: &amo_sim::ScenarioSpec,
 ) -> amo_core::AmoReport {
     use std::cell::RefCell;
     thread_local! {
         static ARENA: RefCell<amo_core::FleetArena> =
             RefCell::new(amo_core::FleetArena::new());
     }
-    ARENA.with(|a| amo_core::run_simulated_in(&mut a.borrow_mut(), config, options))
+    ARENA.with(|a| amo_core::run_scenario_simulated_in(&mut a.borrow_mut(), config, spec))
 }
 
 /// Maps `f` over `items` on scoped OS threads, preserving input order.

@@ -186,13 +186,15 @@ impl<P> Scheduler<P> for LockstepScheduler {
 #[cfg(test)]
 mod tests {
     use crate::config::KkConfig;
-    use crate::runner::{kk_fleet, run_simulated, SchedulerKind, SimOptions};
+    use crate::runner::{kk_fleet, run_scenario_simulated};
+    use amo_sim::{ScenarioSpec, SchedulerSpec};
 
     #[test]
     fn stuck_adversary_hits_theorem_4_4_exactly() {
         for (n, m) in [(50usize, 3usize), (100, 5), (64, 2), (200, 8)] {
             let config = KkConfig::new(n, m).unwrap();
-            let report = run_simulated(&config, SimOptions::stuck_announcement());
+            let report =
+                run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"));
             assert!(report.violations.is_empty());
             assert_eq!(
                 report.effectiveness,
@@ -208,14 +210,16 @@ mod tests {
         let n = 400;
         let m = 4;
         let config = KkConfig::with_beta(n, m, KkConfig::work_optimal_beta(m)).unwrap();
-        let report = run_simulated(&config, SimOptions::stuck_announcement());
+        let report =
+            run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"));
         assert_eq!(report.effectiveness, config.effectiveness_bound());
     }
 
     #[test]
     fn stuck_adversary_single_process_degenerates_gracefully() {
         let config = KkConfig::new(10, 1).unwrap();
-        let report = run_simulated(&config, SimOptions::stuck_announcement());
+        let report =
+            run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"));
         assert_eq!(report.effectiveness, 10);
         assert!(report.crashed.is_empty());
     }
@@ -224,7 +228,10 @@ mod tests {
     fn staleness_adversary_forces_collisions_safely() {
         let m = 4;
         let config = KkConfig::with_beta(512, m, KkConfig::work_optimal_beta(m)).unwrap();
-        let report = run_simulated(&config, SimOptions::staleness().with_collision_tracking());
+        let report = run_scenario_simulated(
+            &config,
+            &ScenarioSpec::adversary("staleness").with_collision_tracking(),
+        );
         assert!(
             report.violations.is_empty(),
             "collisions are not violations"
@@ -239,14 +246,14 @@ mod tests {
     #[test]
     fn staleness_adversary_single_process_degenerates() {
         let config = KkConfig::new(8, 1).unwrap();
-        let report = run_simulated(&config, SimOptions::staleness());
+        let report = run_scenario_simulated(&config, &ScenarioSpec::adversary("staleness"));
         assert_eq!(report.effectiveness, 8);
     }
 
     #[test]
     fn lockstep_schedules_min_steps_first() {
         let config = KkConfig::new(40, 4).unwrap();
-        let report = run_simulated(&config, SimOptions::lockstep());
+        let report = run_scenario_simulated(&config, &ScenarioSpec::adversary("lockstep"));
         assert!(report.violations.is_empty());
         assert!(report.completed);
     }
@@ -264,20 +271,18 @@ mod tests {
         // Sanity for Theorem 2.1: Do(α) ≤ n under zero crashes.
         let config = KkConfig::new(30, 3).unwrap();
         for seed in 0..5 {
-            let report = run_simulated(&config, SimOptions::random(seed));
+            let report = run_scenario_simulated(&config, &ScenarioSpec::random(seed));
             assert!(report.effectiveness <= 30);
             assert_eq!(
                 report.scheduler_label, "random",
-                "options carry the scheduler label"
+                "the spec carries the scheduler label"
             );
         }
     }
 
     #[test]
     fn scheduler_kind_default_is_round_robin() {
-        assert!(matches!(
-            SchedulerKind::default(),
-            SchedulerKind::RoundRobin
-        ));
+        assert_eq!(SchedulerSpec::default(), SchedulerSpec::RoundRobin);
+        assert_eq!(ScenarioSpec::default().label(), "round-robin");
     }
 }

@@ -9,12 +9,14 @@
 //! # Examples
 //!
 //! ```
-//! use amo_core::{run_simulated_in, FleetArena, KkConfig, SimOptions};
+//! use amo_core::{run_scenario_simulated_in, FleetArena, KkConfig};
+//! use amo_sim::ScenarioSpec;
 //!
 //! let mut arena = FleetArena::new();
+//! let spec = ScenarioSpec::round_robin_batched();
 //! for n in [64usize, 128, 256] {
 //!     let config = KkConfig::new(n, 4)?;
-//!     let report = run_simulated_in(&mut arena, &config, SimOptions::round_robin_batched());
+//!     let report = run_scenario_simulated_in(&mut arena, &config, &spec);
 //!     assert!(report.violations.is_empty());
 //! }
 //! assert_eq!(arena.leases(), 3);

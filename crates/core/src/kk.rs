@@ -1502,8 +1502,8 @@ impl<R: Registers + ?Sized, S: OrderedJobSet> Process<R> for KkProcess<S> {
 }
 
 /// The scenario-layer registry entry for KKβ: resolves the three
-/// paper-specific adversaries by name (the same labels the legacy
-/// [`SchedulerKind`](crate::SchedulerKind) reported) and wires the
+/// paper-specific adversaries by name (`"stuck-announcement"`, `"staleness"`
+/// and `"lockstep"`, which double as report labels) and wires the
 /// announcement-epoch cache and collision instrumentation into the generic
 /// driver's hooks. Works for every order-statistics backend, since the
 /// adversaries only inspect backend-agnostic automaton state — and for

@@ -34,10 +34,11 @@
 //! # Examples
 //!
 //! ```
-//! use amo_core::{run_simulated, KkConfig, SimOptions};
+//! use amo_core::{run_scenario_simulated, KkConfig};
+//! use amo_sim::ScenarioSpec;
 //!
 //! let config = KkConfig::new(100, 4)?; // n = 100 jobs, m = 4 processes, β = m
-//! let report = run_simulated(&config, SimOptions::random(42));
+//! let report = run_scenario_simulated(&config, &ScenarioSpec::random(42));
 //! assert!(report.violations.is_empty());
 //! assert!(report.effectiveness >= config.effectiveness_bound());
 //! # Ok::<(), amo_core::ConfigError>(())
@@ -63,7 +64,6 @@ pub use kk::{KkMode, KkPhase, KkProcess, PickRule, SpanMap};
 pub use layout::KkLayout;
 pub use runner::{
     kk_fleet, kk_fleet_with, run_fleet_simulated, run_scenario_simulated,
-    run_scenario_simulated_in, run_simulated, run_simulated_in, run_threads, AmoReport,
-    SchedulerKind, SimOptions, ThreadRunOptions,
+    run_scenario_simulated_in, run_threads, AmoReport,
 };
 pub use stats::CollisionMatrix;

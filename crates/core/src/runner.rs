@@ -1,358 +1,26 @@
 //! Convenience runners: build a KKβ fleet, execute it (simulated or on
 //! threads), and summarise the outcome as an [`AmoReport`].
 //!
-//! Every simulated entry point routes through the unified scenario layer
-//! ([`amo_sim::run_scenario`]): the legacy [`SimOptions`] survives as a
-//! converting adapter whose [`to_scenario`](SimOptions::to_scenario)
-//! lowering is **bit-identical** (deterministic counters and `local_work`
-//! included — asserted by the cross-crate scenario-equivalence suite), and
-//! [`run_scenario_simulated`] exposes the spec-first form directly.
+//! A simulated run is configured by one [`ScenarioSpec`] and routed through
+//! the shared scenario driver ([`amo_sim::run_scenario`]); a threaded run is
+//! configured by one [`ThreadSpec`]. [`AmoReport::from_execution`] and
+//! [`AmoReport::from_threads`] are the single place a report is built from
+//! either kind of run, for this crate and for the iterated and baseline
+//! runners alike.
 
-use amo_sim::thread::ThreadSpec;
-use amo_sim::{
-    run_scenario, CrashPlan, EngineLimits, Execution, JobSpan, MemOrder, MemWork, RoundRobin,
-    ScenarioSpec, SchedulerSpec, ShardSpec, Slot, VecRegisters, Violation,
-};
+use amo_sim::thread::{ThreadExecution, ThreadSpec};
+use amo_sim::{run_scenario, Execution, JobSpan, MemWork, ScenarioSpec, VecRegisters, Violation};
 
 use crate::config::KkConfig;
 use crate::kk::KkProcess;
 use crate::layout::KkLayout;
 use crate::stats::CollisionMatrix;
 
-/// Scheduling strategy selector for [`run_simulated`].
-///
-/// This is the legacy KKβ-specific selector, kept as a converting adapter:
-/// [`lower`](SchedulerKind::lower) maps it onto the shared
-/// [`SchedulerSpec`], with the three paper adversaries going through the
-/// scenario layer's named-adversary registry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Fair round-robin.
-    #[default]
-    RoundRobin,
-    /// Seeded uniform-random.
-    Random(
-        /// RNG seed.
-        u64,
-    ),
-    /// Seeded bursty schedule with the given burst length.
-    Block(
-        /// RNG seed.
-        u64,
-        /// Actions per burst.
-        u64,
-    ),
-    /// Collision-maximising lockstep ([`LockstepScheduler`]).
-    ///
-    /// [`LockstepScheduler`]: crate::LockstepScheduler
-    Lockstep,
-    /// The Theorem 4.4 lower-bound adversary
-    /// ([`StuckAnnouncementAdversary`]).
-    ///
-    /// [`StuckAnnouncementAdversary`]: crate::StuckAnnouncementAdversary
-    StuckAnnouncement,
-    /// The Lemma 5.5 collision-forcing adversary ([`StalenessAdversary`]).
-    ///
-    /// [`StalenessAdversary`]: crate::StalenessAdversary
-    Staleness,
-}
-
-impl SchedulerKind {
-    /// Lowers this legacy selector onto the shared [`SchedulerSpec`]: the
-    /// fair kinds map structurally, the adversaries by registry name
-    /// (resolved by `KkProcess`'s
-    /// [`ScenarioProcess`](amo_sim::ScenarioProcess) impl).
-    pub fn lower(self) -> SchedulerSpec {
-        match self {
-            SchedulerKind::RoundRobin => SchedulerSpec::RoundRobin,
-            SchedulerKind::Random(seed) => SchedulerSpec::Random(seed),
-            SchedulerKind::Block(seed, burst) => SchedulerSpec::Block(seed, burst),
-            SchedulerKind::Lockstep => SchedulerSpec::Adversary("lockstep"),
-            SchedulerKind::StuckAnnouncement => SchedulerSpec::Adversary("stuck-announcement"),
-            SchedulerKind::Staleness => SchedulerSpec::Adversary("staleness"),
-        }
-    }
-}
-
-/// Options for a simulated run.
-#[derive(Debug, Clone)]
-pub struct SimOptions {
-    /// Scheduling strategy.
-    pub scheduler: SchedulerKind,
-    /// Deterministic crash injection (combined with the scheduler through
-    /// [`WithCrashes`]). Ignored by [`SchedulerKind::StuckAnnouncement`],
-    /// which crashes processes itself.
-    pub crash_plan: CrashPlan,
-    /// Step cap (defaults to [`EngineLimits::default`]'s 200M actions;
-    /// override with [`with_max_steps`](Self::with_max_steps)).
-    pub limits: EngineLimits,
-    /// Enable per-pair collision counting (costs memory and time).
-    pub track_collisions: bool,
-    /// Actions granted per scheduler turn for [`SchedulerKind::RoundRobin`]
-    /// (ignored by the other kinds: blocks carry their own burst quantum and
-    /// the adversaries stay single-step by contract). `> 1` opts into the
-    /// engine's macro-stepping fast path via a quantized — still fair —
-    /// round-robin.
-    pub quantum: u64,
-    /// Forces the engine's per-action reference path even when the
-    /// scheduler grants quanta (see [`amo_sim::Engine::single_step`]); used
-    /// by the batching-equivalence tests and for debugging.
-    pub reference_single_step: bool,
-    /// Enables the announcement-epoch cache on the fleet (see
-    /// [`KkProcess::set_epoch_cache`]). Defaults to `true`; it takes effect
-    /// only for schedulers that grant quanta (quantized round-robin, block
-    /// bursts) — under single-action granularity the cache can skip no load
-    /// by design, so it is left off to keep the per-action path lean.
-    pub epoch_cache: bool,
-    /// Lays the fleet's `done` logs out position-major (struct of arrays;
-    /// see [`KkLayout::with_interleaved_done`]) so `gatherDone` sweeps read
-    /// adjacent cells. Off by default — the seed-shaped row-major layout —
-    /// and enabled by [`round_robin_batched`](Self::round_robin_batched),
-    /// the fast-path configuration.
-    pub interleaved_done: bool,
-    /// Shard parallelism (see [`amo_sim::ShardSpec`]); disabled by default.
-    /// When enabled the scenario layer routes to the phased sharded driver
-    /// — every deterministic observable stays shard- and thread-count
-    /// independent.
-    pub shard: ShardSpec,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        Self {
-            scheduler: SchedulerKind::default(),
-            crash_plan: CrashPlan::default(),
-            limits: EngineLimits::default(),
-            track_collisions: false,
-            quantum: 1,
-            reference_single_step: false,
-            epoch_cache: true,
-            interleaved_done: false,
-            shard: ShardSpec::disabled(),
-        }
-    }
-}
-
-impl SimOptions {
-    /// Round-robin, no crashes.
-    pub fn round_robin() -> Self {
-        Self::default()
-    }
-
-    /// Quantized round-robin with [`RoundRobin::BATCH_QUANTUM`] actions per
-    /// turn — the macro-stepping fast path, with the announcement-epoch
-    /// cache and the interleaved (struct-of-arrays) `done` layout. Fair, but
-    /// a *different* interleaving than strict alternation.
-    pub fn round_robin_batched() -> Self {
-        Self {
-            quantum: RoundRobin::BATCH_QUANTUM,
-            interleaved_done: true,
-            ..Self::default()
-        }
-    }
-
-    /// Enables or disables the announcement-epoch cache (see
-    /// [`Self::epoch_cache`]).
-    pub fn with_epoch_cache(mut self, enabled: bool) -> Self {
-        self.epoch_cache = enabled;
-        self
-    }
-
-    /// Enables or disables the interleaved `done` layout (see
-    /// [`Self::interleaved_done`]).
-    pub fn with_interleaved_done(mut self, enabled: bool) -> Self {
-        self.interleaved_done = enabled;
-        self
-    }
-
-    /// `true` when the configured scheduler grants quanta, i.e. the engine
-    /// will drive processes through `step_many` and the epoch cache can
-    /// actually skip work.
-    ///
-    /// Follows the documented [`quantum`](Self::quantum) semantics: the
-    /// field applies to [`SchedulerKind::RoundRobin`] only, so a
-    /// `quantum > 1` left on any other kind grants nothing. (Historically
-    /// this predicate ignored the kind, which switched the epoch cache —
-    /// and its tracked-prefix storage — on for single-step schedules where
-    /// it could never skip a read; the lowering through
-    /// [`to_scenario`](Self::to_scenario) made the two agree.)
-    pub fn grants_quanta(&self) -> bool {
-        (self.quantum > 1 && matches!(self.scheduler, SchedulerKind::RoundRobin))
-            || matches!(self.scheduler, SchedulerKind::Block(..))
-    }
-
-    /// Seeded random schedule, no crashes.
-    pub fn random(seed: u64) -> Self {
-        Self {
-            scheduler: SchedulerKind::Random(seed),
-            ..Self::default()
-        }
-    }
-
-    /// Bursty schedule.
-    pub fn block(seed: u64, burst: u64) -> Self {
-        Self {
-            scheduler: SchedulerKind::Block(seed, burst),
-            ..Self::default()
-        }
-    }
-
-    /// Collision-maximising lockstep.
-    pub fn lockstep() -> Self {
-        Self {
-            scheduler: SchedulerKind::Lockstep,
-            ..Self::default()
-        }
-    }
-
-    /// The Theorem 4.4 adversary.
-    pub fn stuck_announcement() -> Self {
-        Self {
-            scheduler: SchedulerKind::StuckAnnouncement,
-            ..Self::default()
-        }
-    }
-
-    /// The Lemma 5.5 collision-forcing adversary.
-    pub fn staleness() -> Self {
-        Self {
-            scheduler: SchedulerKind::Staleness,
-            ..Self::default()
-        }
-    }
-
-    /// Adds a crash plan.
-    pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
-        self
-    }
-
-    /// Enables collision tracking.
-    pub fn with_collision_tracking(mut self) -> Self {
-        self.track_collisions = true;
-        self
-    }
-
-    /// Sets the round-robin quantum (see [`Self::quantum`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn with_quantum(mut self, quantum: u64) -> Self {
-        assert!(quantum > 0, "quantum must be positive");
-        self.quantum = quantum;
-        self
-    }
-
-    /// Replaces the engine step cap.
-    pub fn with_limits(mut self, limits: EngineLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Caps the execution at `max_steps` total actions (shorthand for
-    /// [`with_limits`](Self::with_limits)).
-    pub fn with_max_steps(mut self, max_steps: u64) -> Self {
-        self.limits = EngineLimits::with_max_steps(max_steps);
-        self
-    }
-
-    /// Forces the per-action reference engine path (see
-    /// [`Self::reference_single_step`]).
-    pub fn single_step(mut self) -> Self {
-        self.reference_single_step = true;
-        self
-    }
-
-    /// Replaces the shard-parallelism configuration (see [`Self::shard`]).
-    pub fn with_shard_spec(mut self, shard: ShardSpec) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// Lowers these options into the shared [`ScenarioSpec`] — the
-    /// converting adapter the legacy runners are now thin shims over.
-    ///
-    /// The lowering preserves the legacy semantics exactly: in particular
-    /// [`quantum`](Self::quantum) historically applied only to
-    /// [`SchedulerKind::RoundRobin`] (blocks carry their own burst quantum,
-    /// adversaries are single-step by contract), so it is pinned to `1` for
-    /// every other kind rather than handed to the spec's
-    /// scheduler-agnostic quantum. Spec-first callers who *want* the newly
-    /// expressible cells (e.g. a quantized random schedule) build a
-    /// [`ScenarioSpec`] directly.
-    pub fn to_scenario(&self) -> ScenarioSpec {
-        ScenarioSpec {
-            scheduler: self.scheduler.lower(),
-            crash_plan: self.crash_plan.clone(),
-            limits: self.limits,
-            quantum: match self.scheduler {
-                SchedulerKind::RoundRobin => self.quantum,
-                _ => 1,
-            },
-            epoch_cache: self.epoch_cache,
-            reference_single_step: self.reference_single_step,
-            backend: Default::default(),
-            collisions: self.track_collisions,
-            shard: self.shard,
-        }
-    }
-}
-
-/// Options for a threaded run.
-///
-/// Crash injection is crash-**stop** only: plans carrying
-/// [`CrashPlan::restart_after`] entries are rejected loudly by
-/// [`run_threads`] (the thread runtime cannot re-enter a dead OS thread);
-/// restart scenarios belong to the simulated backends.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadRunOptions {
-    /// Crash injection (per-thread step budgets).
-    pub crash_plan: CrashPlan,
-    /// Memory-ordering regime (SeqCst is the verified default).
-    pub order: MemOrder,
-    /// Wait-freedom watchdog per process.
-    pub max_steps_per_proc: Option<u64>,
-}
-
-impl ThreadRunOptions {
-    /// Adds crash-stop injection (builder form, mirroring
-    /// [`amo_sim::thread::ThreadSpec`]).
-    pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
-        self
-    }
-
-    /// Selects the memory-ordering regime.
-    pub fn with_order(mut self, order: MemOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Caps every process at `steps` actions (wait-freedom watchdog).
-    pub fn with_watchdog(mut self, steps: u64) -> Self {
-        self.max_steps_per_proc = Some(steps);
-        self
-    }
-
-    /// Lowers into the sim-layer [`ThreadSpec`] these options are a
-    /// KKβ-flavoured veneer over.
-    pub fn to_thread_spec(&self) -> ThreadSpec {
-        let spec = ThreadSpec::new()
-            .with_crash_plan(self.crash_plan.clone())
-            .with_order(self.order);
-        match self.max_steps_per_proc {
-            Some(w) => spec.with_watchdog(w),
-            None => spec,
-        }
-    }
-}
-
 /// Summary of one at-most-once execution, simulated or threaded.
 ///
 /// Equality is field-for-field (deterministic counters, `local_work` and
-/// the collision matrix included) — what the scenario-equivalence suite
-/// asserts between a legacy-options run and its lowered [`ScenarioSpec`].
+/// the collision matrix included) — what the equivalence suites assert
+/// between two runs that must be identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AmoReport {
     /// `Do(α)`: distinct jobs performed (Definition 2.1).
@@ -386,6 +54,47 @@ pub struct AmoReport {
 }
 
 impl AmoReport {
+    /// The report of a simulated run, labelled `label`, with the register
+    /// file's peak epoch storage `epoch_mem_bytes` and no collision matrix.
+    pub fn from_execution(exec: Execution, label: &'static str, epoch_mem_bytes: u64) -> Self {
+        let (effectiveness, violations) = exec.summary();
+        AmoReport {
+            effectiveness,
+            violations,
+            performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
+            crashed: exec.crashed,
+            restarted: exec.restarted,
+            completed: exec.completed,
+            mem_work: exec.mem_work,
+            local_work: exec.local_work,
+            total_steps: exec.total_steps,
+            epoch_mem_bytes,
+            collisions: None,
+            scheduler_label: label,
+        }
+    }
+
+    /// The report of a threaded run, labelled `label`: steps are summed
+    /// over the threads, and restarts and epoch storage are always empty.
+    pub fn from_threads(exec: ThreadExecution, label: &'static str) -> Self {
+        let (effectiveness, violations) =
+            amo_sim::perform_summary(exec.performed.iter().map(|r| r.span));
+        AmoReport {
+            effectiveness,
+            violations,
+            performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
+            crashed: exec.crashed,
+            restarted: Vec::new(),
+            completed: exec.completed,
+            mem_work: exec.mem_work,
+            local_work: exec.local_work,
+            total_steps: exec.per_proc_steps.iter().sum(),
+            epoch_mem_bytes: 0,
+            collisions: None,
+            scheduler_label: label,
+        }
+    }
+
     /// Total work: shared traffic plus local basic operations
     /// (Definition 2.5).
     pub fn work(&self) -> u64 {
@@ -457,71 +166,14 @@ pub fn kk_fleet_with(
     (layout, fleet)
 }
 
-fn finish_sim(
-    exec: Execution,
-    fleet_collisions: Option<CollisionMatrix>,
-    label: &'static str,
-    epoch_mem_bytes: u64,
-) -> AmoReport {
-    let (effectiveness, violations) = exec.summary();
-    AmoReport {
-        effectiveness,
-        violations,
-        performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
-        crashed: exec.crashed.clone(),
-        restarted: exec.restarted.clone(),
-        completed: exec.completed,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.total_steps,
-        epoch_mem_bytes,
-        collisions: fleet_collisions,
-        scheduler_label: label,
-    }
-}
-
-/// Runs KKβ in the deterministic simulator.
-///
-/// # Examples
-///
-/// ```
-/// use amo_core::{run_simulated, KkConfig, SimOptions};
-///
-/// let config = KkConfig::new(64, 4)?;
-/// let report = run_simulated(&config, SimOptions::round_robin());
-/// assert!(report.violations.is_empty());
-/// assert!(report.effectiveness >= config.effectiveness_bound());
-/// # Ok::<(), amo_core::ConfigError>(())
-/// ```
-pub fn run_simulated(config: &KkConfig, options: SimOptions) -> AmoReport {
-    let (layout, fleet) = kk_fleet_with(config, options.track_collisions, options.interleaved_done);
-    let mem = VecRegisters::new(layout.cells());
-    run_fleet_simulated(mem, fleet, config.n(), options)
-}
-
-/// [`run_simulated`] drawing the register file from a [`FleetArena`]
-/// (`crate::arena`): the buffer of the previous simulation is reused warm
-/// instead of freshly allocated, which is the arena's multi-fleet locality
-/// win for the experiment grids.
-pub fn run_simulated_in(
-    arena: &mut crate::arena::FleetArena,
-    config: &KkConfig,
-    options: SimOptions,
-) -> AmoReport {
-    let (layout, fleet) = kk_fleet_with(config, options.track_collisions, options.interleaved_done);
-    let mem = arena.lease(layout.cells());
-    let (report, mem) = run_fleet_simulated_full(mem, fleet, config.n(), options);
-    arena.reclaim(mem);
-    report
-}
-
-/// Runs KKβ under an explicit [`ScenarioSpec`] — the spec-first twin of
-/// [`run_simulated`], able to express every scenario-layer cell (quantized
-/// random schedules, any registered adversary, …).
+/// Runs KKβ under `spec` in the deterministic simulator.
 ///
 /// The fleet uses the interleaved (struct-of-arrays) `done` layout exactly
-/// when the spec grants quanta, mirroring the fast-path configuration of
-/// [`SimOptions::round_robin_batched`].
+/// when the spec grants quanta (see [`ScenarioSpec::grants_quanta`]): the
+/// macro-stepping fast path reads adjacent cells in its `gatherDone`
+/// sweeps, while single-action schedules keep the row-major layout. The
+/// layout changes no execution, only
+/// [`epoch_mem_bytes`](AmoReport::epoch_mem_bytes).
 ///
 /// # Examples
 ///
@@ -530,7 +182,7 @@ pub fn run_simulated_in(
 /// use amo_sim::ScenarioSpec;
 ///
 /// let config = KkConfig::new(64, 4)?;
-/// // A quantized random schedule: inexpressible through SimOptions.
+/// // A quantized random schedule.
 /// let report = run_scenario_simulated(&config, &ScenarioSpec::random(7).with_quantum(64));
 /// assert!(report.violations.is_empty());
 /// assert!(report.effectiveness >= config.effectiveness_bound());
@@ -538,13 +190,13 @@ pub fn run_simulated_in(
 /// ```
 pub fn run_scenario_simulated(config: &KkConfig, spec: &ScenarioSpec) -> AmoReport {
     let (layout, fleet) = kk_fleet_with(config, spec.collisions, spec.grants_quanta());
-    let mem = VecRegisters::new(layout.cells());
-    let (exec, slots, mem) = run_scenario(mem, fleet, spec);
-    report_from_scenario(config.n(), spec, exec, &slots, &mem)
+    run_fleet_simulated(VecRegisters::new(layout.cells()), fleet, config.n(), spec)
 }
 
 /// [`run_scenario_simulated`] drawing the register file from a
-/// [`FleetArena`].
+/// [`FleetArena`](crate::FleetArena): the buffer of the previous simulation
+/// is reused warm instead of freshly allocated, which is the arena's
+/// multi-fleet locality win for the experiment grids.
 pub fn run_scenario_simulated_in(
     arena: &mut crate::arena::FleetArena,
     config: &KkConfig,
@@ -552,47 +204,48 @@ pub fn run_scenario_simulated_in(
 ) -> AmoReport {
     let (layout, fleet) = kk_fleet_with(config, spec.collisions, spec.grants_quanta());
     let mem = arena.lease(layout.cells());
-    let (exec, slots, mem) = run_scenario(mem, fleet, spec);
-    let report = report_from_scenario(config.n(), spec, exec, &slots, &mem);
+    let (report, mem) = run_fleet_full(mem, fleet, config.n(), spec);
     arena.reclaim(mem);
     report
 }
 
-/// Runs an arbitrary pre-built KKβ fleet in the simulator (used by the
-/// iterated algorithms and the ablations).
+/// Runs an arbitrary pre-built KKβ fleet of an `n`-job instance under
+/// `spec` (used by the ablations, which build fleets the config alone
+/// cannot describe).
+///
+/// # Examples
+///
+/// ```
+/// use amo_core::{kk_fleet, run_fleet_simulated, KkConfig};
+/// use amo_sim::{ScenarioSpec, VecRegisters};
+///
+/// let config = KkConfig::new(64, 4)?;
+/// let (layout, fleet) = kk_fleet(&config, false);
+/// let mem = VecRegisters::new(layout.cells());
+/// let report = run_fleet_simulated(mem, fleet, config.n(), &ScenarioSpec::round_robin());
+/// assert!(report.violations.is_empty());
+/// assert!(report.effectiveness >= config.effectiveness_bound());
+/// # Ok::<(), amo_core::ConfigError>(())
+/// ```
 pub fn run_fleet_simulated(
     mem: VecRegisters,
     fleet: Vec<KkProcess>,
     n: usize,
-    options: SimOptions,
+    spec: &ScenarioSpec,
 ) -> AmoReport {
-    run_fleet_simulated_full(mem, fleet, n, options).0
+    run_fleet_full(mem, fleet, n, spec).0
 }
 
 /// [`run_fleet_simulated`], additionally handing the register file back so
-/// arenas can recycle it. A thin shim: the options lower into a
-/// [`ScenarioSpec`] and the shared [`run_scenario`] driver does the rest.
-fn run_fleet_simulated_full(
+/// arenas can recycle it. The collision matrix is harvested from the
+/// terminal slots when the spec tracked it.
+fn run_fleet_full(
     mem: VecRegisters,
     fleet: Vec<KkProcess>,
     n: usize,
-    options: SimOptions,
-) -> (AmoReport, VecRegisters) {
-    let spec = options.to_scenario();
-    let (exec, slots, mem) = run_scenario(mem, fleet, &spec);
-    let report = report_from_scenario(n, &spec, exec, &slots, &mem);
-    (report, mem)
-}
-
-/// Builds the [`AmoReport`] of a scenario run over a KKβ fleet, harvesting
-/// the collision matrix from the terminal slots when the spec tracked it.
-fn report_from_scenario(
-    n: usize,
     spec: &ScenarioSpec,
-    exec: Execution,
-    slots: &[Slot<KkProcess>],
-    mem: &VecRegisters,
-) -> AmoReport {
+) -> (AmoReport, VecRegisters) {
+    let (exec, slots, mem) = run_scenario(mem, fleet, spec);
     let collisions = spec.collisions.then(|| {
         let rows = slots
             .iter()
@@ -600,18 +253,23 @@ fn report_from_scenario(
             .collect();
         CollisionMatrix::new(rows, n)
     });
-    finish_sim(exec, collisions, spec.label(), mem.epoch_mem_bytes())
+    let report = AmoReport {
+        collisions,
+        ..AmoReport::from_execution(exec, spec.label(), mem.epoch_mem_bytes())
+    };
+    (report, mem)
 }
 
-/// Runs KKβ on OS threads over hardware atomics.
+/// Runs KKβ on OS threads over hardware atomics, configured by `spec`.
 ///
 /// # Examples
 ///
 /// ```
-/// use amo_core::{run_threads, KkConfig, ThreadRunOptions};
+/// use amo_core::{run_threads, KkConfig};
+/// use amo_sim::thread::ThreadSpec;
 ///
 /// let config = KkConfig::new(128, 4)?;
-/// let report = run_threads(&config, ThreadRunOptions::default());
+/// let report = run_threads(&config, &ThreadSpec::new());
 /// assert!(report.violations.is_empty());
 /// assert!(report.effectiveness >= config.effectiveness_bound());
 /// # Ok::<(), amo_core::ConfigError>(())
@@ -621,37 +279,21 @@ fn report_from_scenario(
 ///
 /// Panics if the crash plan schedules restarts — real threads are
 /// crash-stop only (see [`amo_sim::thread`]).
-pub fn run_threads(config: &KkConfig, options: ThreadRunOptions) -> AmoReport {
+pub fn run_threads(config: &KkConfig, spec: &ThreadSpec) -> AmoReport {
     let (layout, fleet) = kk_fleet(config, false);
-    let spec = options.to_thread_spec();
     let mem = spec.alloc(layout.cells());
-    let exec = spec.run(&mem, fleet);
-    let (effectiveness, violations) =
-        amo_sim::perform_summary(exec.performed.iter().map(|r| r.span));
-    AmoReport {
-        effectiveness,
-        violations,
-        performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
-        crashed: exec.crashed.clone(),
-        restarted: Vec::new(),
-        completed: exec.completed,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.per_proc_steps.iter().sum(),
-        epoch_mem_bytes: 0,
-        collisions: None,
-        scheduler_label: "threads",
-    }
+    AmoReport::from_threads(spec.run(&mem, fleet), "threads")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_sim::CrashPlan;
 
     #[test]
     fn round_robin_no_crash_performs_nearly_everything() {
         let config = KkConfig::new(60, 3).unwrap();
-        let report = run_simulated(&config, SimOptions::round_robin());
+        let report = run_scenario_simulated(&config, &ScenarioSpec::round_robin());
         assert!(report.violations.is_empty());
         assert!(report.completed);
         assert!(report.effectiveness >= config.effectiveness_bound());
@@ -661,9 +303,9 @@ mod tests {
     #[test]
     fn crash_plan_is_respected() {
         let config = KkConfig::new(40, 4).unwrap();
-        let options = SimOptions::round_robin()
+        let spec = ScenarioSpec::round_robin()
             .with_crash_plan(CrashPlan::at_steps([(1usize, 5u64), (2, 9)]));
-        let report = run_simulated(&config, options);
+        let report = run_scenario_simulated(&config, &spec);
         assert_eq!(report.crashed, vec![1, 2]);
         assert!(report.violations.is_empty());
         assert!(report.effectiveness >= config.effectiveness_bound());
@@ -672,7 +314,8 @@ mod tests {
     #[test]
     fn collision_tracking_produces_matrix() {
         let config = KkConfig::new(50, 4).unwrap();
-        let report = run_simulated(&config, SimOptions::lockstep().with_collision_tracking());
+        let spec = ScenarioSpec::adversary("lockstep").with_collision_tracking();
+        let report = run_scenario_simulated(&config, &spec);
         let m = report.collisions.expect("matrix present");
         assert_eq!(m.m(), 4);
     }
@@ -680,7 +323,7 @@ mod tests {
     #[test]
     fn threads_respect_effectiveness_bound() {
         let config = KkConfig::new(120, 4).unwrap();
-        let report = run_threads(&config, ThreadRunOptions::default());
+        let report = run_threads(&config, &ThreadSpec::new());
         assert!(report.violations.is_empty());
         assert!(report.completed);
         assert!(report.effectiveness >= config.effectiveness_bound());
@@ -689,11 +332,9 @@ mod tests {
     #[test]
     fn threads_with_crashes_stay_safe() {
         let config = KkConfig::new(80, 4).unwrap();
-        let options = ThreadRunOptions {
-            crash_plan: CrashPlan::at_steps([(1usize, 30u64), (2, 60)]),
-            ..ThreadRunOptions::default()
-        };
-        let report = run_threads(&config, options);
+        let spec =
+            ThreadSpec::new().with_crash_plan(CrashPlan::at_steps([(1usize, 30u64), (2, 60)]));
+        let report = run_threads(&config, &spec);
         assert!(report.violations.is_empty());
         assert_eq!(report.crashed, vec![1, 2]);
     }
@@ -701,7 +342,7 @@ mod tests {
     #[test]
     fn report_display_is_informative() {
         let config = KkConfig::new(20, 2).unwrap();
-        let report = run_simulated(&config, SimOptions::round_robin());
+        let report = run_scenario_simulated(&config, &ScenarioSpec::round_robin());
         let text = report.to_string();
         assert!(text.contains("effectiveness"));
         assert!(text.contains("0 violation(s)"));
@@ -712,7 +353,7 @@ mod tests {
     #[test]
     fn work_is_mem_plus_local() {
         let config = KkConfig::new(30, 2).unwrap();
-        let report = run_simulated(&config, SimOptions::round_robin());
+        let report = run_scenario_simulated(&config, &ScenarioSpec::round_robin());
         assert_eq!(report.work(), report.mem_work.total() + report.local_work);
         assert!(report.local_work > 0, "set structures counted");
     }

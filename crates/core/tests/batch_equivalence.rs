@@ -7,14 +7,16 @@
 //! ([`Engine::single_step`]) must produce **identical** [`Execution`]s:
 //! same perform records (pid, span, global step index), same shared and
 //! local work, same per-process step counts, same crashes, same
-//! effectiveness. Adversarial schedulers (`Lockstep`, `StuckAnnouncement`,
-//! `Staleness`) keep the default quantum of 1, so for them forcing
+//! effectiveness. Adversarial schedulers (`lockstep`, `stuck-announcement`,
+//! `staleness`) keep the default quantum of 1, so for them forcing
 //! single-step must be a no-op.
 
-use amo_core::{kk_fleet, run_simulated, KkConfig, SimOptions};
+use amo_core::{
+    kk_fleet, kk_fleet_with, run_fleet_simulated, run_scenario_simulated, AmoReport, KkConfig,
+};
 use amo_sim::{
-    BlockScheduler, CrashPlan, Engine, EngineLimits, Execution, RoundRobin, Scheduler,
-    VecRegisters, WithCrashes,
+    BlockScheduler, CrashPlan, Engine, EngineLimits, Execution, RoundRobin, ScenarioSpec,
+    Scheduler, VecRegisters, WithCrashes,
 };
 use proptest::prelude::*;
 
@@ -129,48 +131,38 @@ fn adversarial_schedulers_are_untouched_by_the_fast_path() {
     // The adversaries keep the default quantum of 1, so the fast path never
     // engages: forcing the reference path must change nothing.
     let config = KkConfig::new(40, 4).expect("valid config");
-    for options in [
-        SimOptions::lockstep(),
-        SimOptions::stuck_announcement(),
-        SimOptions::staleness(),
-    ] {
-        let fast = run_simulated(&config, options.clone());
-        let reference = run_simulated(&config, options.clone().single_step());
-        assert_eq!(
-            fast.performed, reference.performed,
-            "{:?}",
-            options.scheduler
-        );
-        assert_eq!(
-            fast.total_steps, reference.total_steps,
-            "{:?}",
-            options.scheduler
-        );
-        assert_eq!(fast.mem_work, reference.mem_work, "{:?}", options.scheduler);
-        assert_eq!(
-            fast.effectiveness, reference.effectiveness,
-            "{:?}",
-            options.scheduler
-        );
+    for name in ["lockstep", "stuck-announcement", "staleness"] {
+        let spec = ScenarioSpec::adversary(name);
+        let fast = run_scenario_simulated(&config, &spec);
+        let reference = run_scenario_simulated(&config, &spec.clone().single_step());
+        assert_eq!(fast.performed, reference.performed, "{name}");
+        assert_eq!(fast.total_steps, reference.total_steps, "{name}");
+        assert_eq!(fast.mem_work, reference.mem_work, "{name}");
+        assert_eq!(fast.effectiveness, reference.effectiveness, "{name}");
     }
 }
 
+/// Runs a KKβ fleet laid out row-major (`interleaved == false`) or
+/// position-major under `spec`.
+fn run_with_layout(config: &KkConfig, spec: &ScenarioSpec, interleaved: bool) -> AmoReport {
+    let (layout, fleet) = kk_fleet_with(config, spec.collisions, interleaved);
+    run_fleet_simulated(VecRegisters::new(layout.cells()), fleet, config.n(), spec)
+}
+
 /// Report-level equality across *every* fast-path ingredient: the batched
-/// run with the announcement-epoch cache (and optionally the interleaved
-/// `done` layout) must match the cache-free, row-major, forced-single-step
-/// reference — the strongest form of the observational-invisibility
-/// contract, covering `local_work` exactly (the cache compensates every
-/// skipped probe's accounting).
-fn assert_cache_equivalent(config: &KkConfig, base: SimOptions, what: &str) {
-    let reference = run_simulated(
+/// run with the announcement-epoch cache (and either `done` layout) must
+/// match the cache-free, row-major, forced-single-step reference — the
+/// strongest form of the observational-invisibility contract, covering
+/// `local_work` exactly (the cache compensates every skipped probe's
+/// accounting).
+fn assert_cache_equivalent(config: &KkConfig, base: ScenarioSpec, what: &str) {
+    let reference = run_with_layout(
         config,
-        base.clone()
-            .with_epoch_cache(false)
-            .with_interleaved_done(false)
-            .single_step(),
+        &base.clone().with_epoch_cache(false).single_step(),
+        false,
     );
     for interleaved in [false, true] {
-        let fast = run_simulated(config, base.clone().with_interleaved_done(interleaved));
+        let fast = run_with_layout(config, &base, interleaved);
         assert_eq!(
             fast.performed, reference.performed,
             "{what} soa={interleaved}: performed differ"
@@ -209,7 +201,7 @@ fn epoch_cache_and_layout_are_observationally_invisible() {
             for &q in &[2u64, 16, RoundRobin::BATCH_QUANTUM] {
                 assert_cache_equivalent(
                     &config,
-                    SimOptions::round_robin().with_quantum(q),
+                    ScenarioSpec::round_robin().with_quantum(q),
                     &format!("n={n} m={m} beta={beta} q={q}"),
                 );
             }
@@ -225,7 +217,7 @@ fn epoch_cache_is_invisible_under_crashes() {
         for &q in &[3u64, 16, 1024] {
             assert_cache_equivalent(
                 &config,
-                SimOptions::round_robin()
+                ScenarioSpec::round_robin()
                     .with_quantum(q)
                     .with_crash_plan(plan.clone()),
                 &format!("crashes ({p1}@{s1}, {p2}@{s2}) q={q}"),
@@ -252,11 +244,11 @@ proptest! {
         let config = KkConfig::with_beta(n, m, m as u64 + beta_extra).expect("valid");
         let f = f.min(m - 1);
         let plan = CrashPlan::random(m, f, (n as u64) * 2, crash_seed);
-        let base = SimOptions::round_robin()
+        let base = ScenarioSpec::round_robin()
             .with_quantum(quantum)
             .with_crash_plan(plan);
-        let fast = run_simulated(&config, base.clone());
-        let reference = run_simulated(&config, base.single_step());
+        let fast = run_scenario_simulated(&config, &base);
+        let reference = run_scenario_simulated(&config, &base.single_step());
         prop_assert_eq!(fast.performed, reference.performed);
         prop_assert_eq!(fast.total_steps, reference.total_steps);
         prop_assert_eq!(fast.crashed, reference.crashed);
@@ -277,9 +269,9 @@ proptest! {
     ) {
         prop_assume!(n >= m);
         let config = KkConfig::new(n, m).expect("valid");
-        let base = SimOptions::block(seed, burst);
-        let fast = run_simulated(&config, base.clone());
-        let reference = run_simulated(&config, base.single_step());
+        let base = ScenarioSpec::block(seed, burst);
+        let fast = run_scenario_simulated(&config, &base);
+        let reference = run_scenario_simulated(&config, &base.single_step());
         prop_assert_eq!(fast.performed, reference.performed);
         prop_assert_eq!(fast.total_steps, reference.total_steps);
         prop_assert_eq!(fast.mem_work, reference.mem_work);

@@ -12,10 +12,12 @@
 //! files must replay fresh-allocation runs report-for-report.
 
 use amo_core::{
-    run_simulated, run_simulated_in, FleetArena, KkConfig, KkLayout, KkProcess, SimOptions,
+    run_scenario_simulated, run_scenario_simulated_in, FleetArena, KkConfig, KkLayout, KkProcess,
 };
 use amo_ostree::DenseFenwickSet;
-use amo_sim::{CrashPlan, Engine, EngineLimits, Execution, RoundRobin, VecRegisters, WithCrashes};
+use amo_sim::{
+    CrashPlan, Engine, EngineLimits, Execution, RoundRobin, ScenarioSpec, VecRegisters, WithCrashes,
+};
 
 /// Drives one config through identical schedules with both set backends and
 /// compares every backend-independent observable.
@@ -74,14 +76,14 @@ fn hinted_fenwick_matches_dense_oracle_across_quanta() {
 #[test]
 fn hints_survive_adversarial_interleavings() {
     let config = KkConfig::new(80, 4).expect("valid config");
-    for options in [
-        SimOptions::lockstep(),
-        SimOptions::staleness(),
-        SimOptions::stuck_announcement(),
-        SimOptions::random(0xC0FFEE),
-        SimOptions::block(7, 23),
+    for spec in [
+        ScenarioSpec::adversary("lockstep"),
+        ScenarioSpec::adversary("staleness"),
+        ScenarioSpec::adversary("stuck-announcement"),
+        ScenarioSpec::random(0xC0FFEE),
+        ScenarioSpec::block(7, 23),
     ] {
-        let report = run_simulated(&config, options);
+        let report = run_scenario_simulated(&config, &spec);
         assert!(report.violations.is_empty(), "safety under adversary");
     }
 }
@@ -94,9 +96,12 @@ fn arena_reuse_replays_fresh_runs() {
     let mut arena = FleetArena::new();
     for &(n, m) in &[(200usize, 4usize), (64, 2), (333, 5), (200, 4)] {
         let config = KkConfig::new(n, m).expect("valid config");
-        for options in [SimOptions::round_robin_batched(), SimOptions::round_robin()] {
-            let fresh = run_simulated(&config, options.clone());
-            let pooled = run_simulated_in(&mut arena, &config, options);
+        for spec in [
+            ScenarioSpec::round_robin_batched(),
+            ScenarioSpec::round_robin(),
+        ] {
+            let fresh = run_scenario_simulated(&config, &spec);
+            let pooled = run_scenario_simulated_in(&mut arena, &config, &spec);
             assert_eq!(fresh.performed, pooled.performed, "n={n} m={m}");
             assert_eq!(fresh.total_steps, pooled.total_steps, "n={n} m={m}");
             assert_eq!(fresh.mem_work, pooled.mem_work, "n={n} m={m}");
@@ -114,7 +119,7 @@ fn arena_reuse_replays_fresh_runs() {
 #[test]
 fn epoch_memory_is_proportional_to_touched_cells() {
     let config = KkConfig::new(20_000, 4).expect("valid config");
-    let fast = run_simulated(&config, SimOptions::round_robin_batched());
+    let fast = run_scenario_simulated(&config, &ScenarioSpec::round_robin_batched());
     let cells_bytes = (4 + 4 * 20_000) as u64 * 8;
     assert!(fast.epoch_mem_bytes > 0, "cache-on runs track epochs");
     assert!(
@@ -123,7 +128,7 @@ fn epoch_memory_is_proportional_to_touched_cells() {
         fast.epoch_mem_bytes,
         cells_bytes
     );
-    let single = run_simulated(&config, SimOptions::round_robin());
+    let single = run_scenario_simulated(&config, &ScenarioSpec::round_robin());
     assert_eq!(
         single.epoch_mem_bytes, 0,
         "single-step runs keep epoch tracking off entirely"

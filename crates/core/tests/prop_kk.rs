@@ -1,7 +1,7 @@
 //! Property tests for KKβ over random instances, schedules and crash plans.
 
-use amo_core::{run_simulated, KkConfig, SimOptions};
-use amo_sim::CrashPlan;
+use amo_core::{run_scenario_simulated, KkConfig};
+use amo_sim::{CrashPlan, ScenarioSpec};
 use proptest::prelude::*;
 
 /// Strategy: a valid (n, m, beta) triple.
@@ -27,9 +27,9 @@ proptest! {
         // Derive a crash plan deterministically from plan_seed.
         let f = plan_seed % m;
         let plan = CrashPlan::at_steps((1..=f).map(|p| (p, (plan_seed * 37 + p * 11) as u64)));
-        let report = run_simulated(
+        let report = run_scenario_simulated(
             &config,
-            SimOptions::random(seed).with_crash_plan(plan),
+            &ScenarioSpec::random(seed).with_crash_plan(plan),
         );
         prop_assert!(report.violations.is_empty(), "at-most-once violated: {:?}", report.violations);
         prop_assert!(report.completed, "wait-freedom violated (step cap hit)");
@@ -46,8 +46,8 @@ proptest! {
     #[test]
     fn simulation_is_reproducible((n, m, beta) in instance(), seed in any::<u64>()) {
         let config = KkConfig::with_beta(n, m, beta).unwrap();
-        let a = run_simulated(&config, SimOptions::random(seed));
-        let b = run_simulated(&config, SimOptions::random(seed));
+        let a = run_scenario_simulated(&config, &ScenarioSpec::random(seed));
+        let b = run_scenario_simulated(&config, &ScenarioSpec::random(seed));
         prop_assert_eq!(&a.performed, &b.performed);
         prop_assert_eq!(a.total_steps, b.total_steps);
         prop_assert_eq!(a.work(), b.work());
@@ -61,7 +61,7 @@ proptest! {
         burst in 1u64..64,
     ) {
         let config = KkConfig::with_beta(n, m, beta).unwrap();
-        let report = run_simulated(&config, SimOptions::block(seed, burst));
+        let report = run_scenario_simulated(&config, &ScenarioSpec::block(seed, burst));
         prop_assert!(report.violations.is_empty());
         prop_assert!(report.effectiveness >= config.effectiveness_bound());
     }
@@ -76,7 +76,7 @@ proptest! {
         prop_assume!(n >= 2 * m - 1);
         prop_assume!(n as u64 >= beta + m as u64 - 1);
         let config = KkConfig::with_beta(n, m, beta).unwrap();
-        let report = run_simulated(&config, SimOptions::stuck_announcement());
+        let report = run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"));
         prop_assert!(report.violations.is_empty());
         prop_assert_eq!(report.effectiveness, config.effectiveness_bound());
     }
@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn no_crash_round_robin_effectiveness((n, m, beta) in instance()) {
         let config = KkConfig::with_beta(n, m, beta).unwrap();
-        let report = run_simulated(&config, SimOptions::round_robin());
+        let report = run_scenario_simulated(&config, &ScenarioSpec::round_robin());
         prop_assert!(report.crashed.is_empty());
         prop_assert!(report.effectiveness >= config.effectiveness_bound());
     }
@@ -109,9 +109,9 @@ mod crash_plan_props {
             let n = 12 * m;
             let config = KkConfig::new(n, m).unwrap();
             let plan = crash_plan_from(m, &budgets);
-            let report = run_simulated(
+            let report = run_scenario_simulated(
                 &config,
-                SimOptions::random(seed).with_crash_plan(plan),
+                &ScenarioSpec::random(seed).with_crash_plan(plan),
             );
             prop_assert!(report.violations.is_empty());
             prop_assert!(report.effectiveness >= config.effectiveness_bound());

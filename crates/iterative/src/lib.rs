@@ -28,10 +28,11 @@
 //! # Examples
 //!
 //! ```
-//! use amo_iterative::{run_iterative_simulated, IterConfig, IterSimOptions};
+//! use amo_iterative::{run_iterative_scenario, IterConfig};
+//! use amo_sim::ScenarioSpec;
 //!
 //! let config = IterConfig::new(2_000, 3, 1)?; // n, m, 1/ε
-//! let report = run_iterative_simulated(&config, IterSimOptions::random(7));
+//! let report = run_iterative_scenario(&config, &ScenarioSpec::random(7));
 //! assert!(report.violations.is_empty());
 //! assert!(report.effectiveness >= config.effectiveness_floor());
 //! # Ok::<(), amo_core::ConfigError>(())
@@ -49,9 +50,7 @@ mod superjob;
 pub use layout::{IterLayout, StageInfo};
 pub use process::IterativeProcess;
 pub use runner::{
-    basic_sched_label, iter_fleet, iter_fleet_with, run_basic_fleet, run_iter_fleet_simulated,
-    run_iterative_scenario, run_iterative_simulated, run_iterative_threads, BasicSched, IterConfig,
-    IterSimOptions,
+    iter_fleet, iter_fleet_with, run_iterative_scenario, run_iterative_threads, IterConfig,
 };
 pub use schedule::stage_sizes;
 pub use superjob::{block_count, block_span, map_blocks};

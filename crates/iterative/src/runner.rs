@@ -1,17 +1,13 @@
 //! Configuration and runners for `IterativeKK(ε)`.
 //!
-//! The simulated entry points are thin shims over the unified scenario
-//! layer ([`amo_sim::run_scenario`]): [`IterSimOptions`] survives as a
-//! converting adapter ([`to_scenario`](IterSimOptions::to_scenario),
-//! bit-identical lowering) and [`BasicSched`] **is** the shared
-//! [`SchedulerSpec`] — the historical parallel enum was deleted.
+//! A simulated run takes a [`ScenarioSpec`] and goes through the shared
+//! scenario driver ([`amo_sim::run_scenario`]); a threaded run takes a
+//! [`ThreadSpec`]. Both report through amo-core's [`AmoReport`]
+//! constructors.
 
 use amo_core::{AmoReport, ConfigError, KkConfig};
 use amo_sim::thread::ThreadSpec;
-use amo_sim::{
-    run_scenario, AtomicRegisters, CrashPlan, EngineLimits, Execution, MemOrder, RoundRobin,
-    ScenarioHooks, ScenarioProcess, ScenarioSpec, Scheduler, SchedulerSpec, Slot, VecRegisters,
-};
+use amo_sim::{run_scenario, ScenarioHooks, ScenarioSpec, Scheduler, VecRegisters};
 
 use crate::layout::IterLayout;
 use crate::process::IterativeProcess;
@@ -111,165 +107,6 @@ impl IterConfig {
     }
 }
 
-/// Scheduler selector for the iterated runners — now literally the shared
-/// [`SchedulerSpec`] of the scenario layer (the historical parallel enum
-/// was a field-for-field copy of `amo_core::SchedulerKind`'s fair subset
-/// and has been deleted). The lockstep adversary is requested by name
-/// (`SchedulerSpec::Adversary("lockstep")`, resolved through
-/// [`IterativeProcess`]'s registry entry); the constructors on
-/// [`IterSimOptions`] keep the old spelling working.
-pub type BasicSched = SchedulerSpec;
-
-/// Options for [`run_iterative_simulated`].
-#[derive(Debug, Clone)]
-pub struct IterSimOptions {
-    /// Scheduling strategy.
-    pub scheduler: BasicSched,
-    /// Deterministic crash injection.
-    pub crash_plan: CrashPlan,
-    /// Step cap (defaults to [`EngineLimits::default`]'s 200M actions;
-    /// override with [`with_max_steps`](Self::with_max_steps)).
-    pub limits: EngineLimits,
-    /// Actions per scheduler turn for [`BasicSched::RoundRobin`] (ignored by
-    /// the other kinds; see `amo_core::SimOptions::quantum`). `> 1` opts
-    /// into the macro-stepping fast path.
-    pub quantum: u64,
-    /// Forces the engine's per-action reference path (equivalence tests and
-    /// debugging).
-    pub reference_single_step: bool,
-    /// Enables the announcement-epoch cache on each stage's inner
-    /// `KkProcess` (see `amo_core::KkProcess::set_epoch_cache`). Defaults to
-    /// `true`; like `amo_core::SimOptions::epoch_cache` it only takes effect
-    /// for schedulers that grant quanta.
-    pub epoch_cache: bool,
-}
-
-impl Default for IterSimOptions {
-    fn default() -> Self {
-        Self {
-            scheduler: BasicSched::default(),
-            crash_plan: CrashPlan::default(),
-            limits: EngineLimits::default(),
-            quantum: 1,
-            reference_single_step: false,
-            epoch_cache: true,
-        }
-    }
-}
-
-impl IterSimOptions {
-    /// Round-robin, no crashes.
-    pub fn round_robin() -> Self {
-        Self::default()
-    }
-
-    /// Quantized round-robin with [`RoundRobin::BATCH_QUANTUM`] actions per
-    /// turn — the macro-stepping fast path.
-    pub fn round_robin_batched() -> Self {
-        Self {
-            quantum: RoundRobin::BATCH_QUANTUM,
-            ..Self::default()
-        }
-    }
-
-    /// Seeded random schedule.
-    pub fn random(seed: u64) -> Self {
-        Self {
-            scheduler: BasicSched::Random(seed),
-            ..Self::default()
-        }
-    }
-
-    /// Seeded bursty schedule.
-    pub fn block(seed: u64, burst: u64) -> Self {
-        Self {
-            scheduler: BasicSched::Block(seed, burst),
-            ..Self::default()
-        }
-    }
-
-    /// Lockstep schedule (the `"lockstep"` registry adversary).
-    pub fn lockstep() -> Self {
-        Self {
-            scheduler: SchedulerSpec::Adversary("lockstep"),
-            ..Self::default()
-        }
-    }
-
-    /// Adds a crash plan.
-    pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
-        self
-    }
-
-    /// Sets the round-robin quantum (see [`Self::quantum`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn with_quantum(mut self, quantum: u64) -> Self {
-        assert!(quantum > 0, "quantum must be positive");
-        self.quantum = quantum;
-        self
-    }
-
-    /// Replaces the engine step cap.
-    pub fn with_limits(mut self, limits: EngineLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Caps the execution at `max_steps` total actions.
-    pub fn with_max_steps(mut self, max_steps: u64) -> Self {
-        self.limits = EngineLimits::with_max_steps(max_steps);
-        self
-    }
-
-    /// Forces the per-action reference engine path.
-    pub fn single_step(mut self) -> Self {
-        self.reference_single_step = true;
-        self
-    }
-
-    /// Enables or disables the announcement-epoch cache (see
-    /// [`Self::epoch_cache`]).
-    pub fn with_epoch_cache(mut self, enabled: bool) -> Self {
-        self.epoch_cache = enabled;
-        self
-    }
-
-    /// `true` when the configured scheduler grants quanta (the epoch cache
-    /// can then actually skip work). As with `amo_core::SimOptions`, the
-    /// legacy [`quantum`](Self::quantum) field applies to round-robin only,
-    /// so it grants nothing under any other kind.
-    pub fn grants_quanta(&self) -> bool {
-        (self.quantum > 1 && matches!(self.scheduler, SchedulerSpec::RoundRobin))
-            || matches!(self.scheduler, SchedulerSpec::Block(..))
-    }
-
-    /// Lowers these options into the shared [`ScenarioSpec`] — the
-    /// converting adapter the iterated (and Write-All) runners are thin
-    /// shims over. Mirrors `amo_core::SimOptions::to_scenario`: the legacy
-    /// `quantum` applied only to round-robin, so it is pinned to `1` for
-    /// every other scheduler.
-    pub fn to_scenario(&self) -> ScenarioSpec {
-        ScenarioSpec {
-            scheduler: self.scheduler,
-            crash_plan: self.crash_plan.clone(),
-            limits: self.limits,
-            quantum: match self.scheduler {
-                SchedulerSpec::RoundRobin => self.quantum,
-                _ => 1,
-            },
-            epoch_cache: self.epoch_cache,
-            reference_single_step: self.reference_single_step,
-            backend: Default::default(),
-            collisions: false,
-            shard: Default::default(),
-        }
-    }
-}
-
 /// Builds the layout and the `m` driver automatons.
 pub fn iter_fleet(config: &IterConfig) -> (IterLayout, Vec<IterativeProcess>) {
     iter_fleet_with(config, false)
@@ -303,104 +140,26 @@ impl ScenarioHooks for IterativeProcess {
     }
 }
 
-/// Runs `IterativeKK(ε)` in the deterministic simulator.
-pub fn run_iterative_simulated(config: &IterConfig, options: IterSimOptions) -> AmoReport {
-    let (layout, fleet) = iter_fleet(config);
-    let mem = VecRegisters::new(layout.cells());
-    run_iter_fleet_simulated(mem, fleet, options)
-}
-
-/// Runs `IterativeKK(ε)` under an explicit [`ScenarioSpec`] — the
-/// spec-first twin of [`run_iterative_simulated`].
+/// Runs `IterativeKK(ε)` under `spec` in the deterministic simulator.
 pub fn run_iterative_scenario(config: &IterConfig, spec: &ScenarioSpec) -> AmoReport {
     let (layout, fleet) = iter_fleet(config);
     let mem = VecRegisters::new(layout.cells());
     let (exec, _slots, mem) = run_scenario(mem, fleet, spec);
-    iter_report(exec, &mem, spec.label())
+    AmoReport::from_execution(exec, spec.label(), mem.epoch_mem_bytes())
 }
 
-/// Runs any fleet under an [`IterSimOptions`] with crash injection,
-/// returning the raw execution and the final process slots. Shared by this
-/// crate's runners and `amo-write-all`. A thin shim: the options lower
-/// into a [`ScenarioSpec`] and the shared [`run_scenario`] driver does the
-/// rest (including the per-process epoch-cache opt-in, which used to be
-/// each caller's job).
-pub fn run_basic_fleet<P: ScenarioProcess>(
-    mem: VecRegisters,
-    fleet: Vec<P>,
-    options: &IterSimOptions,
-) -> (Execution, Vec<Slot<P>>, VecRegisters) {
-    run_scenario(mem, fleet, &options.to_scenario())
-}
-
-/// The human-readable label of a [`BasicSched`] (for table rows).
-pub fn basic_sched_label(kind: BasicSched) -> &'static str {
-    kind.label()
-}
-
-/// Runs an arbitrary pre-built iterated fleet in the simulator (shared with
-/// `amo-write-all`).
-pub fn run_iter_fleet_simulated(
-    mem: VecRegisters,
-    fleet: Vec<IterativeProcess>,
-    options: IterSimOptions,
-) -> AmoReport {
-    let label = options.scheduler.label();
-    let (exec, _slots, mem) = run_basic_fleet(mem, fleet, &options);
-    iter_report(exec, &mem, label)
-}
-
-/// Builds the [`AmoReport`] of an iterated scenario run.
-fn iter_report(exec: Execution, mem: &VecRegisters, label: &'static str) -> AmoReport {
-    let (effectiveness, violations) = exec.summary();
-    AmoReport {
-        effectiveness,
-        violations,
-        performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
-        crashed: exec.crashed.clone(),
-        restarted: exec.restarted.clone(),
-        completed: exec.completed,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.total_steps,
-        epoch_mem_bytes: mem.epoch_mem_bytes(),
-        collisions: None,
-        scheduler_label: label,
-    }
-}
-
-/// Runs `IterativeKK(ε)` on OS threads over hardware atomics.
-pub fn run_iterative_threads(
-    config: &IterConfig,
-    crash_plan: CrashPlan,
-    order: MemOrder,
-) -> AmoReport {
+/// Runs `IterativeKK(ε)` on OS threads over hardware atomics, configured
+/// by `spec`.
+pub fn run_iterative_threads(config: &IterConfig, spec: &ThreadSpec) -> AmoReport {
     let (layout, fleet) = iter_fleet(config);
-    let mem = AtomicRegisters::new(layout.cells(), order);
-    let exec = ThreadSpec::new()
-        .with_crash_plan(crash_plan)
-        .run(&mem, fleet);
-    let (effectiveness, violations) =
-        amo_sim::perform_summary(exec.performed.iter().map(|r| r.span));
-    AmoReport {
-        effectiveness,
-        violations,
-        performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
-        crashed: exec.crashed.clone(),
-        restarted: Vec::new(),
-        completed: exec.completed,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.per_proc_steps.iter().sum(),
-        epoch_mem_bytes: 0,
-        collisions: None,
-        scheduler_label: "threads",
-    }
+    let mem = spec.alloc(layout.cells());
+    AmoReport::from_threads(spec.run(&mem, fleet), "threads")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_sim::CrashPlan;
 
     #[test]
     fn config_validation_delegates() {
@@ -418,7 +177,7 @@ mod tests {
     #[test]
     fn round_robin_run_is_safe_and_complete() {
         let c = IterConfig::new(512, 2, 1).unwrap();
-        let report = run_iterative_simulated(&c, IterSimOptions::round_robin());
+        let report = run_iterative_scenario(&c, &ScenarioSpec::round_robin());
         assert!(report.violations.is_empty());
         assert!(report.completed);
         assert!(report.effectiveness >= c.effectiveness_floor());
@@ -428,9 +187,9 @@ mod tests {
     #[test]
     fn random_run_with_crashes_is_safe() {
         let c = IterConfig::new(400, 3, 1).unwrap();
-        let options = IterSimOptions::random(5)
+        let spec = ScenarioSpec::random(5)
             .with_crash_plan(CrashPlan::at_steps([(1usize, 100u64), (2, 400)]));
-        let report = run_iterative_simulated(&c, options);
+        let report = run_iterative_scenario(&c, &spec);
         assert!(report.violations.is_empty());
         assert_eq!(report.crashed, vec![1, 2]);
         assert!(report.effectiveness >= c.effectiveness_floor());
@@ -439,7 +198,7 @@ mod tests {
     #[test]
     fn threads_run_is_safe() {
         let c = IterConfig::new(600, 4, 1).unwrap();
-        let report = run_iterative_threads(&c, CrashPlan::none(), MemOrder::SeqCst);
+        let report = run_iterative_threads(&c, &ThreadSpec::new());
         assert!(report.violations.is_empty());
         assert!(report.completed);
         assert!(report.effectiveness >= c.effectiveness_floor());
@@ -458,7 +217,7 @@ mod tests {
     #[test]
     fn lockstep_run_is_safe() {
         let c = IterConfig::new(300, 3, 2).unwrap();
-        let report = run_iterative_simulated(&c, IterSimOptions::lockstep());
+        let report = run_iterative_scenario(&c, &ScenarioSpec::adversary("lockstep"));
         assert!(report.violations.is_empty());
         assert!(report.effectiveness >= c.effectiveness_floor());
     }

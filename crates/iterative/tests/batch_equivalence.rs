@@ -3,13 +3,13 @@
 //! same action as under single-stepping — so batched and reference runs
 //! must agree report-for-report.
 
-use amo_iterative::{run_iterative_simulated, IterConfig, IterSimOptions};
-use amo_sim::CrashPlan;
+use amo_iterative::{run_iterative_scenario, IterConfig};
+use amo_sim::{CrashPlan, ScenarioSpec};
 use proptest::prelude::*;
 
-fn assert_reports_eq(config: &IterConfig, base: IterSimOptions, what: &str) {
-    let fast = run_iterative_simulated(config, base.clone());
-    let reference = run_iterative_simulated(config, base.single_step());
+fn assert_reports_eq(config: &IterConfig, base: ScenarioSpec, what: &str) {
+    let fast = run_iterative_scenario(config, &base);
+    let reference = run_iterative_scenario(config, &base.single_step());
     assert_eq!(
         fast.performed, reference.performed,
         "{what}: performed differ"
@@ -43,13 +43,13 @@ fn batched_round_robin_matches_reference_across_stages() {
         let config = IterConfig::new(n, m, inv_eps).expect("valid config");
         assert_reports_eq(
             &config,
-            IterSimOptions::round_robin_batched(),
+            ScenarioSpec::round_robin_batched(),
             &format!("iter n={n} m={m} 1/eps={inv_eps}"),
         );
         for &q in &[2u64, 9, 100] {
             assert_reports_eq(
                 &config,
-                IterSimOptions::round_robin().with_quantum(q),
+                ScenarioSpec::round_robin().with_quantum(q),
                 &format!("iter n={n} m={m} 1/eps={inv_eps} q={q}"),
             );
         }
@@ -62,12 +62,12 @@ fn batched_runs_with_crashes_match_reference() {
     let plan = CrashPlan::at_steps([(1usize, 30u64), (3, 77)]);
     assert_reports_eq(
         &config,
-        IterSimOptions::round_robin_batched().with_crash_plan(plan.clone()),
+        ScenarioSpec::round_robin_batched().with_crash_plan(plan.clone()),
         "iter crashes under batched rr",
     );
     assert_reports_eq(
         &config,
-        IterSimOptions::block(5, 17).with_crash_plan(plan),
+        ScenarioSpec::block(5, 17).with_crash_plan(plan),
         "iter crashes under block(5,17)",
     );
 }
@@ -86,9 +86,9 @@ proptest! {
     ) {
         prop_assume!(n >= m);
         let config = IterConfig::new(n, m, inv_eps).expect("valid");
-        let base = IterSimOptions::block(seed, burst);
-        let fast = run_iterative_simulated(&config, base.clone());
-        let reference = run_iterative_simulated(&config, base.single_step());
+        let base = ScenarioSpec::block(seed, burst);
+        let fast = run_iterative_scenario(&config, &base);
+        let reference = run_iterative_scenario(&config, &base.single_step());
         prop_assert_eq!(fast.performed, reference.performed);
         prop_assert_eq!(fast.total_steps, reference.total_steps);
         prop_assert_eq!(fast.mem_work, reference.mem_work);

@@ -2,11 +2,10 @@
 //! effectiveness floor, wait-freedom, reproducibility.
 
 use amo_iterative::{
-    block_count, block_span, map_blocks, run_iterative_simulated, stage_sizes, IterConfig,
-    IterSimOptions,
+    block_count, block_span, map_blocks, run_iterative_scenario, stage_sizes, IterConfig,
 };
 use amo_ostree::FenwickSet;
-use amo_sim::CrashPlan;
+use amo_sim::{CrashPlan, ScenarioSpec};
 use proptest::prelude::*;
 
 fn instance() -> impl Strategy<Value = (usize, usize, u32)> {
@@ -27,9 +26,9 @@ proptest! {
         let config = IterConfig::new(n, m, inv_eps).unwrap();
         let f = f_pick % m;
         let plan = CrashPlan::at_steps((1..=f).map(|p| (p, (seed % 977) * p as u64)));
-        let report = run_iterative_simulated(
+        let report = run_iterative_scenario(
             &config,
-            IterSimOptions::random(seed).with_crash_plan(plan),
+            &ScenarioSpec::random(seed).with_crash_plan(plan),
         );
         prop_assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
         prop_assert!(report.completed, "wait-freedom violated");
@@ -46,8 +45,8 @@ proptest! {
     #[test]
     fn iterative_reproducible((n, m, inv_eps) in instance(), seed in any::<u64>()) {
         let config = IterConfig::new(n, m, inv_eps).unwrap();
-        let a = run_iterative_simulated(&config, IterSimOptions::random(seed));
-        let b = run_iterative_simulated(&config, IterSimOptions::random(seed));
+        let a = run_iterative_scenario(&config, &ScenarioSpec::random(seed));
+        let b = run_iterative_scenario(&config, &ScenarioSpec::random(seed));
         prop_assert_eq!(&a.performed, &b.performed);
         prop_assert_eq!(a.work(), b.work());
     }
@@ -95,7 +94,7 @@ proptest! {
         burst in 1u64..128,
     ) {
         let config = IterConfig::new(n, m, inv_eps).unwrap();
-        let report = run_iterative_simulated(&config, IterSimOptions::block(seed, burst));
+        let report = run_iterative_scenario(&config, &ScenarioSpec::block(seed, burst));
         prop_assert!(report.violations.is_empty());
         prop_assert!(report.effectiveness >= config.effectiveness_floor());
     }

@@ -131,11 +131,7 @@ impl DenseFenwickSet {
     #[inline]
     pub fn contains(&self, id: u64) -> bool {
         self.ops.bump();
-        if id == 0 || id as usize > self.universe {
-            return false;
-        }
-        let i = id as usize - 1;
-        self.bits[i / 64] >> (i % 64) & 1 == 1
+        crate::rank::bitmap_contains(&self.bits, self.universe, id)
     }
 
     /// Inserts `id`, returning `true` if it was not already present.
@@ -332,6 +328,17 @@ impl RankedSet for DenseFenwickSet {
 
     fn count_le(&self, id: u64) -> usize {
         DenseFenwickSet::count_le(self, id)
+    }
+
+    /// The default fixpoint walk, with the membership precondition checked
+    /// off the bitmap so that debug builds charge no extra `local_work`.
+    fn select_excluding(&self, excl: &[u64], i: usize) -> Option<u64> {
+        debug_assert!(
+            excl.iter()
+                .all(|&e| crate::rank::bitmap_contains(&self.bits, self.universe, e)),
+            "excl must be members"
+        );
+        crate::rank::select_fixpoint(self, excl, i)
     }
 
     /// The per-element Fenwick tree has no positional scan for a hint to

@@ -181,11 +181,7 @@ impl FenwickSet {
     #[inline]
     pub fn contains(&self, id: u64) -> bool {
         self.ops.bump();
-        if id == 0 || id as usize > self.universe {
-            return false;
-        }
-        let i = id as usize - 1;
-        self.bits[i / 64] >> (i % 64) & 1 == 1
+        crate::rank::bitmap_contains(&self.bits, self.universe, id)
     }
 
     /// Inserts `id`, returning `true` if it was not already present.
@@ -626,7 +622,8 @@ impl RankedSet for FenwickSet {
             "excl must be sorted and deduped"
         );
         debug_assert!(
-            excl.iter().all(|&e| self.contains(e)),
+            excl.iter()
+                .all(|&e| crate::rank::bitmap_contains(&self.bits, self.universe, e)),
             "excl must be members"
         );
         if i == 0 || self.len < i + excl.len() {
@@ -718,13 +715,14 @@ impl RankedSet for FenwickSet {
     /// Anchored walk: instead of entering the count hierarchy from an end,
     /// the walk starts at the block containing `hint.anchor`, whose
     /// effective prefix rank is recovered in `O(1)` block scans from the
-    /// hint's full-set rank (see [`SelectHint`] for the invariant — debug
-    /// builds assert it). The walk then moves block-at-a-time toward the
-    /// target, discounting exclusions with a merge pointer, and takes
-    /// **chunked superblock skips** whenever it crosses a whole superblock —
-    /// so a far-off target degrades to the unhinted cost, while the common
-    /// `compNext` case (the next pick lands within a block or two of the
-    /// previous one) resolves in a handful of word scans regardless of `n`.
+    /// hint's full-set rank (see [`SelectHint`](crate::SelectHint) for the
+    /// invariant — debug builds assert it). The walk then moves
+    /// block-at-a-time toward the target, discounting exclusions with a
+    /// merge pointer, and takes **chunked superblock skips** whenever it
+    /// crosses a whole superblock — so a far-off target degrades to the
+    /// unhinted cost, while the common `compNext` case (the next pick lands
+    /// within a block or two of the previous one) resolves in a handful of
+    /// word scans regardless of `n`.
     fn select_excluding_hinted(
         &self,
         excl: &[u64],
@@ -742,7 +740,8 @@ impl RankedSet for FenwickSet {
             "excl must be sorted and deduped"
         );
         debug_assert!(
-            excl.iter().all(|&e| self.contains(e)),
+            excl.iter()
+                .all(|&e| crate::rank::bitmap_contains(&self.bits, self.universe, e)),
             "excl must be members"
         );
         #[cfg(debug_assertions)]

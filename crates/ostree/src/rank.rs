@@ -34,6 +34,19 @@ pub(crate) fn bitmap_count_le(bits: &[u64], universe: usize, id: u64) -> usize {
     crate::kernels::count_le_range(bits, i) as usize
 }
 
+/// Membership of `id` straight off a bitmap laid out as for
+/// [`bitmap_count_le`], uncharged: the bitmap backends' `contains` charges
+/// one op around it, and their debug assertions call it bare so that a
+/// debug build charges exactly the `local_work` of a release build.
+#[inline]
+pub(crate) fn bitmap_contains(bits: &[u64], universe: usize, id: u64) -> bool {
+    if id == 0 || id as usize > universe {
+        return false;
+    }
+    let i = id as usize - 1;
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
 /// Common interface of order-statistics sets.
 ///
 /// Both [`FenwickSet`](crate::FenwickSet) and
@@ -72,34 +85,14 @@ pub trait RankedSet {
     /// Panics (debug assertion) if `excl` is not sorted/deduped or contains
     /// a non-member.
     fn select_excluding(&self, excl: &[u64], i: usize) -> Option<u64> {
-        debug_assert!(
-            excl.windows(2).all(|w| w[0] < w[1]),
-            "excl must be sorted and deduped"
-        );
+        // Probes through the charged `contains`: a debug build of a backend
+        // that keeps this default charges more `local_work` than a release
+        // build. The bitmap backends override it with a quiet probe.
         debug_assert!(
             excl.iter().all(|&e| self.contains(e)),
             "excl must be members"
         );
-        if i == 0 {
-            return None;
-        }
-        if self.len() < i + excl.len() {
-            return None;
-        }
-        let mut idx = i;
-        loop {
-            let x = self.select(idx)?;
-            // Number of excluded members ≤ x.
-            let k = excl.partition_point(|&e| e <= x);
-            let target = i + k;
-            if target == idx {
-                // Fixpoint; `x` cannot itself be excluded (see
-                // `rank_excluding_members`).
-                debug_assert!(excl.binary_search(&x).is_err());
-                return Some(x);
-            }
-            idx = target;
-        }
+        select_fixpoint(self, excl, i)
     }
 
     /// [`select_excluding`](RankedSet::select_excluding) with an optional
@@ -235,6 +228,39 @@ pub fn rank_excluding<S: RankedSet + ?Sized>(free: &S, excl: &[u64], i: usize) -
     let mut t: Vec<u64> = excl.iter().copied().filter(|&e| free.contains(e)).collect();
     t.dedup();
     rank_excluding_members(free, &t, i)
+}
+
+/// The default [`RankedSet::select_excluding`] walk, minus its membership
+/// check: the classical monotone fixpoint iteration over `select` probes.
+pub(crate) fn select_fixpoint<S: RankedSet + ?Sized>(
+    set: &S,
+    excl: &[u64],
+    i: usize,
+) -> Option<u64> {
+    debug_assert!(
+        excl.windows(2).all(|w| w[0] < w[1]),
+        "excl must be sorted and deduped"
+    );
+    if i == 0 {
+        return None;
+    }
+    if set.len() < i + excl.len() {
+        return None;
+    }
+    let mut idx = i;
+    loop {
+        let x = set.select(idx)?;
+        // Number of excluded members ≤ x.
+        let k = excl.partition_point(|&e| e <= x);
+        let target = i + k;
+        if target == idx {
+            // Fixpoint; `x` cannot itself be excluded (see
+            // `rank_excluding_members`).
+            debug_assert!(excl.binary_search(&x).is_err());
+            return Some(x);
+        }
+        idx = target;
+    }
 }
 
 /// [`rank_excluding`] for a pre-filtered exclusion list: every element of

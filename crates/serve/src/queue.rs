@@ -24,7 +24,7 @@
 //! no invariant ever spanning a panic point (a parked thread alone changes
 //! its waiter count, under the lock, with no panic point between raising
 //! and lowering it) — so every operation recovers the guard from
-//! [`PoisonError`](std::sync::PoisonError) instead of cascading the panic
+//! [`PoisonError`] instead of cascading the panic
 //! into blocked producers as a deadlock-by-unwind.
 
 use std::collections::VecDeque;

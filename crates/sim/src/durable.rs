@@ -362,7 +362,7 @@ pub struct DurableRegisters {
 }
 
 impl DurableRegisters {
-    /// Wraps `inner`, journaling through a fresh [`StorageModel`] whose
+    /// Wraps `inner`, journaling through a fresh `StorageModel` whose
     /// base snapshot is `inner`'s current contents, under the given fault
     /// regime and fault seed.
     pub fn new(inner: VecRegisters, fault: StorageFault, seed: u64) -> Self {
@@ -416,8 +416,8 @@ impl DurableRegisters {
     }
 
     /// Recovery from a *prefix* of the WAL: the base snapshot plus the
-    /// first `k` records. `k = wal_len()` is [`recover_image`]
-    /// (recover_image: Self::recover_image).
+    /// first `k` records. `k = wal_len()` is
+    /// [`recover_image`](Self::recover_image).
     ///
     /// # Panics
     ///

@@ -78,9 +78,9 @@ impl EngineLimits {
 ///
 /// Equality is field-for-field over every recorded observable (perform
 /// records with their step indices, work accounting, per-process step
-/// counts, trace) — what the scenario-equivalence and batching-equivalence
-/// suites assert between a legacy runner and its lowered
-/// [`ScenarioSpec`](crate::ScenarioSpec), and between the fast path and its
+/// counts, trace) — what the equivalence suites assert between a
+/// [`ScenarioSpec`](crate::ScenarioSpec) run and a hand-built engine
+/// reference, between backends, and between the fast path and its
 /// single-step reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Execution {

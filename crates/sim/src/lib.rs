@@ -126,7 +126,7 @@
 //!
 //! # Durability invariants (the `Durable` backend)
 //!
-//! [`BackendSpec::Durable`](scenario::BackendSpec::Durable) wraps the
+//! [`BackendSpec::Durable`] wraps the
 //! volatile [`VecRegisters`] in [`DurableRegisters`]: every mutation is
 //! journaled into a write-ahead log over a base snapshot, each process
 //! writing through its own *write-behind buffer*. What survives a crash:
@@ -160,7 +160,7 @@
 //!
 //! # Network-model invariants (the `Quorum` backend)
 //!
-//! [`BackendSpec::Quorum`](scenario::BackendSpec::Quorum) implements the
+//! [`BackendSpec::Quorum`] implements the
 //! registers by message passing: `k` replica servers each hold a
 //! `(tag, value)` pair per cell, and every register operation runs a quorum
 //! protocol over a seeded [`NetworkModel`] (latency distributions, drops,

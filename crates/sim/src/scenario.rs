@@ -5,19 +5,15 @@
 //!
 //! The paper's effectiveness claims (KKβ vs. the iterated and Write-All
 //! constructions) are only meaningful when every algorithm is exercised
-//! under the *same* schedulers, crash plans and scales. Historically each
-//! crate carried its own runner stack (`amo_core::SimOptions`,
-//! `amo_iterative::IterSimOptions`, the Write-All and baseline runners), so
-//! adversaries existed only for the algorithm whose crate defined them and
-//! every new scheduler, backend or engine knob had to be threaded through
-//! four parallel option structs. The scenario layer inverts that: a
-//! [`ScenarioSpec`] describes a complete simulated execution environment —
-//! scheduler, crash plan, limits, quantum, epoch-cache policy, engine path,
-//! register backend, collision instrumentation — and [`run_scenario`]
-//! drives *any* fleet of [`ScenarioProcess`]es through it. The per-crate
-//! option structs survive as thin converting adapters
-//! (`SimOptions::to_scenario`, `IterSimOptions::to_scenario`, …) that lower
-//! into a spec, bit-identically.
+//! under the *same* schedulers, crash plans and scales. A [`ScenarioSpec`]
+//! describes a complete simulated execution environment — scheduler, crash
+//! plan, limits, quantum, epoch-cache policy, engine path, register
+//! backend, collision instrumentation, shard parallelism — and
+//! [`run_scenario`] drives *any* fleet of [`ScenarioProcess`]es through it.
+//! It is the one way to configure a simulated run: every algorithm crate's
+//! simulated runner takes a `&ScenarioSpec`, and a threaded run is
+//! configured by the [`ThreadSpec`](crate::thread::ThreadSpec) that
+//! [`ScenarioSpec::threaded`] lowers into.
 //!
 //! # The adversary registry
 //!
@@ -656,9 +652,9 @@ pub fn boxed<P: DynProcess + 'static>(p: P) -> BoxProcess {
 /// terminal-state inspection: IterStep outputs, collision matrices, …) and
 /// the register file (for arenas and final-memory certification).
 ///
-/// This is the single driver every simulated runner stack routes through;
-/// the per-crate option structs lower into a [`ScenarioSpec`] and call
-/// here.
+/// This is the single driver every simulated runner stack routes through:
+/// each algorithm crate builds its fleet and register file and hands them
+/// here together with the caller's [`ScenarioSpec`].
 ///
 /// # Panics
 ///

@@ -1,6 +1,6 @@
 //! Deterministic sharded parallel execution between communication epochs.
 //!
-//! The engine of [`crate::engine`] is single-threaded by design: one global
+//! The [`Engine`](crate::Engine) is single-threaded by design: one global
 //! action order, one register file, every counter exactly reproducible.
 //! This module breaks the single-run wall while keeping exact
 //! reproducibility, by trading the engine's *interleaved* schedule for a
@@ -196,7 +196,7 @@ impl Snapshot {
 }
 
 /// The per-shard register-file view of one communication epoch: reads are
-/// served from the frozen [`Snapshot`] (with read-your-writes over the
+/// served from the frozen `Snapshot` (with read-your-writes over the
 /// current turn's buffer), writes are buffered for the barrier merge.
 ///
 /// This is a full [`Registers`] implementation, so unmodified algorithm

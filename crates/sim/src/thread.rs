@@ -11,9 +11,8 @@
 //! [`BackendSpec`](crate::BackendSpec) builder constructors) and driven by
 //! [`ThreadSpec::run`]; a simulated [`ScenarioSpec`](crate::ScenarioSpec)
 //! lowers into one via
-//! [`ScenarioSpec::threaded`](crate::ScenarioSpec::threaded). The
-//! historical free-function entry ([`run_threads`] + [`ThreadOptions`])
-//! survives as a thin deprecated shim.
+//! [`ScenarioSpec::threaded`](crate::ScenarioSpec::threaded). Every
+//! threaded runner in the workspace takes a `&ThreadSpec`.
 //!
 //! # Crash semantics: stop, never restart
 //!
@@ -48,21 +47,6 @@ use crate::crash::CrashPlan;
 use crate::process::{JobSpan, Process, StepEvent};
 use crate::registers::{AtomicRegisters, MemOrder, MemWork, Registers};
 use crate::verify::{at_most_once_violations, distinct_jobs, Violation};
-
-/// Options for a threaded run — the legacy plain-struct form.
-///
-/// New code builds a [`ThreadSpec`]; this struct survives as the parameter
-/// of the deprecated [`run_threads`] shim.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadOptions {
-    /// Crash-stop injection: a process stops silently once it has executed
-    /// its planned number of actions.
-    pub crash_plan: CrashPlan,
-    /// Upper bound on actions per process, as a wait-freedom watchdog. A
-    /// process exceeding it is reported via `completed == false`. `None`
-    /// means unbounded.
-    pub max_steps_per_proc: Option<u64>,
-}
 
 /// A declarative description of one real-thread execution, built with the
 /// same builder idiom as [`BackendSpec`](crate::BackendSpec) /
@@ -307,32 +291,6 @@ impl ThreadExecution {
     }
 }
 
-/// Runs the fleet on OS threads over `mem` — the legacy free-function
-/// entry, now a thin shim over [`ThreadSpec::run`].
-///
-/// Note one behavioural fix inherited from the spec path: a crash plan
-/// with restart entries used to be silently ignored here and now panics
-/// (see the module docs).
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `ThreadSpec` (or lower a `ScenarioSpec` via `ScenarioSpec::threaded`) \
-            and call `ThreadSpec::run`"
-)]
-pub fn run_threads<P>(
-    mem: &AtomicRegisters,
-    procs: Vec<P>,
-    options: ThreadOptions,
-) -> ThreadExecution
-where
-    P: Process<AtomicRegisters> + Send,
-{
-    let mut spec = ThreadSpec::new().with_crash_plan(options.crash_plan);
-    if let Some(w) = options.max_steps_per_proc {
-        spec = spec.with_watchdog(w);
-    }
-    spec.run(mem, procs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,38 +370,5 @@ mod tests {
         assert_eq!(spec.order(), MemOrder::AcqRel);
         let mem = spec.alloc(3);
         assert_eq!(mem.len(), 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shim_matches_spec_path() {
-        // The deprecated free function must stay a faithful adapter.
-        let run_legacy = || {
-            let mem = AtomicRegisters::new(2, MemOrder::SeqCst);
-            run_threads(
-                &mem,
-                vec![WriterProcess::new(1, 0, 30), WriterProcess::new(2, 1, 30)],
-                ThreadOptions {
-                    crash_plan: CrashPlan::at_steps([(2usize, 4u64)]),
-                    max_steps_per_proc: Some(1_000),
-                },
-            )
-        };
-        let run_spec = || {
-            let spec = ThreadSpec::new()
-                .with_crash_plan(CrashPlan::at_steps([(2usize, 4u64)]))
-                .with_watchdog(1_000);
-            let mem = spec.alloc(2);
-            spec.run(
-                &mem,
-                vec![WriterProcess::new(1, 0, 30), WriterProcess::new(2, 1, 30)],
-            )
-        };
-        let (a, b) = (run_legacy(), run_spec());
-        // Deterministic observables agree (wall-clock obviously differs).
-        assert_eq!(a.performed, b.performed);
-        assert_eq!(a.crashed, b.crashed);
-        assert_eq!(a.per_proc_steps, b.per_proc_steps);
-        assert_eq!(a.mem_work.writes, b.mem_work.writes);
     }
 }

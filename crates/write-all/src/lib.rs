@@ -33,11 +33,11 @@
 //! # Examples
 //!
 //! ```
-//! use amo_write_all::{run_wa_simulated, WaConfig};
-//! use amo_iterative::IterSimOptions;
+//! use amo_sim::ScenarioSpec;
+//! use amo_write_all::{run_wa_scenario, WaConfig};
 //!
 //! let config = WaConfig::new(1_000, 3, 1)?;
-//! let report = run_wa_simulated(&config, IterSimOptions::random(3));
+//! let report = run_wa_scenario(&config, &ScenarioSpec::random(3));
 //! assert!(report.complete, "all n cells written");
 //! # Ok::<(), amo_core::ConfigError>(())
 //! ```
@@ -53,7 +53,7 @@ mod wa;
 pub use baselines::{PermutationScanWa, SequentialWa, StaticPartitionWa, TasWa};
 pub use certify::{certify, CertifyOutcome};
 pub use runner::{
-    run_baseline_scenario, run_baseline_simulated, run_baseline_threads, run_wa_scenario,
-    run_wa_simulated, run_wa_threads, WaBaselineKind, WaConfig, WaReport,
+    run_baseline_scenario, run_baseline_threads, run_wa_scenario, run_wa_threads, WaBaselineKind,
+    WaConfig, WaReport,
 };
 pub use wa::{WaIterativeProcess, WaLayout};

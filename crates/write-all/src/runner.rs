@@ -1,18 +1,16 @@
 //! Configuration, runners and reports for the Write-All algorithms.
 //!
-//! The simulated entry points route through the unified scenario layer
-//! ([`amo_sim::run_scenario`]): the legacy [`IterSimOptions`]-taking
-//! runners lower bit-identically, and the `*_scenario` twins accept a
-//! [`ScenarioSpec`] directly — which is what lets Write-All fleets run
-//! under scenario cells the old option structs could not express (e.g.
-//! quantized random schedules or the lockstep adversary with crash plans).
+//! A simulated run takes a [`ScenarioSpec`] and goes through the shared
+//! scenario driver ([`amo_sim::run_scenario`]), so Write-All fleets and
+//! their baselines run under every scenario cell (quantized random
+//! schedules, bursty blocks, the lockstep adversary with crash plans, …).
+//! A threaded run takes a [`ThreadSpec`].
 
 use amo_core::ConfigError;
-use amo_iterative::{IterConfig, IterSimOptions};
-use amo_sim::thread::ThreadSpec;
+use amo_iterative::IterConfig;
+use amo_sim::thread::{ThreadExecution, ThreadSpec};
 use amo_sim::{
-    AtomicRegisters, CrashPlan, Execution, MemOrder, MemWork, ScenarioHooks, ScenarioProcess,
-    ScenarioSpec, Scheduler, VecRegisters,
+    Execution, MemWork, ScenarioHooks, ScenarioProcess, ScenarioSpec, Scheduler, VecRegisters,
 };
 
 use crate::baselines::{baseline_cells, PermutationScanWa, SequentialWa, StaticPartitionWa, TasWa};
@@ -99,8 +97,8 @@ impl WaBaselineKind {
 
 /// Summary of one Write-All execution.
 ///
-/// Equality is field-for-field — what the scenario-equivalence suite
-/// asserts between a legacy-options run and its lowered [`ScenarioSpec`].
+/// Equality is field-for-field — what the equivalence suites assert
+/// between two runs that must be identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaReport {
     /// The certification outcome (all cells written?).
@@ -140,38 +138,37 @@ impl WaReport {
     }
 }
 
-/// Runs `WA_IterativeKK(ε)` in the deterministic simulator.
+/// Runs `WA_IterativeKK(ε)` under `spec` in the deterministic simulator.
+/// The epoch-cache opt-in is handled by the generic driver.
 ///
 /// # Examples
 ///
 /// ```
-/// use amo_iterative::IterSimOptions;
-/// use amo_write_all::{run_wa_simulated, WaConfig};
+/// use amo_sim::ScenarioSpec;
+/// use amo_write_all::{run_wa_scenario, WaConfig};
 ///
 /// let config = WaConfig::new(500, 2, 1)?;
-/// let report = run_wa_simulated(&config, IterSimOptions::round_robin());
+/// let report = run_wa_scenario(&config, &ScenarioSpec::round_robin());
 /// assert!(report.complete);
 /// # Ok::<(), amo_core::ConfigError>(())
 /// ```
-pub fn run_wa_simulated(config: &WaConfig, options: IterSimOptions) -> WaReport {
-    run_wa_scenario(config, &options.to_scenario())
-}
-
-/// Runs `WA_IterativeKK(ε)` under an explicit [`ScenarioSpec`] — the
-/// spec-first twin of [`run_wa_simulated`]. The epoch-cache opt-in that
-/// every caller used to wire by hand is handled by the generic driver.
 pub fn run_wa_scenario(config: &WaConfig, spec: &ScenarioSpec) -> WaReport {
     let layout = config.layout();
     let mem = VecRegisters::new(layout.cells());
-    let fleet: Vec<WaIterativeProcess> = (1..=config.m())
-        .map(|pid| WaIterativeProcess::new(pid, config.iter(), layout.clone()))
-        .collect();
-    let (exec, _slots, mem) = amo_sim::run_scenario(mem, fleet, spec);
+    let (exec, _slots, mem) = amo_sim::run_scenario(mem, wa_fleet(config, &layout), spec);
     let certified = certify_snapshot(&mem.snapshot(), layout.wa_base(), config.n());
     wa_report(exec, certified, "wa-iterative-kk")
 }
 
-/// Assembles a [`WaReport`] from an execution and its certification.
+/// The `m` `WA_IterativeKK(ε)` automatons over `layout`.
+fn wa_fleet(config: &WaConfig, layout: &WaLayout) -> Vec<WaIterativeProcess> {
+    (1..=config.m())
+        .map(|pid| WaIterativeProcess::new(pid, config.iter(), layout.clone()))
+        .collect()
+}
+
+/// Assembles a [`WaReport`] from a simulated execution and its
+/// certification.
 fn wa_report(exec: Execution, certified: CertifyOutcome, label: &'static str) -> WaReport {
     WaReport {
         complete: certified.complete,
@@ -215,17 +212,22 @@ macro_rules! generic_adversaries_scenario {
 
 generic_adversaries_scenario!(SequentialWa, StaticPartitionWa, TasWa, PermutationScanWa);
 
-/// Runs `WA_IterativeKK(ε)` on OS threads.
-pub fn run_wa_threads(config: &WaConfig, crash_plan: CrashPlan, order: MemOrder) -> WaReport {
+/// Runs `WA_IterativeKK(ε)` on OS threads, configured by `spec`.
+pub fn run_wa_threads(config: &WaConfig, spec: &ThreadSpec) -> WaReport {
     let layout = config.layout();
-    let mem = AtomicRegisters::new(layout.cells(), order);
-    let fleet: Vec<WaIterativeProcess> = (1..=config.m())
-        .map(|pid| WaIterativeProcess::new(pid, config.iter(), layout.clone()))
-        .collect();
-    let exec = ThreadSpec::new()
-        .with_crash_plan(crash_plan)
-        .run(&mem, fleet);
+    let mem = spec.alloc(layout.cells());
+    let exec = spec.run(&mem, wa_fleet(config, &layout));
     let certified = certify_snapshot(&mem.snapshot(), layout.wa_base(), config.n());
+    wa_thread_report(exec, certified, "wa-iterative-kk")
+}
+
+/// Assembles a [`WaReport`] from a threaded execution and its
+/// certification.
+fn wa_thread_report(
+    exec: ThreadExecution,
+    certified: CertifyOutcome,
+    label: &'static str,
+) -> WaReport {
     WaReport {
         complete: certified.complete,
         certified,
@@ -235,27 +237,16 @@ pub fn run_wa_threads(config: &WaConfig, crash_plan: CrashPlan, order: MemOrder)
         crashed: exec.crashed,
         restarted: Vec::new(),
         completed: exec.completed,
-        label: "wa-iterative-kk",
+        label,
     }
 }
 
-/// Runs a Write-All baseline in the simulator.
+/// Runs a Write-All baseline under `spec` in the simulator; the scenario
+/// matrix drives cells like lockstep or bursty blocks over the scan
+/// baselines through it.
 ///
 /// For [`WaBaselineKind::Sequential`] the fleet is a single process
 /// regardless of `m`.
-pub fn run_baseline_simulated(
-    kind: WaBaselineKind,
-    n: usize,
-    m: usize,
-    options: IterSimOptions,
-) -> WaReport {
-    run_baseline_scenario(kind, n, m, &options.to_scenario())
-}
-
-/// Runs a Write-All baseline under an explicit [`ScenarioSpec`] — the
-/// spec-first twin of [`run_baseline_simulated`], through which the
-/// scenario matrix drives cells like lockstep or bursty blocks over the
-/// scan baselines.
 pub fn run_baseline_scenario(
     kind: WaBaselineKind,
     n: usize,
@@ -296,20 +287,15 @@ pub fn run_baseline_scenario(
     wa_report(exec, certified, kind.label())
 }
 
-/// Runs a Write-All baseline on OS threads.
+/// Runs a Write-All baseline on OS threads, configured by `spec`.
 pub fn run_baseline_threads(
     kind: WaBaselineKind,
     n: usize,
     m: usize,
-    crash_plan: CrashPlan,
-    order: MemOrder,
+    spec: &ThreadSpec,
 ) -> WaReport {
     assert!(n > 0 && m > 0, "need jobs and processes");
-    let cells = baseline_cells(kind.uses_rmw(), n);
-    let spec = ThreadSpec::new()
-        .with_crash_plan(crash_plan)
-        .with_order(order);
-    let mem = spec.alloc(cells);
+    let mem = spec.alloc(baseline_cells(kind.uses_rmw(), n));
     let exec = match kind {
         WaBaselineKind::Sequential => spec.run(&mem, vec![SequentialWa::new(1, n as u64)]),
         WaBaselineKind::StaticPartition => {
@@ -330,27 +316,18 @@ pub fn run_baseline_threads(
         }
     };
     let certified = certify_snapshot(&mem.snapshot(), 0, n);
-    WaReport {
-        complete: certified.complete,
-        certified,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.per_proc_steps.iter().sum(),
-        crashed: exec.crashed,
-        restarted: Vec::new(),
-        completed: exec.completed,
-        label: kind.label(),
-    }
+    wa_thread_report(exec, certified, kind.label())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amo_sim::CrashPlan;
 
     #[test]
     fn wa_iterative_completes_no_crashes() {
         let config = WaConfig::new(300, 3, 1).unwrap();
-        let report = run_wa_simulated(&config, IterSimOptions::round_robin());
+        let report = run_wa_scenario(&config, &ScenarioSpec::round_robin());
         assert!(report.complete, "missing {:?}", report.certified.missing);
         assert!(report.completed);
         assert!(report.crashed.is_empty());
@@ -360,23 +337,23 @@ mod tests {
     #[test]
     fn wa_iterative_completes_under_crashes() {
         let config = WaConfig::new(300, 4, 1).unwrap();
-        let options = IterSimOptions::random(11).with_crash_plan(CrashPlan::at_steps([
+        let spec = ScenarioSpec::random(11).with_crash_plan(CrashPlan::at_steps([
             (1usize, 50u64),
             (2, 200),
             (3, 700),
         ]));
-        let report = run_wa_simulated(&config, options);
+        let report = run_wa_scenario(&config, &spec);
         assert_eq!(report.crashed, vec![1, 2, 3]);
         assert!(report.complete, "survivor finishes everything");
     }
 
     #[test]
     fn static_partition_fails_under_crash() {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::StaticPartition,
             100,
             4,
-            IterSimOptions::round_robin().with_crash_plan(CrashPlan::at_steps([(2usize, 3u64)])),
+            &ScenarioSpec::round_robin().with_crash_plan(CrashPlan::at_steps([(2usize, 3u64)])),
         );
         assert!(!report.complete, "fault-intolerant baseline must fail");
         assert!(!report.certified.missing.is_empty());
@@ -384,17 +361,17 @@ mod tests {
 
     #[test]
     fn tas_baseline_completes_under_crash_of_non_survivors() {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::Tas,
             64,
             3,
-            IterSimOptions::random(3).with_crash_plan(CrashPlan::at_steps([(1usize, 10u64)])),
+            &ScenarioSpec::random(3).with_crash_plan(CrashPlan::at_steps([(1usize, 10u64)])),
         );
         // TAS claims are lost with the crashed claimer: cells claimed but
         // not written stay 0 — the known weakness of naive TAS claiming
         // (Malewicz's real algorithm recovers them; our stand-in documents
         // the gap). Without crashes it always completes:
-        let clean = run_baseline_simulated(WaBaselineKind::Tas, 64, 3, IterSimOptions::random(3));
+        let clean = run_baseline_scenario(WaBaselineKind::Tas, 64, 3, &ScenarioSpec::random(3));
         assert!(clean.complete);
         // Under a crash, completion depends on timing; both outcomes are
         // legal for the stand-in, but the report must be internally
@@ -404,11 +381,11 @@ mod tests {
 
     #[test]
     fn permutation_scan_completes_under_crashes() {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::PermutationScan(5),
             80,
             4,
-            IterSimOptions::random(9).with_crash_plan(CrashPlan::at_steps([
+            &ScenarioSpec::random(9).with_crash_plan(CrashPlan::at_steps([
                 (1usize, 5u64),
                 (2, 11),
                 (3, 17),
@@ -419,11 +396,11 @@ mod tests {
 
     #[test]
     fn sequential_baseline_work_is_n_writes() {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::Sequential,
             128,
             1,
-            IterSimOptions::round_robin(),
+            &ScenarioSpec::round_robin(),
         );
         assert!(report.complete);
         assert_eq!(report.mem_work.writes, 128);
@@ -433,7 +410,7 @@ mod tests {
     #[test]
     fn wa_threads_complete() {
         let config = WaConfig::new(400, 4, 1).unwrap();
-        let report = run_wa_threads(&config, CrashPlan::none(), MemOrder::SeqCst);
+        let report = run_wa_threads(&config, &ThreadSpec::new());
         assert!(report.complete);
     }
 
@@ -445,7 +422,7 @@ mod tests {
             WaBaselineKind::Tas,
             WaBaselineKind::PermutationScan(1),
         ] {
-            let report = run_baseline_threads(kind, 100, 3, CrashPlan::none(), MemOrder::SeqCst);
+            let report = run_baseline_threads(kind, 100, 3, &ThreadSpec::new());
             assert!(report.complete, "{} must complete crash-free", kind.label());
         }
     }

@@ -250,7 +250,7 @@ impl<R: Registers + ?Sized> Process<R> for WaIterativeProcess {
     /// its span writes in immediately after every `Perform` of the inner
     /// driver, so it hands the driver a *bounded* batch: from the current
     /// inner phase, a `do` cannot occur within the next
-    /// [`drive_bound`](Self::drive_bound) actions (a gather sweep must
+    /// `drive_bound` actions (a gather sweep must
     /// finish, plus the minimum `gatherDone`/`check`/`flagRead` tail), so
     /// batches capped at that bound run the driver's dominant sweep loops —
     /// including the epoch-cache whole-sweep skips — without per-action

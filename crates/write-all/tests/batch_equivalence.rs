@@ -2,14 +2,13 @@
 //! (`WritingSpan`, `FinalLoop`) must be indistinguishable from
 //! single-stepping — same writes, same performs, same certification.
 
-use amo_iterative::IterSimOptions;
-use amo_sim::CrashPlan;
-use amo_write_all::{run_wa_simulated, WaConfig};
+use amo_sim::{CrashPlan, ScenarioSpec};
+use amo_write_all::{run_wa_scenario, WaConfig};
 use proptest::prelude::*;
 
-fn assert_wa_eq(config: &WaConfig, base: IterSimOptions, what: &str) {
-    let fast = run_wa_simulated(config, base.clone());
-    let reference = run_wa_simulated(config, base.single_step());
+fn assert_wa_eq(config: &WaConfig, base: ScenarioSpec, what: &str) {
+    let fast = run_wa_scenario(config, &base);
+    let reference = run_wa_scenario(config, &base.single_step());
     assert_eq!(
         fast.complete, reference.complete,
         "{what}: completion differs"
@@ -39,12 +38,12 @@ fn batched_write_all_matches_reference() {
         let config = WaConfig::new(n, m, 1).expect("valid config");
         assert_wa_eq(
             &config,
-            IterSimOptions::round_robin_batched(),
+            ScenarioSpec::round_robin_batched(),
             &format!("wa n={n} m={m} batched rr"),
         );
         assert_wa_eq(
             &config,
-            IterSimOptions::block(7, 19),
+            ScenarioSpec::block(7, 19),
             &format!("wa n={n} m={m} block"),
         );
     }
@@ -56,7 +55,7 @@ fn batched_write_all_with_crashes_matches_reference() {
     let plan = CrashPlan::at_steps([(2usize, 25u64), (4, 90)]);
     assert_wa_eq(
         &config,
-        IterSimOptions::round_robin_batched().with_crash_plan(plan),
+        ScenarioSpec::round_robin_batched().with_crash_plan(plan),
         "wa crashes under batched rr",
     );
 }
@@ -73,9 +72,9 @@ proptest! {
     ) {
         prop_assume!(n >= m);
         let config = WaConfig::new(n, m, 1).expect("valid");
-        let base = IterSimOptions::round_robin().with_quantum(quantum);
-        let fast = run_wa_simulated(&config, base.clone());
-        let reference = run_wa_simulated(&config, base.single_step());
+        let base = ScenarioSpec::round_robin().with_quantum(quantum);
+        let fast = run_wa_scenario(&config, &base);
+        let reference = run_wa_scenario(&config, &base.single_step());
         prop_assert_eq!(fast.complete, reference.complete);
         prop_assert_eq!(fast.total_steps, reference.total_steps);
         prop_assert_eq!(fast.mem_work, reference.mem_work);

@@ -2,9 +2,8 @@
 //! every schedule (and crash pattern) must end with a complete array for
 //! the crash-tolerant algorithms.
 
-use amo_iterative::IterSimOptions;
-use amo_sim::{explore, CrashPlan, ExploreConfig, MemoMode, VecRegisters};
-use amo_write_all::{run_wa_simulated, PermutationScanWa, WaConfig};
+use amo_sim::{explore, CrashPlan, ExploreConfig, MemoMode, ScenarioSpec, VecRegisters};
+use amo_write_all::{run_wa_scenario, PermutationScanWa, WaConfig};
 
 #[test]
 fn wa_iterative_tiny_instance_dense_schedule_sweep() {
@@ -15,7 +14,7 @@ fn wa_iterative_tiny_instance_dense_schedule_sweep() {
     let config = WaConfig::new(6, 2, 1).unwrap();
     for seed in 0..300u64 {
         let plan = CrashPlan::random(2, 1, 40, seed);
-        let r = run_wa_simulated(&config, IterSimOptions::random(seed).with_crash_plan(plan));
+        let r = run_wa_scenario(&config, &ScenarioSpec::random(seed).with_crash_plan(plan));
         assert!(r.complete, "seed {seed}: missing {:?}", r.certified.missing);
         assert!(r.completed, "seed {seed}");
     }

@@ -2,9 +2,8 @@
 //! tested schedule and crash pattern (Theorem 7.1's correctness half), and
 //! the crash-tolerant baselines do too.
 
-use amo_iterative::IterSimOptions;
-use amo_sim::CrashPlan;
-use amo_write_all::{run_baseline_simulated, run_wa_simulated, WaBaselineKind, WaConfig};
+use amo_sim::{CrashPlan, ScenarioSpec};
+use amo_write_all::{run_baseline_scenario, run_wa_scenario, WaBaselineKind, WaConfig};
 use proptest::prelude::*;
 
 fn instance() -> impl Strategy<Value = (usize, usize, u32)> {
@@ -24,9 +23,9 @@ proptest! {
         let config = WaConfig::new(n, m, inv_eps).unwrap();
         let f = f_pick % m;
         let plan = CrashPlan::at_steps((1..=f).map(|p| (p, (seed % 499) * p as u64)));
-        let report = run_wa_simulated(
+        let report = run_wa_scenario(
             &config,
-            IterSimOptions::random(seed).with_crash_plan(plan),
+            &ScenarioSpec::random(seed).with_crash_plan(plan),
         );
         prop_assert!(report.completed, "survivors must terminate");
         prop_assert!(
@@ -45,11 +44,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let plan = CrashPlan::at_steps((1..m).map(|p| (p, seed % 97 * p as u64)));
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::PermutationScan(seed),
             n,
             m,
-            IterSimOptions::random(seed).with_crash_plan(plan),
+            &ScenarioSpec::random(seed).with_crash_plan(plan),
         );
         prop_assert!(report.complete);
     }
@@ -57,11 +56,11 @@ proptest! {
     /// Static partition completes iff nobody crashes before finishing.
     #[test]
     fn static_partition_no_crash_completes(n in 4usize..200, m in 1usize..=4) {
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::StaticPartition,
             n,
             m,
-            IterSimOptions::round_robin(),
+            &ScenarioSpec::round_robin(),
         );
         prop_assert!(report.complete);
         prop_assert_eq!(report.mem_work.writes, n as u64);
@@ -72,11 +71,11 @@ proptest! {
     #[test]
     fn static_partition_crash_breaks(n in 8usize..200, m in 2usize..=4) {
         prop_assume!(n >= m); // every chunk non-empty
-        let report = run_baseline_simulated(
+        let report = run_baseline_scenario(
             WaBaselineKind::StaticPartition,
             n,
             m,
-            IterSimOptions::round_robin().with_crash_plan(CrashPlan::at_steps([(1usize, 0u64)])),
+            &ScenarioSpec::round_robin().with_crash_plan(CrashPlan::at_steps([(1usize, 0u64)])),
         );
         prop_assert!(!report.complete);
     }
@@ -85,8 +84,8 @@ proptest! {
     #[test]
     fn wa_reproducible((n, m, inv_eps) in instance(), seed in any::<u64>()) {
         let config = WaConfig::new(n, m, inv_eps).unwrap();
-        let a = run_wa_simulated(&config, IterSimOptions::random(seed));
-        let b = run_wa_simulated(&config, IterSimOptions::random(seed));
+        let a = run_wa_scenario(&config, &ScenarioSpec::random(seed));
+        let b = run_wa_scenario(&config, &ScenarioSpec::random(seed));
         prop_assert_eq!(a.total_steps, b.total_steps);
         prop_assert_eq!(a.mem_work, b.mem_work);
     }

@@ -10,9 +10,9 @@
 //! cargo run --release --example assembly_line
 //! ```
 
-use at_most_once::baselines::{run_baseline_simulated, AmoBaselineKind, BaselineOptions};
-use at_most_once::core::{run_simulated, KkConfig, SimOptions};
-use at_most_once::sim::CrashPlan;
+use at_most_once::baselines::{run_baseline_scenario, AmoBaselineKind};
+use at_most_once::core::{run_scenario_simulated, KkConfig};
+use at_most_once::sim::{CrashPlan, ScenarioSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let welds = 600;
@@ -23,17 +23,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // KKβ with β = m.
     let config = KkConfig::new(welds, robots)?;
-    let kk = run_simulated(
+    let kk = run_scenario_simulated(
         &config,
-        SimOptions::random(2024).with_crash_plan(crash_plan.clone()),
+        &ScenarioSpec::random(2024).with_crash_plan(crash_plan.clone()),
     );
 
     // The same shift with a static job split.
-    let trivial = run_baseline_simulated(
+    let trivial = run_baseline_scenario(
         AmoBaselineKind::TrivialSplit,
         welds,
         robots,
-        BaselineOptions::random(2024).with_crash_plan(crash_plan),
+        &ScenarioSpec::random(2024).with_crash_plan(crash_plan),
     );
 
     println!("shift: {welds} welds, {robots} robots, {failures} crashes\n");

@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use at_most_once::core::{run_scenario_simulated, run_threads, KkConfig, ThreadRunOptions};
+use at_most_once::core::{run_scenario_simulated, run_threads, KkConfig};
+use at_most_once::sim::thread::ThreadSpec;
 use at_most_once::sim::ScenarioSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(sim.effectiveness >= config.effectiveness_bound());
 
     // The same fleet on OS threads over hardware atomics.
-    let report = run_threads(&config, ThreadRunOptions::default());
+    let report = run_threads(&config, &ThreadSpec::new());
     println!("\nreal threads:");
     println!(
         "  jobs performed : {} / {}",

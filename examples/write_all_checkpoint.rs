@@ -10,9 +10,8 @@
 //! cargo run --release --example write_all_checkpoint
 //! ```
 
-use at_most_once::iterative::IterSimOptions;
-use at_most_once::sim::CrashPlan;
-use at_most_once::write_all::{run_baseline_simulated, run_wa_simulated, WaBaselineKind, WaConfig};
+use at_most_once::sim::{CrashPlan, ScenarioSpec};
+use at_most_once::write_all::{run_baseline_scenario, run_wa_scenario, WaBaselineKind, WaConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let slots = 4096;
@@ -20,22 +19,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let crash_plan = CrashPlan::at_steps([(1usize, 100u64), (2, 2_000), (3, 9_000)]);
 
     let config = WaConfig::new(slots, workers, 1)?;
-    let wa = run_wa_simulated(
+    let wa = run_wa_scenario(
         &config,
-        IterSimOptions::random(7).with_crash_plan(crash_plan.clone()),
+        &ScenarioSpec::random(7).with_crash_plan(crash_plan.clone()),
     );
 
-    let tas = run_baseline_simulated(
+    let tas = run_baseline_scenario(
         WaBaselineKind::Tas,
         slots,
         workers,
-        IterSimOptions::random(7).with_crash_plan(crash_plan.clone()),
+        &ScenarioSpec::random(7).with_crash_plan(crash_plan.clone()),
     );
-    let static_split = run_baseline_simulated(
+    let static_split = run_baseline_scenario(
         WaBaselineKind::StaticPartition,
         slots,
         workers,
-        IterSimOptions::random(7).with_crash_plan(crash_plan),
+        &ScenarioSpec::random(7).with_crash_plan(crash_plan),
     );
 
     println!("checkpoint bitmap: {slots} slots, {workers} workers, 3 crashes\n");

@@ -15,7 +15,8 @@
 
 use std::collections::HashMap;
 
-use at_most_once::core::{run_threads, KkConfig, ThreadRunOptions};
+use at_most_once::core::{run_threads, KkConfig};
+use at_most_once::sim::thread::ThreadSpec;
 use at_most_once::sim::CrashPlan;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,9 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two controllers fail mid-session (crash-stop, like a watchdog reset).
     // Budgets are in *actions*; one job cycle is ≈ 2m + 5 actions, so these
     // land a few exposures into the session.
-    let options = ThreadRunOptions::default()
-        .with_crash_plan(CrashPlan::at_steps([(2usize, 40u64), (5, 90)]));
-    let report = run_threads(&config, options);
+    let spec = ThreadSpec::new().with_crash_plan(CrashPlan::at_steps([(2usize, 40u64), (5, 90)]));
+    let report = run_threads(&config, &spec);
 
     // Replay the perform ledger as the exposure log.
     let mut fired: HashMap<u64, u32> = HashMap::new();

@@ -34,9 +34,10 @@
 //!
 //! ```
 //! use at_most_once::core::{KkConfig, run_threads};
+//! use at_most_once::sim::thread::ThreadSpec;
 //!
 //! let config = KkConfig::new(256, 4).expect("valid config");
-//! let report = run_threads(&config, Default::default());
+//! let report = run_threads(&config, &ThreadSpec::new());
 //! assert!(report.violations.is_empty());
 //! // Effectiveness is at least n - (beta + m - 2) = 256 - (4 + 4 - 2).
 //! assert!(report.effectiveness >= config.effectiveness_bound());
@@ -45,10 +46,11 @@
 //! Or deterministically in the simulator, under an adversarial scheduler:
 //!
 //! ```
-//! use at_most_once::core::{KkConfig, run_simulated, SimOptions};
+//! use at_most_once::core::{KkConfig, run_scenario_simulated};
+//! use at_most_once::sim::ScenarioSpec;
 //!
 //! let config = KkConfig::new(64, 3).expect("valid config");
-//! let report = run_simulated(&config, SimOptions::random(7));
+//! let report = run_scenario_simulated(&config, &ScenarioSpec::random(7));
 //! assert!(report.violations.is_empty());
 //! ```
 

@@ -1,9 +1,9 @@
 //! The §1 effectiveness ordering, as an acceptance test (experiment E6's
 //! claim, independent of the harness).
 
-use at_most_once::baselines::{run_baseline_simulated, AmoBaselineKind, BaselineOptions};
-use at_most_once::core::{run_simulated, KkConfig, SimOptions};
-use at_most_once::sim::CrashPlan;
+use at_most_once::baselines::{run_baseline_scenario, AmoBaselineKind};
+use at_most_once::core::{run_scenario_simulated, KkConfig};
+use at_most_once::sim::{CrashPlan, ScenarioSpec};
 
 /// Worst-case KKβ beats worst-case trivial split and pairs hybrid for every
 /// m > 2 tested, and sits within additive m of the TAS ceiling.
@@ -13,29 +13,30 @@ fn effectiveness_ordering_holds() {
     for m in [4usize, 6, 8, 12] {
         let f = m - 1;
         let config = KkConfig::new(n, m).unwrap();
-        let kk = run_simulated(&config, SimOptions::stuck_announcement()).effectiveness;
+        let kk = run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"))
+            .effectiveness;
 
-        let trivial = run_baseline_simulated(
+        let trivial = run_baseline_scenario(
             AmoBaselineKind::TrivialSplit,
             n,
             m,
-            BaselineOptions::default().with_crash_plan(CrashPlan::first_f_immediately(f)),
+            &ScenarioSpec::round_robin().with_crash_plan(CrashPlan::first_f_immediately(f)),
         )
         .effectiveness;
 
-        let pairs = run_baseline_simulated(
+        let pairs = run_baseline_scenario(
             AmoBaselineKind::PairsHybrid,
             n,
             m,
-            BaselineOptions::default().with_crash_plan(CrashPlan::first_f_immediately(f)),
+            &ScenarioSpec::round_robin().with_crash_plan(CrashPlan::first_f_immediately(f)),
         )
         .effectiveness;
 
-        let tas = run_baseline_simulated(
+        let tas = run_baseline_scenario(
             AmoBaselineKind::TasAmo,
             n,
             m,
-            BaselineOptions::default()
+            &ScenarioSpec::round_robin()
                 .with_crash_plan(CrashPlan::at_steps((1..=f).map(|p| (p, 1u64)))),
         )
         .effectiveness;
@@ -58,11 +59,11 @@ fn comparators_are_all_safe() {
             AmoBaselineKind::RandomizedKk(seed),
         ] {
             let plan = CrashPlan::at_steps([(1usize, seed * 11), (2, seed * 23 + 5)]);
-            let r = run_baseline_simulated(
+            let r = run_baseline_scenario(
                 kind,
                 240,
                 4,
-                BaselineOptions::random(seed).with_crash_plan(plan),
+                &ScenarioSpec::random(seed).with_crash_plan(plan),
             );
             assert!(r.violations.is_empty(), "{} seed {seed}", kind.label());
         }
@@ -74,15 +75,15 @@ fn comparators_are_all_safe() {
 #[test]
 fn two_process_vs_kk_at_m2() {
     let n = 400;
-    let two = run_baseline_simulated(
+    let two = run_baseline_scenario(
         AmoBaselineKind::TwoProcess,
         n,
         2,
-        BaselineOptions::default(),
+        &ScenarioSpec::round_robin(),
     );
     assert!(two.effectiveness >= n as u64 - 1);
 
     let config = KkConfig::new(n, 2).unwrap();
-    let kk = run_simulated(&config, SimOptions::round_robin());
+    let kk = run_scenario_simulated(&config, &ScenarioSpec::round_robin());
     assert!(kk.effectiveness >= config.effectiveness_bound()); // n − 2
 }

@@ -1,7 +1,8 @@
 //! Theorem-level acceptance tests: the quantitative claims of §4, checked
 //! through the umbrella crate exactly as a downstream user would.
 
-use at_most_once::core::{run_simulated, KkConfig, SimOptions};
+use at_most_once::core::{run_scenario_simulated, KkConfig};
+use at_most_once::sim::ScenarioSpec;
 
 /// Theorem 4.4, tightness: the adversary achieves `n − (β + m − 2)` exactly
 /// across a grid of instances.
@@ -17,7 +18,8 @@ fn theorem_4_4_is_tight_across_grid() {
                     continue;
                 }
                 let config = KkConfig::with_beta(n, m, beta).unwrap();
-                let r = run_simulated(&config, SimOptions::stuck_announcement());
+                let r =
+                    run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"));
                 assert_eq!(
                     r.effectiveness,
                     config.effectiveness_bound(),
@@ -34,7 +36,7 @@ fn theorem_4_4_is_tight_across_grid() {
 fn no_execution_found_below_the_bound() {
     for seed in 0..20u64 {
         let config = KkConfig::new(128, 4).unwrap();
-        let r = run_simulated(&config, SimOptions::random(seed));
+        let r = run_scenario_simulated(&config, &ScenarioSpec::random(seed));
         assert!(
             r.effectiveness >= config.effectiveness_bound(),
             "seed {seed}"
@@ -59,18 +61,17 @@ fn nearly_optimal_gap_is_additive_m() {
 /// budget under every scheduler family.
 #[test]
 fn wait_freedom_observed() {
-    use at_most_once::sim::EngineLimits;
     let config = KkConfig::new(256, 8).unwrap();
-    for mut options in [
-        SimOptions::round_robin(),
-        SimOptions::random(1),
-        SimOptions::block(1, 64),
-        SimOptions::lockstep(),
+    for spec in [
+        ScenarioSpec::round_robin(),
+        ScenarioSpec::random(1),
+        ScenarioSpec::block(1, 64),
+        ScenarioSpec::adversary("lockstep"),
     ] {
         // A full cycle is O(m) actions; n jobs with collision slack fits
         // comfortably in 50 n m actions.
-        options.limits = EngineLimits::with_max_steps(50 * 256 * 8);
-        let r = run_simulated(&config, options);
+        let spec = spec.with_max_steps(50 * 256 * 8);
+        let r = run_scenario_simulated(&config, &spec);
         assert!(r.completed, "hit the step cap: not wait-free?");
     }
 }

@@ -2,15 +2,16 @@
 //! (safety) and the Theorem 6.4 shapes (loss and work).
 
 use at_most_once::iterative::{
-    run_iterative_simulated, run_iterative_threads, stage_sizes, IterConfig, IterSimOptions,
+    run_iterative_scenario, run_iterative_threads, stage_sizes, IterConfig,
 };
-use at_most_once::sim::{CrashPlan, MemOrder};
+use at_most_once::sim::thread::ThreadSpec;
+use at_most_once::sim::{CrashPlan, ScenarioSpec};
 
 #[test]
 fn iterative_safe_on_threads_and_simulator() {
     let config = IterConfig::new(2_000, 4, 1).unwrap();
-    let sim = run_iterative_simulated(&config, IterSimOptions::random(5));
-    let thr = run_iterative_threads(&config, CrashPlan::none(), MemOrder::SeqCst);
+    let sim = run_iterative_scenario(&config, &ScenarioSpec::random(5));
+    let thr = run_iterative_threads(&config, &ThreadSpec::new());
     for r in [&sim, &thr] {
         assert!(r.violations.is_empty());
         assert!(r.completed);
@@ -25,7 +26,7 @@ fn loss_shrinks_relative_to_n() {
     let small = IterConfig::new(1 << 11, 4, 1).unwrap();
     let large = IterConfig::new(1 << 15, 4, 1).unwrap();
     let frac = |config: &IterConfig| {
-        let r = run_iterative_simulated(config, IterSimOptions::random(9));
+        let r = run_iterative_scenario(config, &ScenarioSpec::random(9));
         assert!(r.violations.is_empty());
         (config.n() as u64 - r.effectiveness) as f64 / config.n() as f64
     };
@@ -40,7 +41,7 @@ fn work_per_job_flattens() {
     let m = 2;
     let work_per_job = |n: usize| {
         let config = IterConfig::new(n, m, 1).unwrap();
-        let r = run_iterative_simulated(&config, IterSimOptions::round_robin());
+        let r = run_iterative_scenario(&config, &ScenarioSpec::round_robin());
         r.work() as f64 / n as f64
     };
     let w_small = work_per_job(1 << 11);
@@ -66,7 +67,7 @@ fn stage_schedule_matches_figure_3_shape() {
 fn iterative_with_maximal_crashes() {
     let config = IterConfig::new(1_500, 3, 2).unwrap();
     let plan = CrashPlan::at_steps([(1usize, 200u64), (2, 900)]);
-    let r = run_iterative_simulated(&config, IterSimOptions::random(13).with_crash_plan(plan));
+    let r = run_iterative_scenario(&config, &ScenarioSpec::random(13).with_crash_plan(plan));
     assert!(r.violations.is_empty());
     assert_eq!(r.crashed, vec![1, 2]);
     assert!(r.effectiveness >= config.effectiveness_floor());

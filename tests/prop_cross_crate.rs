@@ -1,18 +1,13 @@
 //! Cross-crate property tests through the umbrella API: arbitrary
 //! instances, schedules, crash plans — at-most-once, bounds, Write-All
-//! completeness, simulator/thread consistency, and the scenario-equivalence
-//! suite pinning every legacy options adapter to its lowered
-//! [`ScenarioSpec`].
+//! completeness, simulator/thread consistency — plus the golden reference
+//! pinning the scenario runner to a hand-built engine pipeline.
 
-use at_most_once::baselines::{
-    run_baseline_scenario, run_baseline_simulated, AmoBaselineKind, BaselineOptions,
-};
-use at_most_once::core::{run_scenario_simulated, run_simulated, KkConfig, SimOptions};
-use at_most_once::iterative::{
-    run_iterative_scenario, run_iterative_simulated, IterConfig, IterSimOptions,
-};
+use at_most_once::baselines::{run_baseline_scenario, AmoBaselineKind};
+use at_most_once::core::{run_scenario_simulated, KkConfig};
+use at_most_once::iterative::{run_iterative_scenario, IterConfig};
 use at_most_once::sim::{CrashPlan, ScenarioSpec};
-use at_most_once::write_all::{run_wa_scenario, run_wa_simulated, WaConfig};
+use at_most_once::write_all::{run_wa_scenario, WaConfig};
 use proptest::prelude::*;
 
 fn crash_plan(m: usize, seed: u64) -> CrashPlan {
@@ -20,163 +15,26 @@ fn crash_plan(m: usize, seed: u64) -> CrashPlan {
     CrashPlan::at_steps((1..=f).map(|p| (p, seed % 313 * p as u64)))
 }
 
-/// Every legacy [`SimOptions`] constructor, crossed with batched ×
-/// single-step × epoch-cache on/off (the interleaved-`done` flag is pinned
-/// to `grants_quanta()` so both sides of the equivalence build the same
-/// fleet — the spec-first KKβ runner picks its layout that way).
-fn kk_legacy_matrix(seed: u64) -> Vec<SimOptions> {
-    let base = [
-        SimOptions::round_robin(),
-        SimOptions::round_robin_batched(),
-        SimOptions::round_robin().with_quantum(7),
-        SimOptions::random(seed),
-        // Quantum left on kinds that ignore it (documented semantics: the
-        // field applies to round-robin only) — the lowering must not
-        // accidentally batch, cache, or track epochs for these.
-        SimOptions::random(seed).with_quantum(7),
-        SimOptions::block(seed, 9),
-        SimOptions::block(seed, 9).with_quantum(5),
-        SimOptions::lockstep().with_quantum(3),
-        SimOptions::stuck_announcement(),
-        SimOptions::staleness().with_collision_tracking(),
-    ];
-    let mut out = Vec::new();
-    for options in base {
-        for cache in [true, false] {
-            for single in [true, false] {
-                let mut o = options.clone().with_epoch_cache(cache);
-                if single {
-                    o = o.single_step();
-                }
-                let granted = o.grants_quanta();
-                out.push(o.with_interleaved_done(granted));
-            }
-        }
-    }
-    out
-}
-
-/// Every legacy [`IterSimOptions`] constructor × batched × single-step ×
-/// epoch-cache on/off.
-fn iter_legacy_matrix(seed: u64) -> Vec<IterSimOptions> {
-    let base = [
-        IterSimOptions::round_robin(),
-        IterSimOptions::round_robin_batched(),
-        IterSimOptions::round_robin().with_quantum(5),
-        IterSimOptions::random(seed),
-        IterSimOptions::random(seed).with_quantum(5),
-        IterSimOptions::block(seed, 6),
-        IterSimOptions::lockstep().with_quantum(4),
-    ];
-    let mut out = Vec::new();
-    for options in base {
-        for cache in [true, false] {
-            for single in [true, false] {
-                let mut o = options.clone().with_epoch_cache(cache);
-                if single {
-                    o = o.single_step();
-                }
-                out.push(o);
-            }
-        }
-    }
-    out
-}
-
-/// Legacy adapters and their lowered specs must be **identical** runs —
-/// every report field, deterministic counters and `local_work` included —
-/// across all four algorithm stacks.
-#[test]
-fn scenario_equivalence_all_four_stacks() {
-    let seed = 0xC0FFEE;
-    let plan = CrashPlan::at_steps([(1usize, 23u64), (2, 57)]);
-
-    let kk = KkConfig::new(130, 4).unwrap();
-    for options in kk_legacy_matrix(seed) {
-        for with_crashes in [false, true] {
-            let options = if with_crashes {
-                options.clone().with_crash_plan(plan.clone())
-            } else {
-                options.clone()
-            };
-            let legacy = run_simulated(&kk, options.clone());
-            let lowered = run_scenario_simulated(&kk, &options.to_scenario());
-            assert_eq!(
-                legacy, lowered,
-                "kk: legacy {:?} diverged from its lowered spec",
-                options.scheduler
-            );
-        }
-    }
-
-    let iter = IterConfig::new(220, 3, 1).unwrap();
-    for options in iter_legacy_matrix(seed) {
-        for with_crashes in [false, true] {
-            let options = if with_crashes {
-                options.clone().with_crash_plan(plan.clone())
-            } else {
-                options.clone()
-            };
-            let legacy = run_iterative_simulated(&iter, options.clone());
-            let lowered = run_iterative_scenario(&iter, &options.to_scenario());
-            assert_eq!(
-                legacy, lowered,
-                "iterative: legacy {:?} diverged from its lowered spec",
-                options.scheduler
-            );
-        }
-    }
-
-    let wa = WaConfig::new(220, 3, 1).unwrap();
-    for options in iter_legacy_matrix(seed) {
-        let options = options.with_crash_plan(plan.clone());
-        let legacy = run_wa_simulated(&wa, options.clone());
-        let lowered = run_wa_scenario(&wa, &options.to_scenario());
-        assert_eq!(
-            legacy, lowered,
-            "write-all: legacy {:?} diverged from its lowered spec",
-            options.scheduler
-        );
-    }
-
-    for kind in [
-        AmoBaselineKind::TrivialSplit,
-        AmoBaselineKind::PairsHybrid,
-        AmoBaselineKind::TasAmo,
-        AmoBaselineKind::RandomizedKk(seed),
-    ] {
-        for options in [
-            BaselineOptions::default(),
-            BaselineOptions::random(seed),
-            BaselineOptions::random(seed).with_crash_plan(plan.clone()),
-        ] {
-            let legacy = run_baseline_simulated(kind, 60, 4, options.clone());
-            let lowered = run_baseline_scenario(kind, 60, 4, &options.to_scenario());
-            assert_eq!(legacy, lowered, "baseline {}", kind.label());
-        }
-    }
-}
-
-/// Independent golden reference: the shim-based equivalence above cannot
-/// catch a lowering bug that both sides share, so this test reconstructs
-/// the **pre-refactor** runner pipeline directly on the engine — hand-built
-/// fleet, hand-wired epoch cache and tracking, hand-composed scheduler +
-/// [`WithCrashes`] — and requires the modern `run_simulated` to reproduce
-/// it observable-for-observable (`local_work` and `epoch_mem_bytes`
-/// included).
+/// Independent golden reference: this test reconstructs the runner
+/// pipeline directly on the engine — hand-built fleet, hand-wired epoch
+/// cache and tracking, hand-composed scheduler + [`WithCrashes`] — and
+/// requires `run_scenario_simulated` to reproduce it
+/// observable-for-observable (`local_work` and `epoch_mem_bytes`
+/// included), so a bug in the scenario driver cannot hide behind a runner
+/// that shares it.
 #[test]
 fn scenario_shims_match_a_hand_built_engine_reference() {
     use at_most_once::core::{kk_fleet_with, KkProcess};
     use at_most_once::sim::{
-        Engine, RandomScheduler, RoundRobin, Scheduler, VecRegisters, WithCrashes,
+        BlockScheduler, Engine, RandomScheduler, RoundRobin, Scheduler, VecRegisters, WithCrashes,
     };
 
     let config = KkConfig::new(150, 4).unwrap();
     let plan = CrashPlan::at_steps([(1usize, 31u64)]);
 
-    // What amo-core's runner did before the scenario layer, verbatim:
-    // build the fleet, opt into the cache iff the scheduler grants quanta,
-    // switch register epoch tracking accordingly, wrap with crashes, run.
+    // The runner pipeline, by hand: build the fleet, opt into the cache iff
+    // the scheduler grants quanta, switch register epoch tracking
+    // accordingly, wrap with crashes, run.
     fn reference<S: Scheduler<KkProcess>>(
         config: &KkConfig,
         interleaved: bool,
@@ -208,9 +66,9 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
 
     // Batched round-robin (the fast path) with a crash plan.
     let golden = reference(&config, true, true, RoundRobin::batched(), &plan);
-    let report = run_simulated(
+    let report = run_scenario_simulated(
         &config,
-        SimOptions::round_robin_batched().with_crash_plan(plan.clone()),
+        &ScenarioSpec::round_robin_batched().with_crash_plan(plan.clone()),
     );
     assert_eq!(
         golden,
@@ -222,12 +80,15 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
             report.epoch_mem_bytes,
             report.crashed.clone(),
         ),
-        "rr-batched shim diverged from the hand-built engine reference"
+        "rr-batched run diverged from the hand-built engine reference"
     );
 
     // Single-step random with a crash plan (no cache, no quanta).
     let golden = reference(&config, false, false, RandomScheduler::new(9), &plan);
-    let report = run_simulated(&config, SimOptions::random(9).with_crash_plan(plan.clone()));
+    let report = run_scenario_simulated(
+        &config,
+        &ScenarioSpec::random(9).with_crash_plan(plan.clone()),
+    );
     assert_eq!(
         golden,
         (
@@ -238,7 +99,29 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
             report.epoch_mem_bytes,
             report.crashed.clone(),
         ),
-        "random shim diverged from the hand-built engine reference"
+        "random run diverged from the hand-built engine reference"
+    );
+
+    // Bursty blocks grant quanta, so the runner picks the interleaved
+    // `done` layout with the cache and epoch tracking on; the tracked
+    // prefix (`epoch_mem_bytes`) is what that layout choice changes.
+    let golden = reference(&config, true, true, BlockScheduler::new(7, 23), &plan);
+    let report = run_scenario_simulated(
+        &config,
+        &ScenarioSpec::block(7, 23).with_crash_plan(plan.clone()),
+    );
+    assert!(golden.4 > 0, "block runs track epochs");
+    assert_eq!(
+        golden,
+        (
+            report.effectiveness,
+            report.total_steps,
+            report.mem_work.total(),
+            report.local_work,
+            report.epoch_mem_bytes,
+            report.crashed.clone(),
+        ),
+        "block run diverged from the hand-built engine reference"
     );
 
     // The stuck-announcement adversary, built concretely.
@@ -249,7 +132,7 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
         at_most_once::core::StuckAnnouncementAdversary::new(),
         &CrashPlan::none(),
     );
-    let report = run_simulated(&config, SimOptions::stuck_announcement());
+    let report = run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"));
     assert_eq!(golden.0, report.effectiveness);
     assert_eq!(golden.0, config.effectiveness_bound(), "Theorem 4.4 exact");
     assert_eq!(
@@ -260,12 +143,13 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
             report.local_work,
             report.crashed.clone(),
         ),
-        "adversary shim diverged from the hand-built engine reference"
+        "adversary run diverged from the hand-built engine reference"
     );
 }
 
-/// The spec-first cells no legacy runner could express still satisfy the
-/// engine's batching contract: fast path == forced single-step reference.
+/// Quantized random schedules and the comparators under bursty blocks and
+/// lockstep satisfy the engine's batching contract: fast path == forced
+/// single-step reference.
 #[test]
 fn new_scenario_cells_match_their_references() {
     let spec = ScenarioSpec::random(5)
@@ -285,7 +169,7 @@ fn new_scenario_cells_match_their_references() {
     );
     let wa = WaConfig::new(300, 4, 1).unwrap();
     assert_eq!(run_wa_scenario(&wa, &spec), run_wa_scenario(&wa, &refr));
-    // Previously impossible comparator cells: bursty blocks and lockstep.
+    // Comparator cells under bursty blocks and lockstep.
     for kind in [AmoBaselineKind::TrivialSplit, AmoBaselineKind::TasAmo] {
         let block = run_baseline_scenario(kind, 80, 4, &ScenarioSpec::block(3, 16));
         assert!(block.violations.is_empty());
@@ -307,9 +191,9 @@ proptest! {
     ) {
         let n = n_mult * m + (seed % 7) as usize;
         let config = KkConfig::new(n, m).unwrap();
-        let r = run_simulated(
+        let r = run_scenario_simulated(
             &config,
-            SimOptions::random(seed).with_crash_plan(crash_plan(m, seed)),
+            &ScenarioSpec::random(seed).with_crash_plan(crash_plan(m, seed)),
         );
         prop_assert!(r.violations.is_empty());
         prop_assert!(r.completed);
@@ -325,9 +209,9 @@ proptest! {
     ) {
         let n = n_mult * m;
         let config = WaConfig::new(n, m, 1).unwrap();
-        let r = run_wa_simulated(
+        let r = run_wa_scenario(
             &config,
-            IterSimOptions::random(seed).with_crash_plan(crash_plan(m, seed)),
+            &ScenarioSpec::random(seed).with_crash_plan(crash_plan(m, seed)),
         );
         prop_assert!(r.complete, "missing {}", r.certified.missing.len());
     }
@@ -345,11 +229,11 @@ proptest! {
             AmoBaselineKind::PairsHybrid,
             AmoBaselineKind::TasAmo,
         ] {
-            let r = run_baseline_simulated(
+            let r = run_baseline_scenario(
                 kind,
                 n,
                 m,
-                BaselineOptions::random(seed).with_crash_plan(crash_plan(m, seed)),
+                &ScenarioSpec::random(seed).with_crash_plan(crash_plan(m, seed)),
             );
             prop_assert!(r.violations.is_empty(), "{}", kind.label());
         }
@@ -361,43 +245,9 @@ proptest! {
     fn work_accounting_consistent(m in 1usize..=5, n_mult in 2usize..=15, seed in any::<u64>()) {
         let n = n_mult * m;
         let config = KkConfig::new(n, m).unwrap();
-        let r = run_simulated(&config, SimOptions::random(seed));
+        let r = run_scenario_simulated(&config, &ScenarioSpec::random(seed));
         prop_assert_eq!(r.work(), r.mem_work.total() + r.local_work);
         prop_assert!(r.mem_work.total() <= r.total_steps, "≤ one shared access per action");
         prop_assert_eq!(r.mem_work.rmws, 0, "KKβ never uses RMW");
-    }
-
-    /// Scenario lowering is the identity on arbitrary instances, schedules,
-    /// quanta and crash plans (randomized companion of the exhaustive
-    /// constructor matrix above).
-    #[test]
-    fn scenario_lowering_is_identity(
-        m in 1usize..=5,
-        n_mult in 2usize..=15,
-        seed in any::<u64>(),
-        quantum in 1u64..64,
-    ) {
-        let n = n_mult * m;
-        let config = KkConfig::new(n, m).unwrap();
-        let plan = crash_plan(m, seed);
-        let random = SimOptions::random(seed).with_crash_plan(plan.clone());
-        prop_assert_eq!(
-            run_simulated(&config, random.clone()),
-            run_scenario_simulated(&config, &random.to_scenario())
-        );
-        let quantized = SimOptions::round_robin()
-            .with_quantum(quantum)
-            .with_crash_plan(plan.clone())
-            .with_interleaved_done(quantum > 1);
-        prop_assert_eq!(
-            run_simulated(&config, quantized.clone()),
-            run_scenario_simulated(&config, &quantized.to_scenario())
-        );
-        let iter_config = IterConfig::new(n.max(2 * m), m, 1).unwrap();
-        let block = IterSimOptions::block(seed, seed % 40 + 1).with_crash_plan(plan);
-        prop_assert_eq!(
-            run_iterative_simulated(&iter_config, block.clone()),
-            run_iterative_scenario(&iter_config, &block.to_scenario())
-        );
     }
 }

@@ -17,6 +17,9 @@
 //! * physical (the initial `FREE` is a proper subset): `IterativeKK`, whose
 //!   first stage does real work, so later stages start from its output.
 //!
+//! Debug and release builds pin the same figures: the set layer's debug
+//! assertions probe membership off the bitmap, uncharged.
+//!
 //! A constant moves only with a deliberate change to the algorithm or its
 //! accounting, which must update it in the same commit.
 
@@ -28,18 +31,6 @@ use at_most_once::sim::{
     WithCrashes,
 };
 use at_most_once::write_all::{run_wa_scenario, WaConfig, WaReport};
-
-/// The pinned `local_work` of this build. Debug builds charge more: the set
-/// layer's debug assertions probe membership through the charged
-/// `contains` (`select_excluding` checks that its exclusions are members),
-/// so each pin carries a release and a debug figure.
-const fn local_work(release: u64, debug: u64) -> u64 {
-    if cfg!(debug_assertions) {
-        debug
-    } else {
-        release
-    }
-}
 
 #[derive(Debug, PartialEq, Eq)]
 struct Work {
@@ -99,7 +90,7 @@ fn plain_kk_dense_single_step() {
             total_steps: 9592,
             reads: 5388,
             writes: 1200,
-            local_work: local_work(46714, 48502),
+            local_work: 46714,
             effectiveness: 600,
         }
     );
@@ -115,7 +106,7 @@ fn plain_kk_fenwick_batched_epoch_cache() {
             total_steps: 56006,
             reads: 41990,
             writes: 3998,
-            local_work: local_work(113737, 119495),
+            local_work: 113737,
             effectiveness: 1994,
         }
     );
@@ -134,7 +125,7 @@ fn staleness_adversary_with_collision_tracking() {
             total_steps: 4793,
             reads: 2690,
             writes: 598,
-            local_work: local_work(23809, 24398),
+            local_work: 23809,
             effectiveness: 297,
         }
     );
@@ -158,7 +149,7 @@ fn write_all_durable_with_crash_restart() {
             total_steps: 60211,
             reads: 43030,
             writes: 7369,
-            local_work: local_work(178956, 186272),
+            local_work: 178956,
             effectiveness: 2000,
         }
     );
@@ -179,7 +170,7 @@ fn iterative_kk_with_a_working_first_stage() {
             total_steps: 12031,
             reads: 6015,
             writes: 1709,
-            local_work: local_work(33886, 35183),
+            local_work: 33886,
             effectiveness: 1909,
         }
     );

@@ -1,19 +1,19 @@
 //! Write-All end-to-end (Theorem 7.1): completion under crashes, on both
 //! runtimes, against every baseline.
 
-use at_most_once::iterative::IterSimOptions;
-use at_most_once::sim::{CrashPlan, MemOrder};
+use at_most_once::sim::thread::ThreadSpec;
+use at_most_once::sim::{CrashPlan, ScenarioSpec};
 use at_most_once::write_all::{
-    run_baseline_simulated, run_baseline_threads, run_wa_simulated, run_wa_threads, WaBaselineKind,
+    run_baseline_scenario, run_baseline_threads, run_wa_scenario, run_wa_threads, WaBaselineKind,
     WaConfig,
 };
 
 #[test]
 fn wa_completes_on_both_runtimes() {
     let config = WaConfig::new(2_000, 4, 1).unwrap();
-    let sim = run_wa_simulated(&config, IterSimOptions::random(2));
+    let sim = run_wa_scenario(&config, &ScenarioSpec::random(2));
     assert!(sim.complete);
-    let thr = run_wa_threads(&config, CrashPlan::none(), MemOrder::SeqCst);
+    let thr = run_wa_threads(&config, &ThreadSpec::new());
     assert!(thr.complete);
 }
 
@@ -23,7 +23,7 @@ fn wa_survives_maximal_crashes() {
         let m = 4;
         let config = WaConfig::new(1_000, m, 1).unwrap();
         let plan = CrashPlan::at_steps((1..m).map(|p| (p, seed * 97 + 30 * p as u64)));
-        let r = run_wa_simulated(&config, IterSimOptions::random(seed).with_crash_plan(plan));
+        let r = run_wa_scenario(&config, &ScenarioSpec::random(seed).with_crash_plan(plan));
         assert!(
             r.complete,
             "seed {seed}: missing {:?}",
@@ -38,15 +38,15 @@ fn crash_tolerant_baselines_complete_fault_intolerant_fail() {
     let n = 500;
     let m = 4;
     let plan = CrashPlan::at_steps([(1usize, 7u64), (2, 19), (3, 31)]);
-    let opts = |p: &CrashPlan| IterSimOptions::random(1).with_crash_plan(p.clone());
+    let opts = |p: &CrashPlan| ScenarioSpec::random(1).with_crash_plan(p.clone());
 
-    let perm = run_baseline_simulated(WaBaselineKind::PermutationScan(3), n, m, opts(&plan));
+    let perm = run_baseline_scenario(WaBaselineKind::PermutationScan(3), n, m, &opts(&plan));
     assert!(perm.complete, "perm-scan tolerates f = m − 1");
 
-    let stat = run_baseline_simulated(WaBaselineKind::StaticPartition, n, m, opts(&plan));
+    let stat = run_baseline_scenario(WaBaselineKind::StaticPartition, n, m, &opts(&plan));
     assert!(!stat.complete, "static split must fail");
 
-    let seq = run_baseline_simulated(WaBaselineKind::Sequential, n, m, opts(&CrashPlan::none()));
+    let seq = run_baseline_scenario(WaBaselineKind::Sequential, n, m, &opts(&CrashPlan::none()));
     assert!(seq.complete);
     assert_eq!(seq.mem_work.writes, n as u64);
 }
@@ -59,7 +59,7 @@ fn thread_baselines_complete_crash_free() {
         WaBaselineKind::Tas,
         WaBaselineKind::PermutationScan(11),
     ] {
-        let r = run_baseline_threads(kind, 600, 3, CrashPlan::none(), MemOrder::SeqCst);
+        let r = run_baseline_threads(kind, 600, 3, &ThreadSpec::new());
         assert!(r.complete, "{}", kind.label());
     }
 }
@@ -71,7 +71,7 @@ fn redundancy_is_bounded_by_m() {
     // redundancy can never exceed m (plus the one-shot stage writes).
     let m = 3;
     let config = WaConfig::new(800, m, 1).unwrap();
-    let r = run_wa_simulated(&config, IterSimOptions::random(4));
+    let r = run_wa_scenario(&config, &ScenarioSpec::random(4));
     assert!(r.complete);
     assert!(
         r.redundancy() <= (m + 1) as f64,
