@@ -49,8 +49,6 @@ mod superjob;
 
 pub use layout::{IterLayout, StageInfo};
 pub use process::IterativeProcess;
-pub use runner::{
-    iter_fleet, iter_fleet_with, run_iterative_scenario, run_iterative_threads, IterConfig,
-};
+pub use runner::{iter_fleet, run_iterative_scenario, run_iterative_threads, IterConfig};
 pub use schedule::stage_sizes;
 pub use superjob::{block_count, block_span, map_blocks};

@@ -109,18 +109,9 @@ impl IterConfig {
 
 /// Builds the layout and the `m` driver automatons.
 pub fn iter_fleet(config: &IterConfig) -> (IterLayout, Vec<IterativeProcess>) {
-    iter_fleet_with(config, false)
-}
-
-/// Fleet builder with the Write-All output variant switch (used by
-/// `amo-write-all`).
-pub fn iter_fleet_with(
-    config: &IterConfig,
-    output_free: bool,
-) -> (IterLayout, Vec<IterativeProcess>) {
     let layout = config.layout();
     let fleet = (1..=config.m())
-        .map(|pid| IterativeProcess::new(pid, layout.clone(), config.beta(), output_free))
+        .map(|pid| IterativeProcess::new(pid, layout.clone(), config.beta(), false))
         .collect();
     (layout, fleet)
 }

@@ -330,8 +330,8 @@ impl RankedSet for DenseFenwickSet {
         DenseFenwickSet::count_le(self, id)
     }
 
-    /// The default fixpoint walk, with the membership precondition checked
-    /// off the bitmap so that debug builds charge no extra `local_work`.
+    /// The fixpoint walk, with the membership precondition checked off the
+    /// bitmap so that debug builds charge no extra `local_work`.
     fn select_excluding(&self, excl: &[u64], i: usize) -> Option<u64> {
         debug_assert!(
             excl.iter()

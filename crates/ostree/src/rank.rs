@@ -75,25 +75,19 @@ pub trait RankedSet {
     /// element of `excl` is a member of `self` and `excl` is sorted and
     /// duplicate-free — the hot core of the paper's `rank(SET1, SET2, i)`.
     ///
-    /// The default implementation is the classical monotone fixpoint
-    /// iteration (`O(|excl|)` [`select`](RankedSet::select) probes);
-    /// structures with cheap internal scans may override it with a single
-    /// exclusion-aware walk ([`FenwickSet`](crate::FenwickSet) does).
+    /// [`DenseFenwickSet`](crate::DenseFenwickSet) and
+    /// [`OrderStatTree`](crate::OrderStatTree) run the classical monotone
+    /// fixpoint iteration (`O(|excl|)` [`select`](RankedSet::select)
+    /// probes); [`FenwickSet`](crate::FenwickSet) runs a single
+    /// exclusion-aware walk. An implementation checks the membership
+    /// precondition without charging its operation counter, so that a
+    /// debug build charges exactly the work of a release build.
     ///
     /// # Panics
     ///
     /// Panics (debug assertion) if `excl` is not sorted/deduped or contains
     /// a non-member.
-    fn select_excluding(&self, excl: &[u64], i: usize) -> Option<u64> {
-        // Probes through the charged `contains`: a debug build of a backend
-        // that keeps this default charges more `local_work` than a release
-        // build. The bitmap backends override it with a quiet probe.
-        debug_assert!(
-            excl.iter().all(|&e| self.contains(e)),
-            "excl must be members"
-        );
-        select_fixpoint(self, excl, i)
-    }
+    fn select_excluding(&self, excl: &[u64], i: usize) -> Option<u64>;
 
     /// [`select_excluding`](RankedSet::select_excluding) with an optional
     /// position hint (see [`SelectHint`] for the validity invariant the
@@ -230,8 +224,9 @@ pub fn rank_excluding<S: RankedSet + ?Sized>(free: &S, excl: &[u64], i: usize) -
     rank_excluding_members(free, &t, i)
 }
 
-/// The default [`RankedSet::select_excluding`] walk, minus its membership
-/// check: the classical monotone fixpoint iteration over `select` probes.
+/// The classical monotone fixpoint iteration over `select` probes behind
+/// the [`RankedSet::select_excluding`] of the dense and tree backends, minus
+/// their (uncharged) membership checks.
 pub(crate) fn select_fixpoint<S: RankedSet + ?Sized>(
     set: &S,
     excl: &[u64],
@@ -279,8 +274,8 @@ pub fn rank_excluding_members<S: RankedSet + ?Sized>(
     excl: &[u64],
     i: usize,
 ) -> Option<u64> {
-    // The classical fixpoint argument for why the iteration below (the
-    // default `select_excluding`) terminates at the right element: the probe
+    // The classical fixpoint argument for why the fixpoint iteration
+    // (`select_fixpoint`) terminates at the right element: the probe
     // index is monotone and strictly increases with the count of excluded
     // elements below it, and at the fixpoint `x` cannot itself be excluded —
     // if it were, the i-th element of free \ excl would be < x,

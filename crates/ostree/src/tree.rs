@@ -106,17 +106,28 @@ impl OrderStatTree {
 
     /// Returns `true` if `key` is present.
     pub fn contains(&self, key: u64) -> bool {
+        let (found, visited) = self.lookup(key);
+        self.ops.add(visited);
+        found
+    }
+
+    /// Whether `key` is present, and how many nodes the search visited,
+    /// uncharged: [`contains`](Self::contains) charges one op per visited
+    /// node around it, and debug assertions call it bare so that a debug
+    /// build charges exactly the work of a release build.
+    fn lookup(&self, key: u64) -> (bool, u64) {
         let mut cur = self.root;
+        let mut visited = 0;
         while cur != NIL {
-            self.ops.bump();
+            visited += 1;
             let n = &self.nodes[cur as usize];
             match key.cmp(&n.key) {
                 std::cmp::Ordering::Less => cur = n.left,
                 std::cmp::Ordering::Greater => cur = n.right,
-                std::cmp::Ordering::Equal => return true,
+                std::cmp::Ordering::Equal => return (true, visited),
             }
         }
-        false
+        (false, visited)
     }
 
     /// Inserts `key`, returning `true` if it was not already present.
@@ -367,6 +378,16 @@ impl RankedSet for OrderStatTree {
     fn count_le(&self, id: u64) -> usize {
         OrderStatTree::count_le(self, id)
     }
+
+    /// The fixpoint walk, with the membership precondition checked by the
+    /// uncharged lookup so that debug builds charge no extra work.
+    fn select_excluding(&self, excl: &[u64], i: usize) -> Option<u64> {
+        debug_assert!(
+            excl.iter().all(|&e| self.lookup(e).0),
+            "excl must be members"
+        );
+        crate::rank::select_fixpoint(self, excl, i)
+    }
 }
 
 impl FromIterator<u64> for OrderStatTree {
@@ -471,6 +492,23 @@ mod tests {
         t.contains(2048);
         // A balanced-ish treap over 4096 keys should be ~12-40 deep, never 4096.
         assert!(t.ops() < 200, "ops = {}", t.ops());
+    }
+
+    /// `select_excluding` charges its fixpoint walk and nothing more: its
+    /// membership check is uncharged, so debug and release builds agree.
+    #[test]
+    fn select_excluding_charges_only_its_fixpoint_walk() {
+        let t = OrderStatTree::from_keys(1..=1000);
+        let twin = t.clone();
+        t.reset_ops();
+        twin.reset_ops();
+        let excl = [3, 70, 500, 501, 900];
+        assert_eq!(
+            RankedSet::select_excluding(&t, &excl, 400),
+            crate::rank::select_fixpoint(&twin, &excl, 400)
+        );
+        assert!(t.ops() > 0, "the walk is charged");
+        assert_eq!(t.ops(), twin.ops());
     }
 
     #[test]

@@ -205,9 +205,9 @@ proptest! {
     }
 
     /// Member-only exclusion lists through the `select_excluding` fast path:
-    /// `FenwickSet` overrides the trait default with a single merged walk,
-    /// `DenseFenwickSet` keeps the fixpoint default — they must agree
-    /// everywhere, including ranks beyond `|free \ excl|`.
+    /// `FenwickSet` answers with a single merged walk, `DenseFenwickSet`
+    /// with the fixpoint walk — they must agree everywhere, including ranks
+    /// beyond `|free \ excl|`.
     #[test]
     fn select_excluding_override_matches_default(
         universe in 16usize..700,

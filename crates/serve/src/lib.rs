@@ -23,13 +23,19 @@
 //!    admitted by the ingest queue is answered with a grant before
 //!    shutdown completes (the queue's drain guarantee plus wait-free
 //!    fleet progress) — and this survives worker panics: supervision
-//!    ([`service`] module docs) restarts a killed worker with its
-//!    in-flight request re-served. Requests are only ever refused *at
+//!    ([`service`] module docs) restarts a killed worker with the requests
+//!    it held re-served, and a worker that dies for good first hands them
+//!    back to the queue for the others. Requests are only ever refused *at
 //!    admission* (backpressure) or by an *explicit* client-side deadline
 //!    ([`ClientError::DeadlineExceeded`], the grant still owed) — never
-//!    accepted and then silently dropped.
-//! 2. **Bounded admission.** At most `queue_capacity` requests are ever
-//!    in flight; overload surfaces at submit time as backpressure
+//!    accepted and then silently dropped. A service whose workers have
+//!    all died is out of scope.
+//! 2. **Bounded admission.** The queue holds at most `queue_capacity`
+//!    requests, and each of the `m` workers holds at most one share
+//!    outside it: the oldest `⌈depth / m⌉` queued requests at its pop, so
+//!    at most `⌈queue_capacity / m⌉`. Only the share of a worker that died
+//!    for good, put back into a refilled queue, can lift the queue past
+//!    `queue_capacity`. Overload surfaces at submit time as backpressure
 //!    ([`SubmitError::Full`] on the fast path, blocking on
 //!    [`ClaimClient::submit`]), not as unbounded buffering.
 //! 3. **At-most-once, audited.** No global job id is granted twice —
@@ -81,3 +87,23 @@ pub use service::{
     RetryPolicy, ServiceChaos, ServiceReport,
 };
 pub use soak::{run_soak, SoakConfig, SoakReport};
+
+/// Runs `body` on its own thread and waits at most 10 s for it, so a lost
+/// wake-up or a lost request fails the test loudly instead of hanging it.
+#[cfg(test)]
+pub(crate) fn within_watchdog<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    let (done_tx, done_rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let result = body();
+        let _ = done_tx.send(());
+        result
+    });
+    if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(std::time::Duration::from_secs(10))
+    {
+        panic!("watchdog: a thread is still blocked after 10 s (a lost wake-up or request)");
+    }
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}

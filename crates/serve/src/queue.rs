@@ -8,6 +8,16 @@
 //! or by an immediate [`SubmitError::Full`] ([`IngestQueue::try_push`]) —
 //! instead of the service buffering unboundedly and collapsing later.
 //!
+//! A consumer takes a **share** per lock acquisition:
+//! [`pop`](IngestQueue::pop) moves the oldest `⌈depth / consumers⌉` queued
+//! items into the caller's buffer, where `depth` is the queue length at the
+//! pop and `consumers` the number of threads draining the queue. A consumer
+//! that keeps up with its producers finds one item and takes one, while a
+//! backlog is split about evenly, so `consumers` threads drain it in a few
+//! acquisitions each instead of one per item. A consumer that cannot serve
+//! the share it took hands it back to the front of the queue
+//! (`readmit`, for the service's workers that die for good).
+//!
 //! A condvar is **notified only when a thread is parked on it**. The state
 //! counts, under the mutex, the consumers parked in `pop` and the producers
 //! parked in `push`; each parked thread raises its count before it waits
@@ -16,7 +26,9 @@
 //! to wake. The check is what saves the claim path its cost: std's condvar
 //! makes a wake-up system call on every `notify_one`, whether or not a
 //! thread is parked, and a busy service pushes and pops with nobody
-//! waiting. [`close`](IngestQueue::close) still wakes everyone.
+//! waiting. A pop that frees `k` slots notifies up to `k` parked producers,
+//! one per slot, so every producer a share makes room for is woken.
+//! [`close`](IngestQueue::close) still wakes everyone.
 //!
 //! The queue is **poison-tolerant**: a worker that panics while holding
 //! the lock (a chaos kill, a process bug) leaves the mutex poisoned but
@@ -72,7 +84,8 @@ pub struct QueueStats {
     pub accepted: u64,
     /// `try_push` attempts bounced with [`SubmitError::Full`].
     pub rejected_full: u64,
-    /// Deepest the queue ever got (`≤ capacity` by construction).
+    /// Deepest the queue ever got: `≤ capacity`, unless a consumer put a
+    /// share back into a queue that producers had refilled meanwhile.
     pub peak_depth: usize,
 }
 
@@ -95,7 +108,7 @@ pub struct IngestQueue<T> {
 }
 
 impl<T> IngestQueue<T> {
-    /// Creates a queue admitting at most `capacity` in-flight items.
+    /// Creates a queue holding at most `capacity` queued items.
     ///
     /// # Panics
     ///
@@ -174,24 +187,53 @@ impl<T> IngestQueue<T> {
         }
     }
 
-    /// Blocking consume: waits for an item. Returns `None` exactly when
-    /// the queue is closed **and** drained — every accepted item is
-    /// delivered to some consumer before the `None`s begin.
-    pub fn pop(&self) -> Option<T> {
+    /// Blocking share consume: waits for an item, then moves the oldest
+    /// `⌈depth / consumers⌉` queued items to the back of `into`, where
+    /// `depth` is the queue length now and `consumers` the number of
+    /// threads draining the queue. Returns `false` exactly when the queue
+    /// is closed **and** drained — every accepted item is delivered to some
+    /// consumer before the `false`s begin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `consumers` is zero.
+    pub fn pop(&self, consumers: usize, into: &mut VecDeque<T>) -> bool {
+        assert!(consumers > 0, "a share needs at least one consumer");
         let mut st = recover(self.state.lock());
         loop {
-            if let Some(item) = st.buf.pop_front() {
-                if st.parked_producers > 0 {
+            if !st.buf.is_empty() {
+                let share = st.buf.len().div_ceil(consumers);
+                into.extend(st.buf.drain(..share));
+                for _ in 0..share.min(st.parked_producers) {
                     self.not_full.notify_one();
                 }
-                return Some(item);
+                return true;
             }
             if st.closed {
-                return None;
+                return false;
             }
             st.parked_consumers += 1;
             st = recover(self.not_empty.wait(st));
             st.parked_consumers -= 1;
+        }
+    }
+
+    /// Puts `share` back at the front of the queue, in order, ahead of
+    /// everything queued since it was popped: the way out for a consumer
+    /// that took a share it can no longer serve. The items were counted in
+    /// [`QueueStats::accepted`] when they were admitted, so they are not
+    /// counted again; they go back even into a closed queue (they are still
+    /// owed) or a full one (they already held their slots), and wake up to
+    /// `share.len()` parked consumers.
+    pub(crate) fn readmit(&self, share: &mut VecDeque<T>) {
+        let mut st = recover(self.state.lock());
+        let k = share.len();
+        while let Some(item) = share.pop_back() {
+            st.buf.push_front(item);
+        }
+        st.stats.peak_depth = st.stats.peak_depth.max(st.buf.len());
+        for _ in 0..k.min(st.parked_consumers) {
+            self.not_empty.notify_one();
         }
     }
 
@@ -215,25 +257,21 @@ impl<T> IngestQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::{self, RecvTimeoutError};
+    use crate::within_watchdog;
     use std::sync::Arc;
-    use std::time::Duration;
 
-    /// Runs `body` on its own thread and waits at most 10 s for it, so a
-    /// lost wake-up fails the test loudly instead of hanging it.
-    fn within_watchdog<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
-        let (done_tx, done_rx) = mpsc::channel();
-        let handle = std::thread::spawn(move || {
-            let result = body();
-            let _ = done_tx.send(());
-            result
-        });
-        if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(10)) {
-            panic!("lost wake-up: a queue thread is still parked after 10 s");
+    /// One share of a queue drained by `consumers` threads, or `None` once
+    /// the queue is closed and drained.
+    fn share<T>(q: &IngestQueue<T>, consumers: usize) -> Option<Vec<T>> {
+        let mut into = VecDeque::new();
+        q.pop(consumers, &mut into).then(|| into.into())
+    }
+
+    /// Spins (yielding, never sleeping) until `count` reads `target`.
+    fn wait_parked<T>(q: &IngestQueue<T>, count: impl Fn(&State<T>) -> usize, target: usize) {
+        while count(&*recover(q.state.lock())) < target {
+            std::thread::yield_now();
         }
-        handle
-            .join()
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
     #[test]
@@ -251,19 +289,42 @@ mod tests {
     }
 
     #[test]
+    fn a_share_is_the_oldest_ceil_depth_over_consumers() {
+        within_watchdog(|| {
+            let q = IngestQueue::new(8);
+            for item in 1..=7 {
+                q.try_push(item).unwrap();
+            }
+            assert_eq!(share(&q, 2), Some(vec![1, 2, 3, 4]), "⌈7/2⌉ = 4");
+            assert_eq!(share(&q, 3), Some(vec![5]), "⌈3/3⌉ = 1");
+            let mut into = VecDeque::from([0]);
+            assert!(q.pop(1, &mut into));
+            assert_eq!(into, [0, 6, 7], "a share goes to the back of the buffer");
+        });
+    }
+
+    #[test]
     fn close_drains_then_ends() {
-        let q = IngestQueue::new(4);
-        q.try_push(10).unwrap();
-        q.try_push(11).unwrap();
-        q.close();
-        assert_eq!(
-            q.try_push(12).unwrap_err().reason,
-            SubmitError::Closed,
-            "closed queue admits nothing"
-        );
-        assert_eq!(q.pop(), Some(10), "accepted items survive the close");
-        assert_eq!(q.pop(), Some(11));
-        assert_eq!(q.pop(), None);
+        within_watchdog(|| {
+            let q = IngestQueue::new(8);
+            for item in 10..15 {
+                q.try_push(item).unwrap();
+            }
+            q.close();
+            assert_eq!(
+                q.try_push(15).unwrap_err().reason,
+                SubmitError::Closed,
+                "closed queue admits nothing"
+            );
+            assert_eq!(
+                share(&q, 2),
+                Some(vec![10, 11, 12]),
+                "accepted items survive the close"
+            );
+            assert_eq!(share(&q, 2), Some(vec![13]));
+            assert_eq!(share(&q, 2), Some(vec![14]));
+            assert_eq!(share(&q, 2), None);
+        });
     }
 
     #[test]
@@ -275,9 +336,9 @@ mod tests {
             std::thread::spawn(move || q.push(2).is_ok())
         };
         // The producer is blocked on the full queue until we pop.
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(share(&q, 2), Some(vec![1]));
         assert!(producer.join().unwrap());
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(share(&q, 2), Some(vec![2]));
     }
 
     #[test]
@@ -285,7 +346,7 @@ mod tests {
         let q = Arc::new(IngestQueue::<u32>::new(1));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
+            std::thread::spawn(move || share(&q, 2))
         };
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
@@ -295,6 +356,14 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = IngestQueue::<u32>::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one consumer")]
+    fn zero_consumers_rejected() {
+        let q = IngestQueue::new(1);
+        q.try_push(1u32).unwrap();
+        let _ = share(&q, 0);
     }
 
     /// Regression for the panic-safety audit: a worker dying mid-drain
@@ -315,14 +384,18 @@ mod tests {
         };
         assert!(dying_worker.join().is_err(), "the worker really died");
         // The mutex is now poisoned; everything must still work.
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(share(&q, 1), Some(vec![1]));
         q.push(2).unwrap();
         q.try_push(3).unwrap();
         assert_eq!(q.stats().accepted, 3);
         q.close();
-        assert_eq!(q.pop(), Some(2), "drain guarantee survives the poison");
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
+        assert_eq!(
+            share(&q, 2),
+            Some(vec![2]),
+            "drain guarantee survives the poison"
+        );
+        assert_eq!(share(&q, 2), Some(vec![3]));
+        assert_eq!(share(&q, 2), None);
     }
 
     /// Two pushes must wake both parked consumers, not one: each push
@@ -334,17 +407,74 @@ mod tests {
             let consumers: Vec<_> = (0..2)
                 .map(|_| {
                     let q = Arc::clone(&q);
-                    std::thread::spawn(move || q.pop())
+                    std::thread::spawn(move || share(&q, 2))
                 })
                 .collect();
-            while recover(q.state.lock()).parked_consumers < 2 {
-                std::thread::yield_now();
-            }
+            wait_parked(&q, |st| st.parked_consumers, 2);
             q.try_push(1u32).unwrap();
             q.try_push(2).unwrap();
             let mut got: Vec<_> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
             got.sort_unstable();
-            assert_eq!(got, [Some(1), Some(2)]);
+            assert_eq!(got, [Some(vec![1]), Some(vec![2])]);
+        });
+    }
+
+    /// A share pop that frees two slots must wake both producers parked on
+    /// the full queue, not one.
+    #[test]
+    fn a_share_pop_wakes_every_producer_it_frees_room_for() {
+        within_watchdog(|| {
+            let q = Arc::new(IngestQueue::new(4));
+            for item in 0..4u32 {
+                q.try_push(item).unwrap();
+            }
+            let producers: Vec<_> = (4..6)
+                .map(|item| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || q.push(item).is_ok())
+                })
+                .collect();
+            wait_parked(&q, |st| st.parked_producers, 2);
+            assert_eq!(share(&q, 2), Some(vec![0, 1]), "⌈4/2⌉ = 2 slots freed");
+            for p in producers {
+                assert!(p.join().unwrap(), "a parked producer got through");
+            }
+            let mut rest = share(&q, 1).expect("four items queued");
+            rest[2..].sort_unstable();
+            assert_eq!(rest, [2, 3, 4, 5]);
+        });
+    }
+
+    /// A share put back goes ahead of everything queued since, is not
+    /// counted as a second admission, and wakes a parked consumer.
+    #[test]
+    fn a_readmitted_share_goes_back_to_the_front() {
+        within_watchdog(|| {
+            let q = Arc::new(IngestQueue::new(4));
+            for item in 1..=4u32 {
+                q.try_push(item).unwrap();
+            }
+            let mut held: VecDeque<u32> = share(&q, 2).expect("queued").into();
+            q.try_push(5).unwrap();
+            q.try_push(6).unwrap();
+            q.readmit(&mut held);
+            assert!(held.is_empty());
+            let stats = q.stats();
+            assert_eq!(stats.accepted, 6, "a re-admission is no admission");
+            assert_eq!(stats.peak_depth, 6, "the share went back into a full queue");
+            assert_eq!(share(&q, 1), Some(vec![1, 2, 3, 4, 5, 6]));
+
+            let consumer = {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || share(&q, 2))
+            };
+            wait_parked(&q, |st| st.parked_consumers, 1);
+            q.readmit(&mut VecDeque::from([7]));
+            assert_eq!(consumer.join().unwrap(), Some(vec![7]));
+            q.close();
+            q.readmit(&mut VecDeque::from([8]));
+            assert_eq!(share(&q, 2), Some(vec![8]), "still owed after the close");
+            assert_eq!(share(&q, 2), None);
         });
     }
 
@@ -370,7 +500,11 @@ mod tests {
             let consumers: Vec<_> = (0..2)
                 .map(|_| {
                     let q = Arc::clone(&q);
-                    std::thread::spawn(move || std::iter::from_fn(|| q.pop()).collect::<Vec<_>>())
+                    std::thread::spawn(move || {
+                        std::iter::from_fn(|| share(&q, 2))
+                            .flatten()
+                            .collect::<Vec<_>>()
+                    })
                 })
                 .collect();
             for p in producers {

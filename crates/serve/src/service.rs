@@ -40,24 +40,40 @@
 //! accepted request is eventually granted (the drain guarantee), provided
 //! clients keep their total demand finite (they do: quotas).
 //!
+//! # Shares
+//!
+//! A worker pops a **share** of the queue per lock acquisition: the
+//! oldest `⌈depth / m⌉` queued requests ([`IngestQueue::pop`]). A closed
+//! loop finds one request and pops one; a backlog is split about evenly
+//! among the `m` workers instead of being handed over one request per
+//! lock acquisition. The worker answers its share oldest first, one job
+//! each, and pops again only once every request in it is answered.
+//!
 //! # Supervision and degraded mode
 //!
 //! A worker thread no longer dies with its first panic. Each worker runs a
 //! supervision loop: the drive loop executes under `catch_unwind` while
-//! the worker's whole state — automaton, stash, the request in flight,
-//! the delivered-wait histogram — lives *outside* it, so a recovered
-//! panic loses nothing. Two recovery paths:
+//! the worker's whole state — automaton, stash, the share it holds, the
+//! delivered-wait histogram — lives *outside* it, and a request leaves the
+//! share only as its grant is sent, so a recovered panic loses nothing.
+//! Two recovery paths:
 //!
 //! * **Chaos kills** ([`ServiceChaos`]) fire at a clean point (after a
-//!   grant is delivered, before the next request is popped, no lock
-//!   held), so the supervisor resumes the *same* automaton into the
-//!   current generation.
+//!   grant is delivered, before the next request is served, no lock
+//!   held), so the supervisor resumes the *same* automaton, with the rest
+//!   of its share, into the current generation.
 //! * **Unrecognised panics** may have died mid-`step`, leaving the
 //!   automaton's local state out of sync with the registers; re-stepping
 //!   it could double-perform. The supervisor retires from the generation,
-//!   rebuilds a fresh automaton in the next one, and re-serves the parked
-//!   request — accepted ⇒ granted survives the death. A bounded dirty
-//!   budget re-raises a worker that keeps dying on its own.
+//!   rebuilds a fresh automaton in the next one, and re-serves the held
+//!   share — accepted ⇒ granted survives the death. A bounded dirty
+//!   budget re-raises a worker that keeps dying on its own, but first puts
+//!   its share back at the front of the queue for the other workers and
+//!   counts its stash as stranded.
+//!
+//! A service whose workers have all died is out of scope: nobody is left
+//! to serve the queue. So is a share put back during shutdown after every
+//! other worker has already drained the closed queue and left.
 //!
 //! At the client edge, [`ClaimClient::claim_with_deadline`] bounds each
 //! wait by a [`RetryPolicy`] (exponential backoff), turning a slow grant
@@ -84,13 +100,14 @@ use crate::latency::LatencyHistogram;
 use crate::queue::{IngestQueue, QueueStats, Rejected, SubmitError};
 
 /// Panic message used by [`ServiceChaos`] worker kills; the supervisor
-/// recognises it as a clean-point kill (no lock held, no request in
-/// flight) and resumes the same automaton into the current generation.
+/// recognises it as a clean-point kill (no lock held, no request being
+/// served) and resumes the same automaton into the current generation.
 const CHAOS_KILL_MSG: &str = "chaos: injected worker kill";
 
 /// Restart budget for panics the supervisor does *not* recognise as
-/// clean-point chaos kills. Exhausting it re-raises the panic: a worker
-/// that keeps dying on its own is a bug, not churn.
+/// clean-point chaos kills. Exhausting it hands the worker's share back to
+/// the queue and re-raises the panic: a worker that keeps dying on its own
+/// is a bug, not churn.
 const MAX_DIRTY_RESTARTS: u32 = 64;
 
 /// Live fault injection for the claim service: kill a worker's drive loop
@@ -99,9 +116,10 @@ const MAX_DIRTY_RESTARTS: u32 = 64;
 /// to [`max_kills_per_worker`](Self::max_kills_per_worker) times.
 ///
 /// Kills fire at a clean point — the grant just delivered, the next
-/// request not yet popped, no lock held — so the supervisor resumes the
-/// same automaton mid-generation without replaying any claim. Every kill
-/// is counted in [`ServiceReport::worker_restarts`].
+/// request of the worker's share not yet served, no lock held — so the
+/// supervisor resumes the same automaton, with the rest of its share,
+/// mid-generation without replaying any claim. Every kill is counted in
+/// [`ServiceReport::worker_restarts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceChaos {
     /// Deliveries between injected kills (`0` disables injection).
@@ -290,7 +308,8 @@ struct Shared {
     granted: AtomicU64,
     /// Grants whose client had already left (reply channel dropped).
     abandoned: AtomicU64,
-    /// Jobs performed but never granted (left in worker stashes at close).
+    /// Jobs performed but never granted (left in worker stashes at close,
+    /// or by a worker that died for good).
     stranded: AtomicU64,
     completed_generations: AtomicU64,
     performed_in_completed: AtomicU64,
@@ -366,7 +385,7 @@ impl Shared {
 }
 
 /// Everything a worker must not lose when its drive loop panics: the
-/// automaton, its undelivered stash, the request in flight and the
+/// automaton, its undelivered stash, the share it holds and the
 /// delivered-wait histogram. Held *outside* `catch_unwind` so the
 /// supervisor resumes mid-generation with nothing replayed or dropped.
 struct WorkerState {
@@ -374,28 +393,40 @@ struct WorkerState {
     gen: Arc<Generation>,
     automaton: BoxProcess,
     stash: VecDeque<u64>,
-    /// The popped-but-unanswered request, parked here so a recovered
-    /// panic re-serves it (accepted ⇒ granted survives mid-claim deaths).
-    pending: Option<ClaimRequest>,
+    /// The worker's share: popped requests not yet answered, oldest first.
+    /// A request leaves only as its grant is sent, so a recovered panic
+    /// re-serves it and a worker that dies for good hands it back to the
+    /// queue (accepted ⇒ granted survives the death).
+    held: VecDeque<ClaimRequest>,
     delivered: u64,
     kills: u32,
     waits: LatencyHistogram,
+}
+
+impl WorkerState {
+    /// Accounts what a stopping worker leaves: its delivered waits, and
+    /// its stash — jobs performed but never matched to a request.
+    fn settle(&self, shared: &Shared) {
+        shared
+            .grant_waits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(&self.waits);
+        shared
+            .stranded
+            .fetch_add(self.stash.len() as u64, Ordering::Relaxed);
+    }
 }
 
 /// One supervised stint of a worker: runs until the queue is closed and
 /// drained, or until a panic (a real bug or an injected chaos kill)
 /// unwinds back to the supervisor in [`worker_loop`].
 fn worker_drive(shared: &Shared, pid: usize, state: &mut WorkerState) {
+    let m = shared.blueprint.workers();
     loop {
-        let req = match state.pending.take() {
-            Some(req) => req,
-            None => match shared.queue.pop() {
-                Some(req) => req,
-                None => return,
-            },
-        };
-        // Park the request where a panic cannot lose it.
-        state.pending = Some(req);
+        if state.held.is_empty() && !shared.queue.pop(m, &mut state.held) {
+            return;
+        }
         let job = loop {
             if let Some(job) = state.stash.pop_front() {
                 break job;
@@ -416,7 +447,7 @@ fn worker_drive(shared: &Shared, pid: usize, state: &mut WorkerState) {
                 _ => {}
             }
         };
-        let req = state.pending.take().expect("request parked above");
+        let req = state.held.pop_front().expect("a share is held");
         let wait = req.submitted.elapsed();
         let grant = Grant {
             job,
@@ -469,7 +500,7 @@ fn worker_loop(shared: &Shared, pid: usize) {
         gen: shared.enter_generation(0),
         automaton: shared.blueprint.build(pid),
         stash: VecDeque::new(),
-        pending: None,
+        held: VecDeque::new(),
         delivered: 0,
         kills: 0,
         waits: LatencyHistogram::new(),
@@ -482,21 +513,24 @@ fn worker_loop(shared: &Shared, pid: usize) {
             Err(payload) => {
                 shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
                 if is_chaos_kill(payload.as_ref()) {
-                    // Clean-point kill: automaton, stash and pending
-                    // request are all intact — resume into the current
-                    // generation.
+                    // Clean-point kill: automaton, stash and share are all
+                    // intact — resume into the current generation.
                     continue;
                 }
                 dirty_restarts += 1;
                 if dirty_restarts > MAX_DIRTY_RESTARTS {
+                    // The share goes back to the other workers; only then
+                    // may this one die.
+                    shared.queue.readmit(&mut state.held);
+                    state.settle(shared);
                     resume_unwind(payload);
                 }
                 // An unrecognised panic may have died mid-`step`, leaving
                 // the automaton's local state inconsistent with the
                 // registers; re-stepping it (or a same-pid twin) could
                 // double-perform. Retire from this generation and rebuild
-                // in the next — the stash and the parked request are
-                // still sound and carry over.
+                // in the next — the stash and the held share are still
+                // sound and carry over.
                 shared.retire(&state.gen);
                 state.gen_index += 1;
                 state.gen = shared.enter_generation(state.gen_index);
@@ -504,25 +538,17 @@ fn worker_loop(shared: &Shared, pid: usize) {
             }
         }
     }
-    shared
-        .grant_waits
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .merge(&state.waits);
-    // Queue closed and drained: jobs still in the stash were performed but
-    // never matched to a request.
-    shared
-        .stranded
-        .fetch_add(state.stash.len() as u64, Ordering::Relaxed);
+    state.settle(shared);
 }
 
 /// A handle for submitting claim requests and receiving [`Grant`]s.
 ///
-/// Each client owns a private reply channel; grants for its requests come
-/// back in request order (the service pairs requests and jobs FIFO per
-/// worker, and a client's outstanding requests resolve independently).
-/// Clones of the underlying service handle are cheap — spawn one client
-/// per requester thread via [`ClaimService::client`].
+/// Each client owns a private reply channel. A [`Grant`] carries no request
+/// identity, and with `m ≥ 2` workers the grants for a client's
+/// outstanding requests can come back in any order: the requests may sit
+/// in different workers' shares, each served oldest first. Clones of the
+/// underlying service handle are cheap — spawn one client per requester
+/// thread via [`ClaimService::client`].
 pub struct ClaimClient {
     shared: Arc<Shared>,
     reply_tx: mpsc::Sender<Grant>,
@@ -718,7 +744,8 @@ pub struct ServiceReport {
     pub granted: u64,
     /// Grants whose client had left (reply channel dropped) — churn.
     pub abandoned: u64,
-    /// Jobs performed but never granted (stash remainders at close).
+    /// Jobs performed but never granted (stash remainders at close, or of
+    /// a worker that died for good).
     pub stranded: u64,
     /// **The at-most-once audit**: global job ids performed more than
     /// once, plus performed ids outside their generation's block (a
@@ -746,7 +773,8 @@ pub struct ServiceReport {
     /// once, and an id outside its generation's block not at all.
     pub performed_in_completed: u64,
     /// Ingest-queue counters (admission control evidence:
-    /// `peak_depth ≤ capacity`).
+    /// `peak_depth ≤ capacity` unless a dead worker's share went back into
+    /// a full queue).
     pub queue: QueueStats,
     /// Queue capacity the service ran with.
     pub queue_capacity: usize,
@@ -910,7 +938,9 @@ impl ClaimService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::within_watchdog;
     use std::collections::HashSet;
+    use std::sync::Condvar;
 
     #[test]
     fn grants_are_unique_and_complete() {
@@ -1237,6 +1267,142 @@ mod tests {
         assert!(report.queue.peak_depth <= 8);
     }
 
+    /// Pipelined claims, so the workers hold shares larger than one, while
+    /// chaos kills land between the grants of a share: every request is
+    /// answered exactly once, none twice.
+    #[test]
+    fn pipelined_shares_survive_chaos_kills() {
+        within_watchdog(|| {
+            let chaos = ServiceChaos::every(7, 3);
+            let svc = ClaimService::start_chaotic(KkBlueprint::new(64, 2).unwrap(), 32, chaos);
+            let client = svc.client();
+            let mut jobs = HashSet::new();
+            for _ in 0..8 {
+                for _ in 0..32 {
+                    client.submit().expect("live service accepts");
+                }
+                for _ in 0..32 {
+                    let grant = client.recv().expect("supervised service keeps granting");
+                    assert!(jobs.insert(grant.job), "job {} granted twice", grant.job);
+                }
+            }
+            let report = svc.shutdown();
+            assert_eq!(report.granted, 256);
+            assert_eq!(report.granted, report.queue.accepted);
+            assert_eq!(report.violations, 0);
+            assert!(report.worker_restarts > 0, "injected kills must have fired");
+            assert_eq!(report.grant_waits.count(), 256, "delivered grants recorded");
+            assert!(report.queue.peak_depth <= 32);
+        });
+    }
+
+    /// Pid 1 dies on every step. Pid 2 counts through `1..=jobs`, but
+    /// takes its first step only once pid 1 has died holding requests
+    /// (`died`), so pid 1 is sure to hold a share when it dies.
+    #[derive(Debug)]
+    struct DyingPeerProcess {
+        pid: usize,
+        next: u64,
+        jobs: u64,
+        died: Arc<(Mutex<bool>, Condvar)>,
+    }
+
+    impl<R: amo_sim::Registers + ?Sized> amo_sim::Process<R> for DyingPeerProcess {
+        fn step(&mut self, _mem: &R) -> StepEvent {
+            let (died, cvar) = &*self.died;
+            if self.pid == 1 {
+                *died.lock().unwrap() = true;
+                cvar.notify_all();
+                panic!("process bug: pid 1 dies on every step");
+            }
+            drop(
+                cvar.wait_while(died.lock().unwrap(), |died| !*died)
+                    .unwrap(),
+            );
+            if self.next > self.jobs {
+                return StepEvent::Terminated;
+            }
+            let j = self.next;
+            self.next += 1;
+            StepEvent::Perform { span: j.into() }
+        }
+
+        fn pid(&self) -> usize {
+            self.pid
+        }
+
+        fn is_terminated(&self) -> bool {
+            self.next > self.jobs
+        }
+    }
+
+    impl amo_sim::scenario::ScenarioHooks for DyingPeerProcess {}
+
+    #[derive(Debug, Clone)]
+    struct DyingPeerBlueprint {
+        jobs: u64,
+        died: Arc<(Mutex<bool>, Condvar)>,
+    }
+
+    impl FleetBlueprint for DyingPeerBlueprint {
+        fn workers(&self) -> usize {
+            2
+        }
+
+        fn jobs_per_generation(&self) -> u64 {
+            self.jobs
+        }
+
+        fn cells(&self) -> usize {
+            1
+        }
+
+        fn build(&self, pid: usize) -> BoxProcess {
+            boxed(DyingPeerProcess {
+                pid,
+                next: 1,
+                jobs: self.jobs,
+                died: Arc::clone(&self.died),
+            })
+        }
+
+        fn label(&self) -> &'static str {
+            "dying-peer"
+        }
+    }
+
+    /// A worker that exhausts its dirty-restart budget puts its share back
+    /// at the front of the queue, and the surviving worker grants it.
+    #[test]
+    fn a_dead_workers_share_is_granted_by_the_others() {
+        within_watchdog(|| {
+            let bp = DyingPeerBlueprint {
+                jobs: 64,
+                died: Arc::default(),
+            };
+            let svc = ClaimService::start(bp, 32);
+            let client = svc.client();
+            for _ in 0..32 {
+                client.submit().expect("accepted");
+            }
+            let mut jobs = HashSet::new();
+            for _ in 0..32 {
+                let grant = client.recv().expect("every accepted claim is granted");
+                assert_eq!(grant.worker, 2, "pid 1 never performs");
+                assert!(jobs.insert(grant.job), "job {} granted twice", grant.job);
+            }
+            let report = svc.shutdown();
+            assert_eq!(report.granted, 32);
+            assert_eq!(
+                report.queue.accepted, 32,
+                "a share put back is no new admission"
+            );
+            assert_eq!(report.worker_restarts, u64::from(MAX_DIRTY_RESTARTS) + 1);
+            assert_eq!(report.violations, 0);
+            assert_eq!(report.stranded, 0);
+        });
+    }
+
     #[test]
     fn dirty_panic_reserves_the_inflight_request() {
         let armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
@@ -1247,7 +1413,7 @@ mod tests {
         let svc = ClaimService::start(bp, 4);
         let client = svc.client();
         // The first step dies mid-claim; the supervisor must rebuild into
-        // the next generation and re-serve the parked request.
+        // the next generation and re-serve the held request.
         let grant = client.claim().expect("request survives the worker bug");
         assert_eq!(grant.generation, 1, "rebuilt into the next generation");
         let report = svc.shutdown();

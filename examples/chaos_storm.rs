@@ -108,7 +108,7 @@ fn main() {
 
     // ── 4. The self-healing claim service ───────────────────────────────
     // The serve-side of the same philosophy: chaos kills workers mid-run
-    // (supervision restarts them, re-serving the in-flight request) while
+    // (supervision restarts them, re-serving the requests they held) while
     // every client runs a bounded-retry deadline. Accepted ⇒ granted, the
     // audit stays clean, and the degradation is reported — not hidden.
     // The kills are *real* panics caught by supervision; keep the default
