@@ -217,10 +217,11 @@ fn kk_workload(n: usize, m: usize) -> Entry {
 /// here — per-element Fenwick trees for million-element sets would measure
 /// the allocator, not the algorithm; the single-step column is the
 /// reference. Runs two interleaved rounds per configuration and reports
-/// the minimum: the first round of each is dominated by page faults on the
-/// fresh half-gigabyte register file (a ~2x swing measured on shared
-/// runners), and the interleaved minimum prices both configurations under
-/// the same warmed allocator. Full scale runs it as `kk_mega_rr` (n=10⁶, m=64);
+/// the minimum, which prices both configurations under the same warmed
+/// allocator. The half-gigabyte register file is no longer written in
+/// full when it is created (`VecRegisters::new` takes a zeroed
+/// allocation), so a round pays first-touch faults only for the pages its
+/// run writes. Full scale runs it as `kk_mega_rr` (n=10⁶, m=64);
 /// quick scale as `kk_mega_quick` (n=10⁵, m=32) so the CI gate covers the
 /// epoch-memory path too. This is the workload whose `epoch_mem_mb` column
 /// demonstrates the tracked-prefix epoch representation: the fast path's

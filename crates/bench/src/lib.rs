@@ -23,9 +23,10 @@ pub use table::{fmt_f64, fmt_ratio, Table};
 
 /// Runs a simulated KKβ instance through this worker thread's
 /// [`FleetArena`](amo_core::FleetArena): consecutive grid cells on one
-/// worker reuse the same warm register buffer instead of allocating (and
-/// page-faulting) a fresh `m + m·n`-cell file per simulation — the
-/// struct-of-arrays arena locality the experiment grids run on.
+/// worker reuse the same warm register buffer instead of mapping a fresh
+/// `m + m·n`-cell file per simulation and faulting in every page it
+/// writes — the struct-of-arrays arena locality the experiment grids run
+/// on.
 pub fn run_simulated_pooled(
     config: &amo_core::KkConfig,
     spec: &amo_sim::ScenarioSpec,

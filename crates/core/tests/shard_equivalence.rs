@@ -21,8 +21,8 @@
 //! when the variable is set, its value is prepended to every cell's shard
 //! grid so the forced count is exercised in combination with every cell.
 
-use amo_core::{run_scenario_simulated, AmoReport, KkConfig};
-use amo_sim::{CrashPlan, ScenarioSpec, ShardSpec};
+use amo_core::{kk_fleet_with, run_scenario_simulated, AmoReport, KkConfig};
+use amo_sim::{run_scenario, CrashPlan, Registers, ScenarioSpec, ShardSpec, VecRegisters};
 
 /// Shard counts exercised per cell; `AMO_SHARDS` (the CI matrix lever)
 /// prepends a forced count.
@@ -198,5 +198,32 @@ fn epoch_mem_bytes_is_shard_invariant() {
             phased(&spec, shards, 2).epoch_mem_bytes,
             reference.epoch_mem_bytes
         );
+    }
+}
+
+/// A `done` entry logged before the run reaches the first epoch image. Pid
+/// 2 crashes before its first action, so pid 1 runs alone against a file
+/// in which pid 2 has already logged job 5. With no live peer to
+/// interleave with, the phased run must equal the engine's at every shard
+/// count, and job 5 is never performed.
+#[test]
+fn a_done_entry_logged_before_the_run_is_seen_at_every_shard_count() {
+    let config = KkConfig::new(16, 2).expect("valid config");
+    let spec = ScenarioSpec::round_robin_batched().with_crash_plan(CrashPlan::at_steps([(2, 0)]));
+    let run = |spec: &ScenarioSpec| {
+        let (layout, fleet) = kk_fleet_with(&config, false, spec.grants_quanta());
+        let mem = VecRegisters::new(layout.cells());
+        mem.write(layout.done_cell(2, 1), 5);
+        run_scenario(mem, fleet, spec).0
+    };
+    let unsharded = run(&spec);
+    assert_eq!(unsharded.crashed, [2]);
+    assert!(
+        unsharded.performed.iter().all(|r| !r.span.contains(5)),
+        "job 5 was logged before the run"
+    );
+    for shards in [1usize, 2] {
+        let sharded = run(&spec.clone().with_shard_spec(ShardSpec::sequential(shards)));
+        assert_eq!(sharded, unsharded, "S={shards}");
     }
 }

@@ -352,6 +352,29 @@ pub fn fill_cells(cells: &[Cell<u64>], value: u64) {
     )
 }
 
+/// `len` zeroed cells from a zeroed allocation — the storage of a fresh
+/// `VecRegisters`.
+///
+/// `vec![0u64; len]` asks the allocator for zeroed memory instead of
+/// storing `len` zeros, and a large zeroed allocation is a fresh mapping
+/// whose untouched pages stay the kernel's shared zero page: a file costs
+/// resident memory only for the pages a run writes. `vec![Cell::new(0);
+/// len]` would clone the zero into every cell and touch every page.
+pub fn zeroed_cells(len: usize) -> Vec<Cell<u64>> {
+    let mut words = std::mem::ManuallyDrop::new(vec![0u64; len]);
+    let (ptr, len, cap) = (words.as_mut_ptr(), words.len(), words.capacity());
+    // SAFETY: `Cell<u64>` is `repr(transparent)` over `u64`, so it has the
+    // same size and alignment, and every initialised `u64` (here: zero) is
+    // a valid `Cell<u64>`. The allocation therefore satisfies
+    // `Vec<Cell<u64>>::from_raw_parts` with the same pointer, length and
+    // capacity, and it is freed with the layout it was allocated with.
+    // `ManuallyDrop` keeps the original `Vec` from freeing it as well.
+    #[allow(unsafe_code)]
+    unsafe {
+        Vec::from_raw_parts(ptr.cast::<Cell<u64>>(), len, cap)
+    }
+}
+
 /// Copies `src` into a register file's `Cell` storage (the bulk body of
 /// `VecRegisters::restore`); see [`fill_cells`] for why the wide tier may
 /// write through the cells.
@@ -843,6 +866,21 @@ mod tests {
         assert_eq!(KernelTier::Avx2.to_string(), "avx2");
         assert_eq!(KernelTier::Avx512.name(), "avx512");
         assert_eq!(KernelTier::Avx512.to_string(), "avx512");
+    }
+
+    #[test]
+    fn zeroed_cells_are_zero_and_writable() {
+        assert!(zeroed_cells(0).is_empty());
+        let mut cells = zeroed_cells(1000);
+        assert_eq!(cells.len(), 1000);
+        assert!(cells.iter().all(|c| c.get() == 0));
+        cells[999].set(7);
+        fill_cells(&cells[..10], 3);
+        cells.push(Cell::new(9));
+        let values: Vec<u64> = cells.iter().map(Cell::get).collect();
+        assert_eq!(&values[..10], &[3; 10]);
+        assert_eq!(&values[10..999], &[0; 989][..]);
+        assert_eq!(&values[999..], &[7, 9]);
     }
 
     #[test]

@@ -28,8 +28,10 @@
 //! generation (everything claimable is claimed), it retires from that
 //! generation and joins the next, building a fresh automaton from the
 //! [`FleetBlueprint`]. Workers in different generations never share
-//! registers; a generation's accounting completes when all `m` workers
-//! have retired from it.
+//! registers; a generation's accounting completes when every worker has
+//! retired from it. A worker that dies for good (see below) retires from
+//! its generation and, in advance, from every later one, so the
+//! generations the surviving workers pass through keep completing.
 //!
 //! # Liveness
 //!
@@ -68,8 +70,9 @@
 //!   rebuilds a fresh automaton in the next one, and re-serves the held
 //!   share — accepted ⇒ granted survives the death. A bounded dirty
 //!   budget re-raises a worker that keeps dying on its own, but first puts
-//!   its share back at the front of the queue for the other workers and
-//!   counts its stash as stranded.
+//!   its share back at the front of the queue for the other workers,
+//!   counts its stash as stranded, and retires from its generation and
+//!   every later one.
 //!
 //! A service whose workers have all died is out of scope: nobody is left
 //! to serve the queue. So is a share put back during shutdown after every
@@ -296,14 +299,20 @@ struct Generation {
     /// The at-most-once audit: bit `j − 1` is set once local job `j` is
     /// performed (see the module docs).
     audit: Box<[AtomicU64]>,
-    /// Workers that finished their automaton here.
-    retired: AtomicU64,
+}
+
+/// The generations not yet completed, each with the retirements it has
+/// seen, and the workers that died for good.
+#[derive(Default)]
+struct GenerationTable {
+    live: HashMap<u64, (Arc<Generation>, u64)>,
+    dead: u64,
 }
 
 struct Shared {
     queue: IngestQueue<ClaimRequest>,
     blueprint: Box<dyn FleetBlueprint>,
-    generations: Mutex<HashMap<u64, Arc<Generation>>>,
+    generations: Mutex<GenerationTable>,
     violations: AtomicU64,
     granted: AtomicU64,
     /// Grants whose client had already left (reply channel dropped).
@@ -328,42 +337,86 @@ struct Shared {
 
 impl Shared {
     fn enter_generation(&self, index: u64) -> Arc<Generation> {
-        let mut gens = self.generations.lock().expect("generation table poisoned");
-        Arc::clone(gens.entry(index).or_insert_with(|| {
+        let mut table = self.generations.lock().expect("generation table poisoned");
+        // A generation created now lies past every generation a worker has
+        // died in, so each dead worker counts as retired from it from the
+        // start.
+        let dead = table.dead;
+        let (gen, _) = table.live.entry(index).or_insert_with(|| {
             let n = self.blueprint.jobs_per_generation();
             let words = usize::try_from(n.div_ceil(64)).expect("audit bitmap fits in memory");
-            Arc::new(Generation {
+            let gen = Arc::new(Generation {
                 index,
                 base: index * n,
                 mem: AtomicRegisters::new(self.blueprint.cells(), MemOrder::SeqCst),
                 audit: (0..words).map(|_| AtomicU64::new(0)).collect(),
-                retired: AtomicU64::new(0),
-            })
-        }))
+            });
+            (gen, dead)
+        });
+        Arc::clone(gen)
     }
 
-    fn retire(&self, gen: &Arc<Generation>) {
-        // AcqRel, not Relaxed: each worker sets its audit bits before its
-        // own increment here (the release half), and the last retirer's
-        // increment reads the value every earlier one wrote into this
-        // read-modify-write chain (the acquire half), so its popcount below
-        // sees every bit the generation's workers set. With Relaxed, weakly
-        // ordered hardware could undercount `performed_in_completed`.
-        let done = gen.retired.fetch_add(1, Ordering::AcqRel) + 1;
-        if done == self.blueprint.workers() as u64 {
-            self.completed_generations.fetch_add(1, Ordering::Relaxed);
-            let performed: u64 = gen
-                .audit
-                .iter()
-                .map(|word| u64::from(word.load(Ordering::Relaxed).count_ones()))
-                .sum();
-            self.performed_in_completed
-                .fetch_add(performed, Ordering::Relaxed);
-            self.generations
-                .lock()
-                .expect("generation table poisoned")
-                .remove(&gen.index);
+    /// Retires a worker from `gen`.
+    fn retire(&self, gen: &Generation) {
+        let completed = {
+            let mut table = self.generations.lock().expect("generation table poisoned");
+            self.retire_locked(&mut table, gen.index)
+        };
+        if let Some(gen) = completed {
+            self.complete(&gen);
         }
+    }
+
+    /// Retires a worker that dies for good from `gen` and, in advance,
+    /// from every later generation: those already in the table are
+    /// credited now, and one created later starts with the credit (see
+    /// [`enter_generation`](Self::enter_generation)).
+    fn die(&self, gen: &Generation) {
+        let completed: Vec<_> = {
+            let mut table = self.generations.lock().expect("generation table poisoned");
+            table.dead += 1;
+            let reached: Vec<u64> = table
+                .live
+                .keys()
+                .copied()
+                .filter(|&index| index >= gen.index)
+                .collect();
+            reached
+                .into_iter()
+                .filter_map(|index| self.retire_locked(&mut table, index))
+                .collect()
+        };
+        for gen in &completed {
+            self.complete(gen);
+        }
+    }
+
+    /// Counts one retirement from generation `index`, and takes the
+    /// generation out of the table once every worker has retired from it.
+    /// Completion is decided under the table lock, and only the caller
+    /// that removes the entry completes it, so it happens exactly once.
+    fn retire_locked(&self, table: &mut GenerationTable, index: u64) -> Option<Arc<Generation>> {
+        let (_, retired) = table.live.get_mut(&index)?;
+        *retired += 1;
+        if *retired < self.blueprint.workers() as u64 {
+            return None;
+        }
+        table.live.remove(&index).map(|(gen, _)| gen)
+    }
+
+    /// Accounts a generation every worker has retired from. Each worker
+    /// sets its audit bits before it takes the table lock to retire, and
+    /// the caller took that lock after every one of them, so the popcount
+    /// sees every bit the generation's workers set.
+    fn complete(&self, gen: &Generation) {
+        self.completed_generations.fetch_add(1, Ordering::Relaxed);
+        let performed: u64 = gen
+            .audit
+            .iter()
+            .map(|word| u64::from(word.load(Ordering::Relaxed).count_ones()))
+            .sum();
+        self.performed_in_completed
+            .fetch_add(performed, Ordering::Relaxed);
     }
 
     fn audit_perform(&self, gen: &Generation, lo: u64, hi: u64) {
@@ -519,10 +572,12 @@ fn worker_loop(shared: &Shared, pid: usize) {
                 }
                 dirty_restarts += 1;
                 if dirty_restarts > MAX_DIRTY_RESTARTS {
-                    // The share goes back to the other workers; only then
-                    // may this one die.
+                    // The share goes back to the other workers, and the
+                    // generations this one will never reach are released;
+                    // only then may it die.
                     shared.queue.readmit(&mut state.held);
                     state.settle(shared);
+                    shared.die(&state.gen);
                     resume_unwind(payload);
                 }
                 // An unrecognised panic may have died mid-`step`, leaving
@@ -766,7 +821,8 @@ pub struct ServiceReport {
     /// (deserted-client) grants are excluded, so churn cannot skew the
     /// latency tails.
     pub grant_waits: LatencyHistogram,
-    /// Generations all `m` workers retired from.
+    /// Generations every worker retired from. A worker that died for good
+    /// counts as retired from every generation after the one it died in.
     pub completed_generations: u64,
     /// Distinct jobs performed within those completed generations, as
     /// the paper's effectiveness counts them: a job performed twice counts
@@ -847,7 +903,7 @@ impl ClaimService {
         let shared = Arc::new(Shared {
             queue: IngestQueue::new(queue_capacity),
             blueprint,
-            generations: Mutex::new(HashMap::new()),
+            generations: Mutex::default(),
             violations: AtomicU64::new(0),
             granted: AtomicU64::new(0),
             abandoned: AtomicU64::new(0),
@@ -1400,6 +1456,46 @@ mod tests {
             assert_eq!(report.worker_restarts, u64::from(MAX_DIRTY_RESTARTS) + 1);
             assert_eq!(report.violations, 0);
             assert_eq!(report.stranded, 0);
+        });
+    }
+
+    /// Once pid 1 dies for good, pid 2 runs alone through generations pid
+    /// 1 will never enter, and each must still complete: a lost completion
+    /// would stall `completed_generations` at the generation pid 1 died in
+    /// and keep every later generation's registers and audit alive.
+    #[test]
+    fn a_dead_worker_leaves_later_generations_completing() {
+        within_watchdog(|| {
+            let bp = DyingPeerBlueprint {
+                jobs: 4,
+                died: Arc::default(),
+            };
+            let svc = ClaimService::start(bp, 32);
+            let client = svc.client();
+            for _ in 0..32 {
+                client.submit().expect("accepted");
+            }
+            let mut highest = 0;
+            for _ in 0..32 {
+                let grant = client.recv().expect("every accepted claim is granted");
+                highest = highest.max(grant.generation);
+            }
+            for _ in 0..400 {
+                let grant = client.claim().expect("the survivor keeps granting");
+                highest = highest.max(grant.generation);
+            }
+            let report = svc.shutdown();
+            assert_eq!(report.worker_restarts, u64::from(MAX_DIRTY_RESTARTS) + 1);
+            assert!(
+                highest > u64::from(MAX_DIRTY_RESTARTS),
+                "pid 2 must pass the generation pid 1 died in (reached {highest})"
+            );
+            assert!(
+                report.completed_generations >= highest,
+                "{} generations completed, grants reached generation {highest}",
+                report.completed_generations
+            );
+            assert_eq!(report.violations, 0);
         });
     }
 

@@ -1,14 +1,21 @@
 //! Reusable simulation arenas for multi-fleet workloads.
 //!
 //! The experiment grids run thousands of independent simulations back to
-//! back (and, on multi-core machines, several per worker thread). Allocating
-//! a fresh register file per cell means a fresh `m + m·n`-word allocation —
-//! cold pages, page faults, and no cache-line reuse between consecutive
-//! grid cells. A [`FleetArena`] keeps the buffers of finished simulations
-//! and re-issues them zeroed: consecutive fleets then run over the *same*
-//! warm lines, which is where struct-of-arrays layouts (e.g. the
-//! interleaved `done` order of `amo-core`'s `KkLayout`) pay off across a
-//! whole grid, not just inside one run.
+//! back (and, on multi-core machines, several per worker thread). A fresh
+//! register file is cheap to create: [`VecRegisters::new`] takes a zeroed
+//! allocation, and above glibc's mmap threshold (128 KiB at start; it
+//! rises, up to 32 MiB, as mapped blocks are freed) that is a fresh
+//! mapping whose pages stay the kernel's shared zero page until written.
+//! Below the threshold, `calloc` zeroes a recycled heap chunk instead.
+//! What a fresh file still costs is one first-touch page fault per page a
+//! run writes, a mapping and an unmapping per simulation, and cold cache
+//! lines. A [`FleetArena`] keeps the buffers of finished simulations and
+//! re-issues them zeroed, and [`VecRegisters::reset`] re-zeroes only the
+//! cells below the previous run's written high-water mark. Consecutive
+//! fleets then run over the *same* resident, warm lines without those
+//! faults, which is where struct-of-arrays layouts (e.g. the interleaved
+//! `done` order of `amo-core`'s `KkLayout`) pay off across a whole grid,
+//! not just inside one run.
 //!
 //! Epoch safety: [`VecRegisters::reset`] bumps every surviving cell's epoch
 //! and preserves the monotone global stamp, so a process's announcement

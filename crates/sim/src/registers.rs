@@ -207,6 +207,32 @@ pub trait Registers {
 /// reference; the whole structure is cheap to snapshot, which the exhaustive
 /// explorer uses to enumerate states.
 ///
+/// # Written high-water mark
+///
+/// A run writes few of the cells its file holds: KKβ's file is `m` `next`
+/// registers plus an `m × n` `done` matrix (512 MB of values at
+/// `n = 10⁶`, `m = 64`), of which a run writes at most `m + n`, since each
+/// performed job is logged once. So the file costs only the cells a run
+/// writes:
+///
+/// * [`new`](VecRegisters::new) takes its cells from a zeroed allocation
+///   ([`kernels::zeroed_cells`]); pages no run writes stay the kernel's
+///   shared zero page and never become resident;
+/// * the file keeps a *written high-water mark*: one past the highest cell
+///   written since creation or the last whole-file event. Every cell at or
+///   above it is zero. `write` and `swap` raise it,
+///   [`restore`](VecRegisters::restore) sets it to the file length and
+///   [`reset`](VecRegisters::reset) clears it;
+/// * [`reset`](VecRegisters::reset), the
+///   [`FleetArena`](crate::FleetArena) lease path, zeroes only the cells
+///   below the mark, and [`snapshot`](VecRegisters::snapshot), which the
+///   sharded driver takes as its first epoch image, copies only those
+///   cells into a zeroed vector.
+///
+/// With the interleaved (position-major) `done` layout the written cells
+/// cluster at the low indices, so the mark stays close to the number of
+/// cells written.
+///
 /// # Tracked-prefix epochs
 ///
 /// The file maintains per-cell *epochs* satisfying the
@@ -228,12 +254,9 @@ pub trait Registers {
 /// caches primed against a previous life of the buffer (arena reuse,
 /// explorer rewinds) can never validate.
 ///
-/// Why a prefix and not a full vector: the mega workloads allocate
-/// `m + m·n` cells (512 MB of values at `n = 10⁶`, `m = 64`) but mutate
-/// only `O(performed jobs)` of them — with the interleaved (position-major)
-/// `done` layout the written cells cluster at the low indices, so the dense
-/// epoch storage stays proportional to the cells actually touched instead
-/// of doubling the register file's footprint.
+/// Why a prefix and not a full vector: for the same reason as the written
+/// high-water mark, the dense epoch storage stays proportional to the
+/// cells a run touches instead of doubling the register file's footprint.
 ///
 /// Epoch maintenance can be switched off entirely
 /// ([`set_epoch_tracking`](VecRegisters::set_epoch_tracking)) for runs
@@ -244,6 +267,8 @@ pub trait Registers {
 #[derive(Debug, Clone, Default)]
 pub struct VecRegisters {
     cells: Vec<Cell<u64>>,
+    /// Written high-water mark: every cell at or above it is zero.
+    written: Cell<usize>,
     /// Dense epochs for the tracked prefix (stamp at last mutation); cells
     /// beyond `epochs.len()` report `epoch_base`.
     epochs: RefCell<Vec<u64>>,
@@ -264,11 +289,21 @@ pub struct VecRegisters {
 }
 
 impl VecRegisters {
-    /// Creates `cells` zero-initialised registers (the model's `init` value).
+    /// Creates `cells` zero-initialised registers (the model's `init` value)
+    /// from a zeroed allocation: no cell is stored to, so the file takes
+    /// resident memory only as its cells are written.
     pub fn new(cells: usize) -> Self {
         Self {
-            cells: vec![Cell::new(0); cells],
+            cells: kernels::zeroed_cells(cells),
             ..Self::default()
+        }
+    }
+
+    /// Raises the written high-water mark past `cell`.
+    #[inline]
+    fn note_written(&self, cell: usize) {
+        if cell >= self.written.get() {
+            self.written.set(cell + 1);
         }
     }
 
@@ -313,8 +348,12 @@ impl VecRegisters {
         (self.epoch_hw.get() * std::mem::size_of::<u64>()) as u64
     }
 
-    /// Resizes the file to `cells` zeroed registers, reusing the existing
-    /// allocation (the arena fast path: no fresh pages, warm cache lines).
+    /// Resizes the file to `cells` zeroed registers. A file of at most its
+    /// current length reuses the allocation and zeroes only the cells below
+    /// the written high-water mark (the arena fast path: warm cache lines,
+    /// no store to a cell the previous run left zero). A larger file takes
+    /// a fresh zeroed allocation instead of storing a zero into every new
+    /// cell.
     ///
     /// Work counters are cleared; the global stamp is *not* — the reset is
     /// itself a whole-file mutation event, so the epoch base moves past
@@ -329,19 +368,34 @@ impl VecRegisters {
         // The high-water mark is per lease: an arena-recycled buffer must
         // report the *next* run's peak, not the previous tenant's.
         self.epoch_hw.set(0);
-        // Prefix clear through the runtime-dispatched kernel layer (the
-        // arena fast path re-zeroes up to `m + m·n` cells per lease).
-        let prefix = cells.min(self.cells.len());
-        kernels::fill_cells(&self.cells[..prefix], 0);
-        self.cells.resize(cells, Cell::new(0));
+        let written = self.written.replace(0);
+        if cells > self.cells.len() {
+            self.cells = kernels::zeroed_cells(cells);
+        } else {
+            // Cells past `cells` are cut off, and a later reset that grows
+            // the file again takes a fresh allocation, so they never
+            // resurface.
+            kernels::fill_cells(&self.cells[..written.min(cells)], 0);
+            self.cells.truncate(cells);
+        }
         self.reads.set(0);
         self.writes.set(0);
         self.rmws.set(0);
     }
 
-    /// Snapshot of all cell values (used by the explorer and for debugging).
+    /// Snapshot of all cell values (used by the explorer, the sharded
+    /// driver's first epoch image and for debugging).
+    ///
+    /// The vector comes from a zeroed allocation and only the cells below
+    /// the written high-water mark are copied into it, so a snapshot, like
+    /// the file, costs resident memory only for what was written.
     pub fn snapshot(&self) -> Vec<u64> {
-        self.cells.iter().map(Cell::get).collect()
+        let written = self.written.get();
+        let mut values = vec![0; self.cells.len()];
+        for (value, cell) in values[..written].iter_mut().zip(&self.cells) {
+            *value = cell.get();
+        }
+        values
     }
 
     /// Restores a snapshot previously taken with
@@ -364,6 +418,7 @@ impl VecRegisters {
         // Bulk value restore through the kernel layer (the explorer rewinds
         // whole register files per branch).
         kernels::copy_into_cells(&self.cells, snapshot);
+        self.written.set(self.cells.len());
     }
 
     /// Resets the traffic counters.
@@ -400,6 +455,7 @@ impl Registers for VecRegisters {
             self.touch_epoch(cell, s);
         }
         self.cells[cell].set(value);
+        self.note_written(cell);
     }
 
     #[inline]
@@ -410,7 +466,9 @@ impl Registers for VecRegisters {
         if !self.epochs_off.get() {
             self.touch_epoch(cell, s);
         }
-        self.cells[cell].replace(value)
+        let old = self.cells[cell].replace(value);
+        self.note_written(cell);
+        old
     }
 
     fn len(&self) -> usize {
@@ -538,6 +596,7 @@ impl Registers for AtomicRegisters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn vec_registers_read_write() {
@@ -774,6 +833,77 @@ mod tests {
         assert!(m.epochs_enabled());
         assert!(m.global_epoch() > g);
         assert_eq!(m.epoch(3), m.global_epoch());
+    }
+
+    #[test]
+    fn reset_zeroes_only_below_the_written_mark_and_grows_fresh() {
+        let mut m = VecRegisters::new(8);
+        m.write(2, 5);
+        assert_eq!(m.written.get(), 3);
+        m.swap(6, 1);
+        assert_eq!(m.written.get(), 7);
+        m.reset(4);
+        assert_eq!(m.written.get(), 0);
+        assert_eq!(m.snapshot(), vec![0; 4]);
+        m.write(1, 9);
+        m.reset(16);
+        assert_eq!(m.len(), 16);
+        assert!((0..16).all(|c| m.peek(c) == 0), "a grown file is all zero");
+        m.restore(&[0; 16]);
+        assert_eq!(m.written.get(), 16, "a restore may write any cell");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random `write`/`swap`/`restore`/`reset` sequences against a
+        /// plain `Vec` model: after every operation the snapshot equals the
+        /// model and every cell at or above the written high-water mark is
+        /// zero; after a reset the whole file is zero.
+        #[test]
+        fn written_mark_bounds_every_nonzero_cell(
+            len in 1usize..12,
+            ops in proptest::collection::vec((0u8..4, 0usize..16, 0u64..4), 1..40),
+        ) {
+            let mut mem = VecRegisters::new(len);
+            let mut model = vec![0u64; len];
+            for (kind, cell, value) in ops {
+                let len = model.len();
+                match kind {
+                    0 | 1 if len == 0 => {}
+                    0 => {
+                        mem.write(cell % len, value);
+                        model[cell % len] = value;
+                    }
+                    1 => {
+                        let old = mem.swap(cell % len, value);
+                        prop_assert_eq!(old, model[cell % len]);
+                        model[cell % len] = value;
+                    }
+                    2 => {
+                        let image: Vec<u64> =
+                            (0..len as u64).map(|i| (i + value) % 3).collect();
+                        mem.restore(&image);
+                        model = image;
+                    }
+                    _ => {
+                        mem.reset(cell);
+                        model = vec![0; cell];
+                        prop_assert!(
+                            (0..cell).all(|c| mem.peek(c) == 0),
+                            "reset left a nonzero cell"
+                        );
+                    }
+                }
+                prop_assert_eq!(mem.snapshot(), model.clone());
+                let mark = mem.written.get();
+                prop_assert!(mark <= mem.len(), "mark {} past the file", mark);
+                prop_assert!(
+                    (mark..mem.len()).all(|c| mem.peek(c) == 0),
+                    "nonzero cell at or above the mark"
+                );
+            }
+        }
     }
 
     #[test]

@@ -164,6 +164,10 @@ struct Snapshot {
 }
 
 impl Snapshot {
+    /// The first epoch image of `base`. [`VecRegisters::snapshot`] copies
+    /// only the cells below the file's written high-water mark into a
+    /// zeroed vector, so the image, like the file, holds resident memory
+    /// only for the cells written before the run.
     fn of(base: &VecRegisters) -> Self {
         Self {
             vals: base.snapshot(),
@@ -828,7 +832,7 @@ fn run_epochs_threaded<P>(
 mod tests {
     use super::*;
     use crate::run_scenario;
-    use crate::testing::{PerformOnceProcess, WriterProcess};
+    use crate::testing::{PerformOnceProcess, RacyClaimProcess, WriterProcess};
 
     fn writer_fleet(m: usize, k: u64) -> (VecRegisters, Vec<WriterProcess>) {
         (
@@ -874,6 +878,33 @@ mod tests {
             &spec.clone().with_shard_spec(ShardSpec::sequential(3)),
         );
         assert_eq!(sharded, unsharded);
+    }
+
+    #[test]
+    fn a_cell_written_before_the_run_reaches_the_first_epoch_image() {
+        // Claimers on private claim cells never read each other's writes,
+        // so the phased run must equal the engine's. Pid 3's cell is
+        // claimed before the run: every run must see it and stand pid 3
+        // down, which the first epoch image shows only if it carries the
+        // cells written before the run.
+        let fleet = || -> Vec<RacyClaimProcess> {
+            (1..=4)
+                .map(|p| RacyClaimProcess::new(p, p - 1, 10 + p as u64))
+                .collect()
+        };
+        let claimed = || {
+            let mem = VecRegisters::new(4);
+            mem.write(2, 9);
+            mem
+        };
+        let spec = ScenarioSpec::round_robin();
+        let (unsharded, _, _) = run_scenario(claimed(), fleet(), &spec);
+        assert_eq!(unsharded.effectiveness(), 3, "pid 3 stands down");
+        for shards in [1usize, 2] {
+            let sharded_spec = spec.clone().with_shard_spec(ShardSpec::sequential(shards));
+            let (sharded, _, _) = run_scenario(claimed(), fleet(), &sharded_spec);
+            assert_eq!(sharded, unsharded, "S={shards}");
+        }
     }
 
     #[test]
