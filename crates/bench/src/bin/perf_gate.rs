@@ -17,8 +17,7 @@
 //! stdout. Exit code 1 on regression.
 
 use amo_bench::gate::{
-    arg_value, compare_env, markdown, parse_backend, parse_bench, parse_kernel, parse_shards,
-    MEM_TOLERANCE,
+    arg_value, compare_env, markdown, parse_backend, parse_bench, parse_shards, MEM_TOLERANCE,
 };
 
 fn main() {
@@ -57,23 +56,21 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Kernel tiers, register backends and shard configurations ride along
-    // informationally: a mismatch (non-AVX2 runner, forced AMO_KERNEL=scalar
-    // leg, a durable journaling backend, a different worker-thread count)
-    // relaxes the timing bands — timing is not comparable across any of
-    // those axes — while deterministic counters stay pinned exactly.
+    // Register backends and shard configurations ride along
+    // informationally: a mismatch (a durable journaling backend, a different
+    // worker-thread count) relaxes the timing bands — timing is not
+    // comparable across either axis — while deterministic counters stay
+    // pinned exactly.
     let report = compare_env(
         &baseline,
         &current,
         tolerance,
         mem_tolerance,
         (
-            parse_kernel(&baseline_json).as_deref(),
             parse_backend(&baseline_json).as_deref(),
             parse_shards(&baseline_json).as_deref(),
         ),
         (
-            parse_kernel(&current_json).as_deref(),
             parse_backend(&current_json).as_deref(),
             parse_shards(&current_json).as_deref(),
         ),

@@ -613,29 +613,20 @@ fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
         "  \"scale\": \"{}\",\n",
         if scale.is_quick() { "quick" } else { "full" }
     ));
-    // The resolved kernel tier (scalar / avx2), so runs stay comparable
-    // across machines; the gate treats a tier mismatch against
-    // the baseline as informational (timing columns are not comparable
-    // across tiers — deterministic counters are, and stay pinned exactly).
-    out.push_str(&format!(
-        "  \"kernel\": \"{}\",\n",
-        amo_ostree::kernels::tier()
-    ));
     // The register backend the smoke ran on (engine-v6; `"quorum"` joined
     // the value set in engine-v7). The smoke's timed workloads measure the
     // plain volatile file — the `kk_quorum_net` workload times the quorum
     // protocol *against* it in-process — and a baseline produced under a
     // different backend is downgraded to informational on the timing
-    // columns by the same mechanism as a kernel-tier mismatch.
+    // columns, while every deterministic counter stays pinned exactly.
     out.push_str("  \"backend\": \"vec\",\n");
     // The shard configuration of the sharded phased workloads (engine-v9):
     // the shard count is fixed, but `threads` is the machine's parallelism
     // clamped to it — a baseline recorded on a different thread count is
     // downgraded to informational on the timing columns by the same
-    // mechanism as a kernel-tier or backend mismatch, while every
-    // deterministic counter stays pinned exactly (counters are shard- and
-    // thread-invariant by construction; the shard_equivalence suite owns
-    // that pin).
+    // mechanism as a backend mismatch, while every deterministic counter
+    // stays pinned exactly (counters are shard- and thread-invariant by
+    // construction; the shard_equivalence suite owns that pin).
     out.push_str(&format!("  \"shards\": {SMOKE_SHARDS},\n"));
     out.push_str(&format!("  \"threads\": {},\n", smoke_threads()));
     out.push_str("  \"workloads\": [\n");
@@ -728,10 +719,7 @@ fn main() {
         ]
     };
 
-    println!(
-        "engine perf smoke ({scale:?}, kernel tier {})",
-        amo_ostree::kernels::tier()
-    );
+    println!("engine perf smoke ({scale:?})");
     println!(
         "{:<14} {:<26} {:>9} {:>10} {:>9} {:>9} {:>9} {:>13} {:>8} {:>9}",
         "workload",

@@ -103,13 +103,6 @@ fn parse_header_str(json: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_owned())
 }
 
-/// The resolved kernel tier a `BENCH_engine*.json` was produced under
-/// (the top-level `"kernel"` string field), or `None` for pre-tier
-/// baselines.
-pub fn parse_kernel(json: &str) -> Option<String> {
-    parse_header_str(json, "kernel")
-}
-
 /// The register backend a `BENCH_engine*.json` was produced under (the
 /// top-level `"backend"` string field: `"vec"` or `"durable"` since schema
 /// engine-v6, plus `"quorum"` since engine-v7), or `None` for pre-backend
@@ -146,42 +139,12 @@ pub fn parse_shards(json: &str) -> Option<String> {
     Some(format!("{s}x{t}"))
 }
 
-/// Finding describing the kernel tiers of baseline vs current run —
-/// **informational on mismatch**: a different tier (e.g. a non-AVX2 runner
-/// or a forced `AMO_KERNEL=scalar` leg) legitimately shifts timing columns,
-/// while every deterministic counter must still pin exactly, which the
-/// regular counter findings enforce. Returns `None` when neither side
-/// records a tier (pre-tier baselines compared on a pre-tier run).
-pub fn kernel_tier_finding(baseline: Option<&str>, current: Option<&str>) -> Option<Finding> {
-    if baseline.is_none() && current.is_none() {
-        return None;
-    }
-    let b = baseline.unwrap_or("unrecorded");
-    let c = current.unwrap_or("unrecorded");
-    let verdict = if b == c {
-        "kernel tiers match".to_owned()
-    } else {
-        format!(
-            "informational: tier differs from baseline ({b} → {c}) — timing/ratio columns are \
-             not tier-comparable; counters remain pinned exactly"
-        )
-    };
-    Some(Finding {
-        workload: "(all)".into(),
-        field: "kernel".into(),
-        baseline: b.to_owned(),
-        current: c.to_owned(),
-        regression: false,
-        verdict,
-    })
-}
-
 /// Finding describing the register backends of baseline vs current run —
-/// **informational on mismatch**, exactly like the kernel tier: running
-/// the smoke on the journaling [`DurableRegisters`] backend legitimately
-/// shifts timing columns (every write is journaled), and the same goes for
-/// the quorum message-passing backend ([`QuorumRegisters`], engine-v7 —
-/// every register operation runs a network protocol), while both wrappers
+/// **informational on mismatch**: running the smoke on the journaling
+/// [`DurableRegisters`] backend legitimately shifts timing columns (every
+/// write is journaled), and the same goes for the quorum message-passing
+/// backend ([`QuorumRegisters`], engine-v7 — every register operation runs
+/// a network protocol), while both wrappers
 /// are bit-identical on every deterministic counter (fault-free / lossless
 /// degenerate cases, pinned by the equivalence suites) — which the regular
 /// counter findings keep enforcing exactly. Returns `None` when neither
@@ -216,14 +179,13 @@ pub fn backend_finding(baseline: Option<&str>, current: Option<&str>) -> Option<
 
 /// Finding describing the shard configurations (`shards×threads`) of
 /// baseline vs current run — **informational on mismatch**, exactly like
-/// the kernel tier and backend axes: a different worker-thread count (a
-/// single-core runner against a multi-core baseline, or an `AMO_SHARDS`
-/// CI leg) legitimately shifts the sharded workloads' timing columns,
-/// while every deterministic counter is shard- and thread-invariant *by
-/// construction* (the `shard_equivalence` suite owns that pin) — so the
-/// regular counter findings keep enforcing them exactly. Returns `None`
-/// when neither side records a shard configuration (pre-engine-v9
-/// baselines on both sides).
+/// the backend axis: a different worker-thread count (a single-core runner
+/// against a multi-core baseline, or an `AMO_SHARDS` CI leg) legitimately
+/// shifts the sharded workloads' timing columns, while every deterministic
+/// counter is shard- and thread-invariant *by construction* (the
+/// `shard_equivalence` suite owns that pin) — so the regular counter
+/// findings keep enforcing them exactly. Returns `None` when neither side
+/// records a shard configuration (pre-engine-v9 baselines on both sides).
 pub fn shard_finding(baseline: Option<&str>, current: Option<&str>) -> Option<Finding> {
     if baseline.is_none() && current.is_none() {
         return None;
@@ -379,70 +341,35 @@ pub fn compare(baseline: &[Workload], current: &[Workload], tolerance: f64) -> G
     compare_with(baseline, current, tolerance, MEM_TOLERANCE)
 }
 
-/// [`compare_with`], additionally aware of the kernel tiers the two files
-/// were produced under: when the tiers differ (a non-AVX2 runner, or a
-/// forced `AMO_KERNEL=scalar` leg, against an AVX2 baseline), measured
-/// below-floor speed ratios are downgraded to informational — timing is
-/// not comparable across tiers — while deterministic counters, memory
-/// bands (RSS is tier-independent; the kernels allocate nothing) and
-/// missing-column findings all stay hard, which is precisely what a
-/// cross-tier run must still satisfy. The tier pairing itself is reported
-/// as a leading informational finding.
-pub fn compare_tiered(
-    baseline: &[Workload],
-    current: &[Workload],
-    tolerance: f64,
-    mem_tolerance: f64,
-    baseline_kernel: Option<&str>,
-    current_kernel: Option<&str>,
-) -> GateReport {
-    compare_env(
-        baseline,
-        current,
-        tolerance,
-        mem_tolerance,
-        (baseline_kernel, None, None),
-        (current_kernel, None, None),
-    )
-}
-
-/// [`compare_tiered`], additionally aware of the register **backend**
+/// [`compare_with`], additionally aware of the register **backend**
 /// (engine-v6's top-level `"backend"` field, see [`parse_backend`]) and of
 /// the **shard configuration** (engine-v9's `"shards"`/`"threads"` header,
 /// see [`parse_shards`]) each file was produced under. Each side is a
-/// `(kernel, backend, shards)` triple; a mismatch in *any* axis downgrades
-/// measured below-floor speed ratios to informational — a journaling
-/// backend or a different worker-thread count is as timing-incomparable as
-/// a different SIMD tier — while deterministic counters, memory bands and
-/// missing-column findings all stay hard. The axis pairings are reported
-/// as leading informational findings.
+/// `(backend, shards)` pair; a mismatch in either axis downgrades measured
+/// below-floor speed ratios to informational — a journaling backend or a
+/// different worker-thread count makes timing incomparable — while
+/// deterministic counters, memory bands and missing-column findings all
+/// stay hard. The axis pairings are reported as leading informational
+/// findings.
 pub fn compare_env(
     baseline: &[Workload],
     current: &[Workload],
     tolerance: f64,
     mem_tolerance: f64,
-    (baseline_kernel, baseline_backend, baseline_shards): (
-        Option<&str>,
-        Option<&str>,
-        Option<&str>,
-    ),
-    (current_kernel, current_backend, current_shards): (Option<&str>, Option<&str>, Option<&str>),
+    (baseline_backend, baseline_shards): (Option<&str>, Option<&str>),
+    (current_backend, current_shards): (Option<&str>, Option<&str>),
 ) -> GateReport {
     let mut report = compare_with(baseline, current, tolerance, mem_tolerance);
-    let mismatch = baseline_kernel != current_kernel
-        || baseline_backend != current_backend
-        || baseline_shards != current_shards;
-    if mismatch {
+    if baseline_backend != current_backend || baseline_shards != current_shards {
         for f in &mut report.findings {
-            // Only measured below-floor *ratios* are tier-dependent. Memory
-            // columns stay gated (the kernels allocate nothing, RSS is
-            // tier-independent), and a ratio column *missing* entirely is a
-            // malformed run, not cross-tier timing wobble.
+            // Only measured below-floor *ratios* depend on the environment.
+            // Memory columns stay gated, and a ratio column *missing*
+            // entirely is a malformed run, not environment timing wobble.
             let env_timing = f.field.starts_with("speedup") && f.current != "missing";
             if env_timing && f.regression {
                 f.regression = false;
                 f.verdict = format!(
-                    "informational (kernel tier/backend/shard config differs): {}",
+                    "informational (backend/shard config differs): {}",
                     f.verdict
                 );
             }
@@ -454,9 +381,6 @@ pub fn compare_env(
     }
     if let Some(b) = backend_finding(baseline_backend, current_backend) {
         report.findings.insert(0, b);
-    }
-    if let Some(k) = kernel_tier_finding(baseline_kernel, current_kernel) {
-        report.findings.insert(0, k);
     }
     report
 }
@@ -943,105 +867,43 @@ mod tests {
             && f.verdict.contains("regenerate")));
     }
 
-    const TIERED: &str = r#"{
-  "schema": "amo-bench/engine-v5",
-  "scale": "quick",
-  "kernel": "avx2",
-  "workloads": [
-    {
-      "name": "kk_plain_rr",
-      "params": "n=20000 m=8 beta=192",
-      "fast_path_ms": 5.93,
-      "speedup_vs_single_step": 2.21,
-      "total_steps": 554776
-    }
-  ]
-}
-"#;
-
     #[test]
-    fn kernel_field_parses_from_the_header_only() {
-        assert_eq!(parse_kernel(TIERED).as_deref(), Some("avx2"));
-        assert_eq!(parse_kernel(BASE), None, "pre-tier baselines have none");
-        // A workload-level "kernel" field must not be mistaken for the tier.
-        let trick = BASE.replace(
-            "\"name\": \"write_all\"",
-            "\"kernel\": \"x\", \"name\": \"write_all\"",
-        );
-        assert_eq!(parse_kernel(&trick), None);
-    }
-
-    #[test]
-    fn kernel_tier_mismatch_is_informational() {
-        let f = kernel_tier_finding(Some("avx2"), Some("scalar")).expect("finding");
-        assert!(!f.regression);
-        assert!(f.verdict.contains("informational"));
-        let same = kernel_tier_finding(Some("avx2"), Some("avx2")).expect("finding");
-        assert!(!same.regression);
-        assert!(same.verdict.contains("match"));
-        assert!(kernel_tier_finding(None, None).is_none());
-    }
-
-    #[test]
-    fn tier_mismatch_downgrades_ratio_gates_but_not_counters() {
-        let b = parse_bench(TIERED);
-        // A scalar run: ratios collapse far beyond tolerance, counters hold.
-        let slowed = TIERED.replace(
-            "\"speedup_vs_single_step\": 2.21",
-            "\"speedup_vs_single_step\": 1.00",
-        );
-        let c = parse_bench(&slowed);
-        let report = compare_tiered(&b, &c, 0.2, MEM_TOLERANCE, Some("avx2"), Some("scalar"));
-        assert!(report.pass, "cross-tier timing drop must not fail");
-        assert!(report.findings.iter().any(|f| f.field == "kernel"));
-        // Counters still gate hard across tiers.
-        let drifted = slowed.replace("\"total_steps\": 554776", "\"total_steps\": 554777");
-        let report = compare_tiered(
-            &b,
-            &parse_bench(&drifted),
-            0.2,
-            MEM_TOLERANCE,
-            Some("avx2"),
-            Some("scalar"),
-        );
-        assert!(!report.pass, "counter drift fails regardless of tier");
-    }
-
-    #[test]
-    fn tier_mismatch_keeps_memory_and_missing_column_gates_hard() {
-        // Memory is tier-independent (the kernels allocate nothing), so an
-        // RSS blow-up on the scalar leg must still fail...
+    fn env_mismatch_keeps_memory_and_missing_column_gates_hard() {
+        // Memory does not depend on the register backend's timing, so an
+        // RSS blow-up on a durable leg must still fail...
         let b = parse_bench(MEM_BASE);
         let grown = MEM_BASE.replace("\"peak_rss_mb\": 60.0", "\"peak_rss_mb\": 90.0");
-        let report = compare_tiered(
+        let report = compare_env(
             &b,
             &parse_bench(&grown),
             0.2,
             MEM_TOLERANCE,
-            Some("avx2"),
-            Some("scalar"),
+            (Some("vec"), None),
+            (Some("durable"), None),
         );
-        assert!(!report.pass, "memory bands stay hard across tiers");
+        assert!(!report.pass, "memory bands stay hard across backends");
         // ...and so must a ratio column vanishing entirely (malformed run,
         // not timing wobble).
-        let tiered = parse_bench(TIERED);
-        let mut truncated = parse_bench(TIERED);
+        let v6 = parse_bench(V6);
+        let mut truncated = parse_bench(V6);
         truncated[0].ratios.clear();
-        let report = compare_tiered(
-            &tiered,
+        let report = compare_env(
+            &v6,
             &truncated,
             0.2,
             MEM_TOLERANCE,
-            Some("avx2"),
-            Some("scalar"),
+            (Some("vec"), None),
+            (Some("durable"), None),
         );
-        assert!(!report.pass, "missing ratio columns stay hard across tiers");
+        assert!(
+            !report.pass,
+            "missing ratio columns stay hard across backends"
+        );
     }
 
     const V6: &str = r#"{
   "schema": "amo-bench/engine-v6",
   "scale": "quick",
-  "kernel": "avx2",
   "backend": "vec",
   "workloads": [
     {
@@ -1058,7 +920,11 @@ mod tests {
     #[test]
     fn backend_field_parses_from_the_header_only() {
         assert_eq!(parse_backend(V6).as_deref(), Some("vec"));
-        assert_eq!(parse_backend(TIERED), None, "engine-v5 records no backend");
+        assert_eq!(
+            parse_backend(BASE),
+            None,
+            "pre-engine-v6 files record no backend"
+        );
         // A workload-level "backend" field must not be mistaken for the
         // header's.
         let trick = BASE.replace(
@@ -1093,12 +959,11 @@ mod tests {
             &parse_bench(&slowed),
             0.2,
             MEM_TOLERANCE,
-            (Some("avx2"), Some("vec"), None),
-            (Some("avx2"), Some("durable"), None),
+            (Some("vec"), None),
+            (Some("durable"), None),
         );
         assert!(report.pass, "cross-backend timing drop must not fail");
         assert!(report.findings.iter().any(|f| f.field == "backend"));
-        assert!(report.findings.iter().any(|f| f.field == "kernel"));
         // A counter drifting on the durable backend breaks the bit-identity
         // contract and fails hard.
         let drifted = slowed.replace("\"total_steps\": 554776", "\"total_steps\": 554777");
@@ -1107,8 +972,8 @@ mod tests {
             &parse_bench(&drifted),
             0.2,
             MEM_TOLERANCE,
-            (Some("avx2"), Some("vec"), None),
-            (Some("avx2"), Some("durable"), None),
+            (Some("vec"), None),
+            (Some("durable"), None),
         );
         assert!(!report.pass, "counter drift fails regardless of backend");
     }
@@ -1125,45 +990,15 @@ mod tests {
             &parse_bench(&slowed),
             0.2,
             MEM_TOLERANCE,
-            (Some("avx2"), Some("vec"), Some("4x4")),
-            (Some("avx2"), Some("vec"), Some("4x4")),
+            (Some("vec"), Some("4x4")),
+            (Some("vec"), Some("4x4")),
         );
         assert!(!report.pass, "same-env ratio collapse still fails");
-        // compare_tiered (no backend axis) keeps its exact old behavior.
-        let tiered = compare_tiered(
-            &b,
-            &parse_bench(&slowed),
-            0.2,
-            MEM_TOLERANCE,
-            Some("avx2"),
-            Some("avx2"),
-        );
-        assert!(!tiered.pass);
-        assert!(tiered.findings.iter().all(|f| f.field != "backend"));
-    }
-
-    #[test]
-    fn matching_tiers_keep_the_ratio_gate() {
-        let b = parse_bench(TIERED);
-        let slowed = TIERED.replace(
-            "\"speedup_vs_single_step\": 2.21",
-            "\"speedup_vs_single_step\": 1.00",
-        );
-        let report = compare_tiered(
-            &b,
-            &parse_bench(&slowed),
-            0.2,
-            MEM_TOLERANCE,
-            Some("avx2"),
-            Some("avx2"),
-        );
-        assert!(!report.pass, "same-tier ratio collapse still fails");
     }
 
     const V9: &str = r#"{
   "schema": "amo-bench/engine-v9",
   "scale": "quick",
-  "kernel": "avx2",
   "backend": "vec",
   "shards": 4,
   "threads": 4,
@@ -1220,8 +1055,8 @@ mod tests {
             &parse_bench(&slowed),
             0.2,
             MEM_TOLERANCE,
-            (Some("avx2"), Some("vec"), Some("4x4")),
-            (Some("avx2"), Some("vec"), Some("4x1")),
+            (Some("vec"), Some("4x4")),
+            (Some("vec"), Some("4x1")),
         );
         assert!(report.pass, "cross-thread-count timing drop must not fail");
         assert!(report.findings.iter().any(|f| f.field == "shards"));
@@ -1233,8 +1068,8 @@ mod tests {
             &parse_bench(&drifted),
             0.2,
             MEM_TOLERANCE,
-            (Some("avx2"), Some("vec"), Some("4x4")),
-            (Some("avx2"), Some("vec"), Some("4x1")),
+            (Some("vec"), Some("4x4")),
+            (Some("vec"), Some("4x1")),
         );
         assert!(
             !report.pass,

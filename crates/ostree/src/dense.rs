@@ -17,8 +17,9 @@ use crate::rank::RankedSet;
 /// [`FenwickSet`](crate::FenwickSet) instead (O(1) updates, linear-scan
 /// rank over per-block counts), which is markedly faster at simulation
 /// scale because the hot operations are insert/remove. This structure is
-/// retained for the data-structure ablation and as the seed-equivalent
-/// baseline that `perf_smoke` measures the engine fast path against.
+/// the exact reference next to it: the data-structure ablation (A2), the
+/// seed-equivalent baseline that `perf_smoke` measures the engine fast path
+/// against, and the oracle of the `FenwickSet` equivalence suites.
 ///
 /// [`insert`]: DenseFenwickSet::insert
 /// [`remove`]: DenseFenwickSet::remove
@@ -82,9 +83,9 @@ impl DenseFenwickSet {
                 s.fen[parent] += add;
             }
         }
-        // Full words in one wide-lane fill, then the ragged tail word.
+        // Full words in one fill, then the ragged tail word.
         let full_words = universe / 64;
-        crate::kernels::fill_u64(&mut s.bits[..full_words], u64::MAX);
+        s.bits[..full_words].fill(u64::MAX);
         if universe % 64 != 0 {
             s.bits[full_words] = (1u64 << (universe % 64)) - 1;
         }

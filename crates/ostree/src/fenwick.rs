@@ -122,9 +122,9 @@ impl FenwickSet {
     /// This is how the `FREE` set of every process is initialised (`FREEp = J`).
     pub fn with_all(universe: usize) -> Self {
         let mut s = Self::new(universe);
-        // Full words in one wide-lane fill, then the ragged tail word.
+        // Full words in one fill, then the ragged tail word.
         let full_words = universe / 64;
-        kernels::fill_u64(&mut s.bits[..full_words], u64::MAX);
+        s.bits[..full_words].fill(u64::MAX);
         if universe % 64 != 0 {
             s.bits[full_words] = (1u64 << (universe % 64)) - 1;
         }
@@ -245,18 +245,18 @@ impl FenwickSet {
         let block = i / BLOCK_BITS;
         let sup_block = block >> self.sup_shift;
         let block_word = block * BLOCK_WORDS;
-        // Bulk scans through the runtime-dispatched kernels: whole
-        // superblocks below the target's, whole blocks of the partial
-        // superblock, then the bit prefix of the partial block
-        // (full words + masked tail in one `count_le_range`). The charge is
-        // one elementary operation per entry exactly like the historical
-        // per-entry loops — derived from the slice lengths, never from the
-        // kernel tier (counter-neutrality; see `crate::kernels`).
+        // Bulk scans: whole superblocks below the target's, whole blocks
+        // of the partial superblock, then the bit prefix of the partial
+        // block (full words + masked tail in one `count_le_range`). The
+        // charge is one elementary operation per entry exactly like the
+        // historical per-entry loops — derived from the slice lengths,
+        // never from the scan (counter-neutrality; see `crate::kernels`).
         let mut iters =
             (sup_block + (block - (sup_block << self.sup_shift)) + (i / 64 - block_word)) as u64;
-        let mut acc: u32 = kernels::sum_u32(&self.sup[..sup_block]).wrapping_add(kernels::sum_u32(
-            &self.blk[sup_block << self.sup_shift..block],
-        ));
+        let mut acc: u32 = self.sup[..sup_block].iter().sum::<u32>()
+            + self.blk[sup_block << self.sup_shift..block]
+                .iter()
+                .sum::<u32>();
         acc += kernels::count_le_range(&self.bits[block_word..], i - block_word * 64) as u32;
         // The partial word's charge (the kernel already counted its bits).
         if i % 64 > 0 {
@@ -524,7 +524,7 @@ impl FenwickSet {
 /// shared SWAR byte-prefix select
 /// ([`kernels::select_in_word`]). One machine word is a single
 /// machine-level unit of rank work, so the charge is one elementary
-/// operation regardless of kernel tier.
+/// operation.
 #[inline]
 fn select_in_word(word: u64, remaining: u32, iters: &mut u64) -> usize {
     *iters += 1;
@@ -681,8 +681,8 @@ impl RankedSet for FenwickSet {
         let mut w = block * BLOCK_WORDS;
         loop {
             // Bulk fast path: no exclusion left at or below the block's
-            // end, so the rest of the descent is a pure n-th-set-bit probe
-            // through the kernel layer (charges identical to the loop).
+            // end, so the rest of the descent is a pure n-th-set-bit probe,
+            // one kernel call (charges identical to the loop).
             if j == excl.len() || excl[j] > block_end_bit {
                 let hi_w = self.bits.len().min((block + 1) * BLOCK_WORDS);
                 let pos = kernels::find_nth_set_in(&self.bits[w..hi_w], remaining)

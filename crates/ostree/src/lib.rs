@@ -7,7 +7,7 @@
 //! or some variant of B-tree" so that insertion, deletion and rank queries
 //! cost `O(log n)` and `rank(SET1, SET2, i)` costs `O(|SET2| · log n)`.
 //!
-//! This crate provides three interchangeable implementations:
+//! This crate provides one fast path and one exact reference:
 //!
 //! * [`FenwickSet`] — the production backend: a bitmap with eagerly
 //!   maintained per-block and per-superblock population counts over the
@@ -17,17 +17,14 @@
 //!   of elementary loop iterations it performs, which the benchmark harness
 //!   uses as the paper's "basic operations" (Definition 2.5) when measuring
 //!   work complexity.
-//! * [`DenseFenwickSet`] — the historical per-element Fenwick (binary
-//!   indexed) tree with `O(log n)` everything, kept as the paper-faithful
-//!   reference, the structure ablation, and the `perf_smoke` baseline.
-//! * [`OrderStatTree`] — a size-augmented randomized search tree (treap with
-//!   deterministic priorities) over arbitrary `u64` keys, used for the
-//!   data-structure ablation and for sparse identifier spaces.
+//! * [`DenseFenwickSet`] — the per-element Fenwick (binary indexed) tree
+//!   with `O(log n)` everything: the paper-faithful reference, the
+//!   structure ablation (A2), and the `perf_smoke` baseline.
 //!
-//! All implement [`RankedSet`] (the first two also [`OrderedJobSet`], the
-//! mutable interface the KKβ automaton is generic over), and
-//! [`rank_excluding`] / [`rank_excluding_members`] implement the paper's
-//! `rank(SET1, SET2, i)` on top of any [`RankedSet`].
+//! Both implement [`RankedSet`] and [`OrderedJobSet`] (the mutable
+//! interface the KKβ automaton is generic over), and [`rank_excluding`] /
+//! [`rank_excluding_members`] implement the paper's `rank(SET1, SET2, i)`
+//! on top of any [`RankedSet`].
 //!
 //! # Position-hinted selection and the hint-anchor invariant
 //!
@@ -53,29 +50,21 @@
 //! backends through interleaved foreign writes, drops, rebuilds and arena
 //! reuse.
 //!
-//! # Wide-lane kernels and the dispatch contract
+//! # Bitmap kernels and counter-neutrality
 //!
 //! The physical bitmap scans underneath the structures — bulk popcounts,
-//! `count_le` slice sums, n-th-set-bit probes, register prefix clears — are
-//! factored into the [`kernels`] module, which carries **two**
-//! implementations: the portable SWAR scalar code (the universal oracle and
-//! fallback) and an AVX2+POPCNT lane tier written against the stable
-//! `core::arch::x86_64` intrinsics (the MSRV 1.75 pin rules out
-//! `std::simd`; runtime `core::arch` dispatch needs no MSRV bump). The tier
-//! is resolved **once** per process ([`kernels::tier`]) via
-//! `is_x86_feature_detected!` cached in an atomic; the `AMO_KERNEL=scalar|
-//! avx2` environment variable forces a tier for CI and differential
-//! testing, and [`kernels::set_tier`] is the in-process override.
+//! `count_le` prefix counts, n-th-set-bit probes, register prefix clears —
+//! are factored into the [`kernels`] module as portable Rust, one body per
+//! primitive.
 //!
 //! The binding invariant is **counter-neutrality**: the deterministic
 //! `ops` charges of the set structures are part of the observable the
-//! equivalence suites and the perf gate pin, so kernels accelerate the
-//! physical scan only — all work accounting stays at the logical-walk
-//! layer, derived from slice lengths and returned positions, never from
-//! which tier executed. The `kernel_equivalence` property suite pins the
-//! AVX2 tier to the scalar oracle over word/block/superblock boundaries,
-//! ragged tails and empty/full lanes, and asserts charge-for-charge `ops`
-//! parity of the structures across tiers.
+//! equivalence suites and the perf gate pin, so kernels only do the
+//! physical scan — all work accounting stays at the logical-walk layer,
+//! derived from slice lengths and returned positions. The
+//! `kernel_equivalence` suite pins each primitive to a naive bit-loop
+//! reference over word/block/superblock boundaries, ragged tails and
+//! empty/full words.
 //!
 //! # Examples
 //!
@@ -91,9 +80,9 @@
 //! assert_eq!(rank_excluding(&free, &try_set, 2), Some(5));
 //! ```
 
-// `deny`, not `forbid`: the `kernels` module opts into `unsafe` locally for
-// its `core::arch` intrinsics (each site carries a SAFETY comment); every
-// other module stays unsafe-free.
+// `deny`, not `forbid`: `kernels::zeroed_cells` opts into `unsafe` locally
+// to hand out a zeroed allocation as `Cell` storage (its SAFETY comment
+// gives the argument); every other item stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -102,7 +91,6 @@ mod dense;
 mod fenwick;
 pub mod kernels;
 mod rank;
-mod tree;
 
 pub use counter::OpCounter;
 pub use dense::DenseFenwickSet;
@@ -111,4 +99,3 @@ pub use rank::{
     rank_excluding, rank_excluding_members, rank_excluding_members_hinted, OrderedJobSet,
     RankedSet, SelectHint,
 };
-pub use tree::OrderStatTree;

@@ -50,8 +50,8 @@ pub(crate) fn bitmap_contains(bits: &[u64], universe: usize, id: u64) -> bool {
 /// Common interface of order-statistics sets.
 ///
 /// Both [`FenwickSet`](crate::FenwickSet) and
-/// [`OrderStatTree`](crate::OrderStatTree) implement this trait, so the KKβ
-/// automaton (and the data-structure ablation) can be generic over the
+/// [`DenseFenwickSet`](crate::DenseFenwickSet) implement this trait, so the
+/// KKβ automaton (and the data-structure ablation) can be generic over the
 /// backing structure.
 pub trait RankedSet {
     /// Number of elements in the set.
@@ -75,10 +75,10 @@ pub trait RankedSet {
     /// element of `excl` is a member of `self` and `excl` is sorted and
     /// duplicate-free — the hot core of the paper's `rank(SET1, SET2, i)`.
     ///
-    /// [`DenseFenwickSet`](crate::DenseFenwickSet) and
-    /// [`OrderStatTree`](crate::OrderStatTree) run the classical monotone
-    /// fixpoint iteration (`O(|excl|)` [`select`](RankedSet::select)
-    /// probes); [`FenwickSet`](crate::FenwickSet) runs a single
+    /// [`DenseFenwickSet`](crate::DenseFenwickSet) runs the classical
+    /// monotone fixpoint iteration (`O(|excl|)`
+    /// [`select`](RankedSet::select) probes);
+    /// [`FenwickSet`](crate::FenwickSet) runs a single
     /// exclusion-aware walk. An implementation checks the membership
     /// precondition without charging its operation counter, so that a
     /// debug build charges exactly the work of a release build.
@@ -225,8 +225,8 @@ pub fn rank_excluding<S: RankedSet + ?Sized>(free: &S, excl: &[u64], i: usize) -
 }
 
 /// The classical monotone fixpoint iteration over `select` probes behind
-/// the [`RankedSet::select_excluding`] of the dense and tree backends, minus
-/// their (uncharged) membership checks.
+/// [`DenseFenwickSet`](crate::DenseFenwickSet)'s
+/// [`RankedSet::select_excluding`], minus its (uncharged) membership check.
 pub(crate) fn select_fixpoint<S: RankedSet + ?Sized>(
     set: &S,
     excl: &[u64],

@@ -1,60 +1,26 @@
-//! Kernel-tier equivalence suite: the AVX2 kernels must agree with the
-//! scalar oracle **value-for-value**, and the set structures built on them
-//! must agree **charge-for-charge**, on every bitmap shape the hot paths
-//! can present — word/block/superblock boundaries, ragged tails, empty and
-//! full lanes, lane-aligned and lane-straddling lengths.
+//! Kernel reference suite: every `amo_ostree::kernels` bulk primitive must
+//! agree **value-for-value** with a naive bit-loop reference on every
+//! bitmap shape the hot paths can present — word/block/superblock
+//! boundaries, ragged tails, empty and full words, sparse and alternating
+//! fills.
 //!
-//! Two layers:
-//!
-//! * *primitive level* — every `amo_ostree::kernels` bulk primitive run
-//!   under each available tier (forced via [`kernels::set_tier`]) against
-//!   the other tier and a naive bit-loop reference;
-//! * *structure level* — identical [`FenwickSet`]s queried under each tier
-//!   must return identical results **and identical `ops` charges**
-//!   (counter-neutrality: tier selection accelerates the physical scan
-//!   only, so the deterministic work measure may not move by a single op).
-//!
-//! On machines without AVX2 the tier list collapses to scalar-only and the
-//! suite degenerates to the naive-reference checks (the CI
-//! `AMO_KERNEL=scalar` leg); on AVX2 machines it is a true differential
-//! test.
+//! The set structures built on the kernels are pinned elsewhere:
+//! `backend_equivalence.rs` drives `FenwickSet` and `DenseFenwickSet`
+//! through the same operations and compares results and `ops` charges, and
+//! `hint_invalidation.rs` pins hinted walks, superblock far jumps included,
+//! to unhinted ones.
 
-use amo_ostree::kernels::{self, KernelTier};
-use amo_ostree::{DenseFenwickSet, FenwickSet, RankedSet, SelectHint};
+use amo_ostree::kernels;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// Serializes tier flips: the dispatched tier is process-global and the
-/// harness runs tests on several threads.
-static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Every tier this machine can execute, scalar first.
-fn tiers() -> Vec<KernelTier> {
-    let mut t = vec![KernelTier::Scalar];
-    if kernels::avx2_available() {
-        t.push(KernelTier::Avx2);
-    }
-    if kernels::avx512_available() {
-        t.push(KernelTier::Avx512);
-    }
-    t
-}
-
-fn with_tier<T>(t: KernelTier, f: impl FnOnce() -> T) -> T {
-    let prev = kernels::set_tier(t);
-    let out = f();
-    kernels::set_tier(prev);
-    out
-}
-
-// ---------- naive references (independent of both kernel tiers) ----------
+// ---------- naive references ----------
 
 fn naive_popcount(words: &[u64]) -> u64 {
     words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+fn naive_bit(words: &[u64], bit: usize) -> u64 {
+    words[bit / 64] >> (bit % 64) & 1
 }
 
 fn naive_nth(words: &[u64], n: u32) -> Option<usize> {
@@ -72,8 +38,8 @@ fn naive_nth(words: &[u64], n: u32) -> Option<usize> {
     None
 }
 
-/// Bitmap shapes that exercise lane boundaries: a base random fill plus a
-/// masking pattern (empty lanes, full lanes, sparse, dense, single-bit).
+/// Bitmap shapes that exercise word boundaries: a base random fill plus a
+/// masking pattern (empty words, full words, sparse, dense, single-bit).
 fn shaped_words(universe_words: usize) -> impl Strategy<Value = Vec<u64>> {
     (
         prop::collection::vec(any::<u64>(), universe_words..universe_words + 1),
@@ -83,14 +49,14 @@ fn shaped_words(universe_words: usize) -> impl Strategy<Value = Vec<u64>> {
             match shape {
                 // Raw random.
                 0 => {}
-                // Every 64-bit lane of the first half zeroed (empty lanes).
+                // Every word of the first half zeroed (empty words).
                 1 => {
                     let half = ws.len() / 2;
                     for w in &mut ws[..half] {
                         *w = 0;
                     }
                 }
-                // Full lanes (the `with_all` shape).
+                // Full words (the `with_all` shape).
                 2 => ws.fill(u64::MAX),
                 // Sparse: one bit per word.
                 3 => {
@@ -98,7 +64,7 @@ fn shaped_words(universe_words: usize) -> impl Strategy<Value = Vec<u64>> {
                         *w = 1u64 << (i % 64);
                     }
                 }
-                // Alternating empty / full words (lane-group straddles).
+                // Alternating empty / full words.
                 4 => {
                     for (i, w) in ws.iter_mut().enumerate() {
                         *w = if i % 2 == 0 { 0 } else { u64::MAX };
@@ -116,83 +82,44 @@ fn shaped_words(universe_words: usize) -> impl Strategy<Value = Vec<u64>> {
         })
 }
 
-/// One tier's answers across every primitive (the differential tuple).
-type PrimitiveOutcomes = (
-    u64,
-    u64,
-    u64,
-    Option<usize>,
-    Option<usize>,
-    u32,
-    Option<usize>,
-);
-
-/// One tier's structure-level answers plus the `ops` charge.
-type QueryOutcomes = (
-    KernelTier,
-    usize,
-    Option<u64>,
-    Option<u64>,
-    Option<u64>,
-    u64,
-);
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Primitive-level differential: every tier must agree with the scalar
-    /// oracle and the naive reference on every primitive, over lengths that
-    /// cover sub-lane tails (1–3 words), exact lane groups (4, 8), and
-    /// straddlers (5–7, 9–13, block- and superblock-sized slabs).
+    /// Every primitive against its naive reference, over lengths that cover
+    /// sub-block tails (1–7 words), exact blocks (8 words) and straddlers
+    /// (9–13 words, multi-block and superblock-sized slabs).
     #[test]
-    fn primitives_agree_across_tiers(
+    fn primitives_match_naive_references(
         len in 0usize..70,
         ws in shaped_words(70),
         tail_mask in any::<u64>(),
         end_frac in 0u32..=64,
         n_probe in 1u32..4000,
     ) {
-        let _g = lock();
         let ws = &ws[..len];
         let total = naive_popcount(ws);
         let end_bit = (len * 64) * end_frac as usize / 64;
         let counts: Vec<u32> = ws.iter().map(|&w| (w % 5) as u32).collect();
-        let mut seen: Vec<PrimitiveOutcomes> = Vec::new();
-        for tier in tiers() {
-            let got = with_tier(tier, || (
-                kernels::popcount(ws),
-                kernels::popcount_masked_tail(ws, tail_mask),
-                kernels::count_le_range(ws, end_bit),
-                kernels::find_nth_set_in(ws, n_probe),
-                kernels::find_nth_set_from_right(ws, n_probe),
-                kernels::sum_u32(&counts),
-                kernels::find_gt(&counts, 2, len / 3),
-            ));
-            seen.push(got);
-        }
-        for pair in seen.windows(2) {
-            prop_assert_eq!(&pair[0], &pair[1], "tiers diverged");
-        }
-        // Naive-reference pins (tier-independent truth).
-        let (pc, _, cle, nth, nth_r, sum, gt) = seen[0];
-        prop_assert_eq!(pc, total);
-        prop_assert_eq!(cle, {
-            let mut acc = 0u64;
-            for bit in 0..end_bit {
-                acc += ws[bit / 64] >> (bit % 64) & 1;
-            }
-            acc
-        });
-        prop_assert_eq!(nth, naive_nth(ws, n_probe));
+
+        prop_assert_eq!(kernels::popcount(ws), total);
+        let masked = match ws.split_last() {
+            None => 0,
+            Some((last, head)) => naive_popcount(head) + u64::from((last & tail_mask).count_ones()),
+        };
+        prop_assert_eq!(kernels::popcount_masked_tail(ws, tail_mask), masked);
+        prop_assert_eq!(
+            kernels::count_le_range(ws, end_bit),
+            (0..end_bit).map(|bit| naive_bit(ws, bit)).sum::<u64>()
+        );
+        prop_assert_eq!(kernels::find_nth_set_in(ws, n_probe), naive_nth(ws, n_probe));
         let want_r = if u64::from(n_probe) <= total {
             naive_nth(ws, total as u32 - n_probe + 1)
         } else {
             None
         };
-        prop_assert_eq!(nth_r, want_r);
-        prop_assert_eq!(sum, counts.iter().sum::<u32>());
+        prop_assert_eq!(kernels::find_nth_set_from_right(ws, n_probe), want_r);
         prop_assert_eq!(
-            gt,
+            kernels::find_gt(&counts, 2, len / 3),
             counts
                 .iter()
                 .enumerate()
@@ -200,158 +127,9 @@ proptest! {
                 .find(|&(_, &c)| c > 2)
                 .map(|(i, _)| i)
         );
-    }
-}
-
-/// Universe sizes straddling every boundary of the count hierarchy: word
-/// (64), block (512), and — in the deterministic stress below — superblock.
-const BOUNDARY_UNIVERSES: &[usize] = &[
-    1, 63, 64, 65, 127, 128, 511, 512, 513, 1023, 1024, 1500, 4095, 4096, 4097,
-];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Structure-level differential: identical `FenwickSet`s must answer
-    /// `count_le` / `select` / `select_excluding` (hinted and unhinted)
-    /// identically **and charge identical `ops`** under every tier.
-    #[test]
-    fn fenwick_queries_and_charges_are_tier_invariant(
-        u_idx in 0usize..15,
-        density in 0u32..=4,
-        probes in prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..6), 1..30),
-        seed in any::<u64>(),
-    ) {
-        let _g = lock();
-        let universe = BOUNDARY_UNIVERSES[u_idx];
-        // Deterministic membership at the drawn density (0 = empty … 4 = full).
-        let mut state = seed | 1;
-        let members: Vec<u64> = (1..=universe as u64)
-            .filter(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 33) % 4 < u64::from(density)
-            })
-            .collect();
-        let base = FenwickSet::with_members(universe, members.iter().copied());
-        let dense = DenseFenwickSet::with_members(universe, members.iter().copied());
-
-        for &(rank_seed, excl_seed, excl_n) in &probes {
-            // An exclusion sample drawn from the members, sorted + deduped.
-            let mut excl: Vec<u64> = (0..excl_n)
-                .filter_map(|k| {
-                    if members.is_empty() {
-                        None
-                    } else {
-                        let idx = (excl_seed.rotate_left(k as u32 * 13)) as usize % members.len();
-                        Some(members[idx])
-                    }
-                })
-                .collect();
-            excl.sort_unstable();
-            excl.dedup();
-            let i = 1 + (rank_seed as usize) % (universe + 2);
-            let id = 1 + (rank_seed >> 32) % (universe as u64 + 1);
-            // A valid prefix-anchored hint (rank == count_le(anchor)).
-            let hint = Some(SelectHint { anchor: id, rank: dense.count_le(id) });
-
-            let mut outcomes: Vec<QueryOutcomes> = Vec::new();
-            for tier in tiers() {
-                let s = base.clone();
-                s.reset_ops();
-                let out = with_tier(tier, || {
-                    (
-                        s.count_le(id),
-                        s.select(i),
-                        s.select_excluding(&excl, i),
-                        s.select_excluding_hinted(&excl, i, hint),
-                    )
-                });
-                outcomes.push((tier, out.0, out.1, out.2, out.3, s.ops()));
-            }
-            for pair in outcomes.windows(2) {
-                let (ta, a_cle, a_sel, a_ex, a_h, a_ops) = pair[0];
-                let (tb, b_cle, b_sel, b_ex, b_h, b_ops) = pair[1];
-                prop_assert_eq!(a_cle, b_cle, "count_le diverged {ta} vs {tb}");
-                prop_assert_eq!(a_sel, b_sel, "select diverged {ta} vs {tb}");
-                prop_assert_eq!(a_ex, b_ex, "select_excluding diverged {ta} vs {tb}");
-                prop_assert_eq!(a_h, b_h, "hinted diverged {ta} vs {tb}");
-                prop_assert_eq!(
-                    a_ops, b_ops,
-                    "ops charge diverged {ta} vs {tb} — counter-neutrality broken"
-                );
-            }
-            // The dense backend is the cross-structure oracle.
-            let (_, cle, sel, ex, h, _) = outcomes[0];
-            prop_assert_eq!(cle, dense.count_le(id));
-            prop_assert_eq!(sel, dense.select(i));
-            prop_assert_eq!(ex, dense.select_excluding(&excl, i));
-            prop_assert_eq!(h, ex, "hint changes the walk, never the answer");
+        for &w in ws.iter().filter(|&&w| w != 0) {
+            let n = 1 + n_probe % w.count_ones();
+            prop_assert_eq!(Some(kernels::select_in_word(w, n)), naive_nth(&[w], n));
         }
-    }
-}
-
-/// Superblock-scale determinism: far-jump hinted walks must take the
-/// chunked superblock skips under every tier and agree op-for-op.
-#[test]
-fn superblock_far_jumps_are_tier_invariant() {
-    let _g = lock();
-    let universe = 100_000;
-    let mut s = FenwickSet::with_all(universe);
-    // Punch holes so blocks have uneven counts.
-    for id in (1..=universe as u64).step_by(7) {
-        s.remove(id);
-    }
-    let dense_rank = |anchor: u64| {
-        // count_le of the punched set, computed naively.
-        (1..=anchor).filter(|v| v % 7 != 1).count()
-    };
-    let excl: Vec<u64> = [2u64, 3, 5000, 49_999, 50_000, 99_998]
-        .iter()
-        .copied()
-        .filter(|&e| s.contains(e))
-        .collect();
-    let len = RankedSet::len(&s);
-    let mut last: Option<(Option<u64>, u64)> = None;
-    for tier in tiers() {
-        let probe = s.clone();
-        probe.reset_ops();
-        let got = with_tier(tier, || {
-            let mut acc = Vec::new();
-            // Alternate near and far targets around two anchors at opposite
-            // ends, forcing forward and backward superblock skips.
-            for &(anchor, i) in &[
-                (10u64, len - 10),
-                (99_000u64, 5),
-                (50_000u64, len / 2),
-                (50_000u64, 3),
-                (50_000u64, len - 3),
-            ] {
-                let hint = Some(SelectHint {
-                    anchor,
-                    rank: dense_rank(anchor),
-                });
-                acc.push(probe.select_excluding_hinted(&excl, i, hint));
-            }
-            acc
-        });
-        let ops = probe.ops();
-        if let Some((prev_got, prev_ops)) = &last {
-            assert_eq!(&got[0], prev_got, "far-jump result diverged on {tier}");
-            assert_eq!(ops, *prev_ops, "far-jump ops diverged on {tier}");
-        }
-        // Every hinted answer must match the unhinted walk.
-        for (k, &(_, i)) in [
-            (10u64, len - 10),
-            (99_000u64, 5),
-            (50_000u64, len / 2),
-            (50_000u64, 3),
-            (50_000u64, len - 3),
-        ]
-        .iter()
-        .enumerate()
-        {
-            assert_eq!(got[k], s.select_excluding(&excl, i), "probe {k}");
-        }
-        last = Some((got[0], ops));
     }
 }

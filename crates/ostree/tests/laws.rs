@@ -1,7 +1,7 @@
 //! Algebraic laws of the order-statistics structures: select/count_le
-//! duality, iterator order, conversion identities.
+//! duality, iterator order and extremes.
 
-use amo_ostree::{FenwickSet, OrderStatTree, RankedSet};
+use amo_ostree::{DenseFenwickSet, FenwickSet, RankedSet};
 
 #[test]
 fn select_count_le_duality_fenwick() {
@@ -16,15 +16,6 @@ fn select_count_le_duality_fenwick() {
         if s.contains(x) {
             assert_eq!(s.select(c), Some(x), "select(count_le(x)) == x for members");
         }
-    }
-}
-
-#[test]
-fn select_count_le_duality_tree() {
-    let t = OrderStatTree::from_keys((1u64..=64).filter(|x| x % 5 != 0));
-    for rank in 1..=t.len() {
-        let x = RankedSet::select(&t, rank).unwrap();
-        assert_eq!(RankedSet::count_le(&t, x), rank);
     }
 }
 
@@ -49,15 +40,6 @@ fn first_last_match_extremes() {
     assert_eq!(s.first(), Some(50));
     s.remove(90);
     assert_eq!(s.last(), Some(50));
-}
-
-#[test]
-fn tree_from_iterator_and_extend_agree() {
-    let keys = [9u64, 3, 7, 1, 5];
-    let a: OrderStatTree = keys.iter().copied().collect();
-    let mut b = OrderStatTree::new();
-    b.extend(keys.iter().copied());
-    assert_eq!(a, b);
 }
 
 #[test]
@@ -86,8 +68,8 @@ fn interleaved_insert_remove_preserves_duality() {
 fn ranked_set_trait_objects_work() {
     // The trait is object-safe; the KK automaton could hold `dyn RankedSet`.
     let f = FenwickSet::with_all(10);
-    let t = OrderStatTree::from_keys(1..=10);
-    let sets: Vec<&dyn RankedSet> = vec![&f, &t];
+    let d = DenseFenwickSet::with_all(10);
+    let sets: Vec<&dyn RankedSet> = vec![&f, &d];
     for s in sets {
         assert_eq!(s.len(), 10);
         assert_eq!(s.select(5), Some(5));

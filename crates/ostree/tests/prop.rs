@@ -1,6 +1,8 @@
-//! Property tests: both order-statistics structures against a naive model.
+//! Property tests: the production order-statistics structure against a
+//! naive model. (`DenseFenwickSet` is driven against the same kind of model,
+//! and against `FenwickSet`, by `backend_equivalence.rs`.)
 
-use amo_ostree::{rank_excluding, FenwickSet, OrderStatTree, RankedSet};
+use amo_ostree::{rank_excluding, FenwickSet};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -23,36 +25,31 @@ fn op_strategy(universe: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies `ops` to a structure and a `BTreeSet` model, checking agreement.
-fn check_against_model<S, I, R, C>(ops: &[Op], s: &mut S, mut ins: I, mut rem: R, q: C)
-where
-    I: FnMut(&mut S, u64) -> bool,
-    R: FnMut(&mut S, u64) -> bool,
-    C: Fn(&S) -> &dyn RankedSet,
-{
+/// Applies `ops` to a set and a `BTreeSet` model, checking agreement.
+fn check_against_model(ops: &[Op], s: &mut FenwickSet) {
     let mut model = BTreeSet::new();
     for op in ops {
         match *op {
             Op::Insert(x) => {
-                assert_eq!(ins(s, x), model.insert(x), "insert {x}");
+                assert_eq!(s.insert(x), model.insert(x), "insert {x}");
             }
             Op::Remove(x) => {
-                assert_eq!(rem(s, x), model.remove(&x), "remove {x}");
+                assert_eq!(s.remove(x), model.remove(&x), "remove {x}");
             }
             Op::Contains(x) => {
-                assert_eq!(q(s).contains(x), model.contains(&x), "contains {x}");
+                assert_eq!(s.contains(x), model.contains(&x), "contains {x}");
             }
             Op::Select(r) => {
                 let want = model.iter().nth(r.wrapping_sub(1)).copied();
                 let want = if r == 0 { None } else { want };
-                assert_eq!(q(s).select(r), want, "select {r}");
+                assert_eq!(s.select(r), want, "select {r}");
             }
             Op::CountLe(x) => {
                 let want = model.range(..=x).count();
-                assert_eq!(q(s).count_le(x), want, "count_le {x}");
+                assert_eq!(s.count_le(x), want, "count_le {x}");
             }
         }
-        assert_eq!(q(s).len(), model.len());
+        assert_eq!(s.len(), model.len());
     }
 }
 
@@ -61,43 +58,7 @@ proptest! {
 
     #[test]
     fn fenwick_matches_model(ops in prop::collection::vec(op_strategy(200), 0..300)) {
-        let mut s = FenwickSet::new(200);
-        check_against_model(
-            &ops,
-            &mut s,
-            |s, x| s.insert(x),
-            |s, x| s.remove(x),
-            |s| s as &dyn RankedSet,
-        );
-    }
-
-    #[test]
-    fn tree_matches_model(ops in prop::collection::vec(op_strategy(200), 0..300)) {
-        let mut s = OrderStatTree::new();
-        check_against_model(
-            &ops,
-            &mut s,
-            |s, x| s.insert(x),
-            |s, x| s.remove(x),
-            |s| s as &dyn RankedSet,
-        );
-    }
-
-    #[test]
-    fn fenwick_and_tree_agree(ops in prop::collection::vec(op_strategy(128), 0..200)) {
-        let mut f = FenwickSet::new(128);
-        let mut t = OrderStatTree::new();
-        for op in &ops {
-            match *op {
-                Op::Insert(x) => { f.insert(x); t.insert(x); }
-                Op::Remove(x) => { f.remove(x); t.remove(x); }
-                _ => {}
-            }
-        }
-        prop_assert_eq!(f.iter().collect::<Vec<_>>(), t.iter().collect::<Vec<_>>());
-        for r in 0..=f.len() + 1 {
-            prop_assert_eq!(FenwickSet::select(&f, r), OrderStatTree::select(&t, r));
-        }
+        check_against_model(&ops, &mut FenwickSet::new(200));
     }
 
     #[test]
@@ -113,18 +74,6 @@ proptest! {
             .nth(i.wrapping_sub(1));
         let naive = if i == 0 { None } else { naive };
         prop_assert_eq!(rank_excluding(&f, &excl, i), naive);
-    }
-
-    #[test]
-    fn rank_excluding_tree_backend(
-        members in prop::collection::btree_set(1u64..=64, 0..64),
-        excl in prop::collection::btree_set(1u64..=64, 0..8),
-        i in 1usize..64,
-    ) {
-        let t = OrderStatTree::from_keys(members.iter().copied());
-        let excl: Vec<u64> = excl.into_iter().collect();
-        let naive = members.iter().copied().filter(|x| !excl.contains(x)).nth(i - 1);
-        prop_assert_eq!(rank_excluding(&t, &excl, i), naive);
     }
 
     #[test]

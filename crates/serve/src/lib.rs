@@ -13,9 +13,8 @@
 //! the simulator), each driving an erased
 //! [`BoxProcess`](amo_sim::scenario::BoxProcess) automaton. The erased
 //! interface is what makes the service *generic over fleets*: a
-//! [`FleetBlueprint`] can build a different concrete automaton per worker
-//! (see [`KkBlueprint::mixed`]), which the pre-PR-8 generic-only process
-//! API could not express.
+//! [`FleetBlueprint`] can build a different concrete automaton per worker,
+//! which a process API generic over one automaton type could not express.
 //!
 //! ## The service contract
 //!

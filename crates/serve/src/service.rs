@@ -95,7 +95,7 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use amo_core::{KkConfig, KkLayout, KkProcess};
-use amo_ostree::DenseFenwickSet;
+use amo_ostree::FenwickSet;
 use amo_sim::scenario::{boxed, BoxProcess};
 use amo_sim::{AtomicRegisters, MemOrder, StepEvent};
 
@@ -169,7 +169,7 @@ impl RetryPolicy {
 /// The `BoxProcess` return type is the point of the dyn-friendly process
 /// API: a blueprint may hand back *different* concrete automaton types per
 /// worker (a mixed population), as long as they run the same protocol over
-/// the same layout — see [`KkBlueprint::mixed`].
+/// the same layout.
 pub trait FleetBlueprint: Send + Sync {
     /// Workers per generation (the algorithm's `m`).
     fn workers(&self) -> usize;
@@ -189,42 +189,24 @@ pub trait FleetBlueprint: Send + Sync {
     }
 }
 
-/// The KKβ blueprint: every generation is one `KkConfig` instance.
-///
-/// [`mixed`](Self::mixed) alternates the job-set backend per worker
-/// (`FenwickSet` / `DenseFenwickSet`) — two concrete process types
-/// cooperating in one fleet, the heterogeneous population the erased
-/// [`BoxProcess`] interface exists for. Both backends run the *same* KKβ
-/// protocol over the same layout, so safety is untouched; only the local
-/// set representation differs.
+/// The KKβ blueprint: every generation is one `KkConfig` instance, and
+/// every worker runs `KkProcess<FenwickSet>`.
 #[derive(Debug, Clone)]
 pub struct KkBlueprint {
     config: KkConfig,
     layout: KkLayout,
-    mixed: bool,
 }
 
 impl KkBlueprint {
-    /// A homogeneous KKβ blueprint (`FenwickSet` everywhere).
+    /// The KKβ blueprint for `jobs`-job generations served by `workers`
+    /// workers.
     pub fn new(jobs: u64, workers: usize) -> Result<Self, amo_core::ConfigError> {
         let config = KkConfig::new(
             usize::try_from(jobs).expect("job count fits usize"),
             workers,
         )?;
         let layout = KkLayout::contiguous(config.m(), config.n(), false);
-        Ok(Self {
-            config,
-            layout,
-            mixed: false,
-        })
-    }
-
-    /// A mixed-population blueprint: even pids run
-    /// `KkProcess<DenseFenwickSet>`, odd pids `KkProcess<FenwickSet>`.
-    pub fn mixed(jobs: u64, workers: usize) -> Result<Self, amo_core::ConfigError> {
-        let mut bp = Self::new(jobs, workers)?;
-        bp.mixed = true;
-        Ok(bp)
+        Ok(Self { config, layout })
     }
 
     /// The per-generation effectiveness floor, `n − (β + m − 2)`.
@@ -247,27 +229,15 @@ impl FleetBlueprint for KkBlueprint {
     }
 
     fn build(&self, pid: usize) -> BoxProcess {
-        if self.mixed && pid % 2 == 0 {
-            boxed(KkProcess::<DenseFenwickSet>::from_config(
-                pid,
-                &self.config,
-                self.layout,
-            ))
-        } else {
-            boxed(KkProcess::<amo_ostree::FenwickSet>::from_config(
-                pid,
-                &self.config,
-                self.layout,
-            ))
-        }
+        boxed(KkProcess::<FenwickSet>::from_config(
+            pid,
+            &self.config,
+            self.layout,
+        ))
     }
 
     fn label(&self) -> &'static str {
-        if self.mixed {
-            "kk-mixed"
-        } else {
-            "kk"
-        }
+        "kk"
     }
 }
 
@@ -1032,21 +1002,6 @@ mod tests {
         // Solo KKβ (m = 1, β = 1): bound is n − (β + m − 2) = n, and a
         // completed generation was fully drained by the single worker.
         assert!(eff > 0.9, "effectiveness {eff} too low");
-    }
-
-    #[test]
-    fn mixed_population_is_heterogeneous_and_safe() {
-        let bp = KkBlueprint::mixed(128, 4).unwrap();
-        assert_eq!(bp.label(), "kk-mixed");
-        let svc = ClaimService::start(bp, 16);
-        let client = svc.client();
-        let mut jobs = HashSet::new();
-        for _ in 0..300 {
-            assert!(jobs.insert(client.claim().unwrap().job));
-        }
-        let report = svc.shutdown();
-        assert_eq!(report.violations, 0);
-        assert_eq!(report.granted, 300);
     }
 
     #[test]

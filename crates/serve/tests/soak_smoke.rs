@@ -77,17 +77,6 @@ fn homogeneous_soak_is_clean_under_churn() {
 }
 
 #[test]
-fn mixed_population_soak_is_clean_under_churn() {
-    // The heterogeneous fleet (alternating FenwickSet / DenseFenwickSet
-    // automatons behind BoxProcess) must satisfy the identical contract.
-    let blueprint = KkBlueprint::mixed(128, 4).unwrap();
-    let bound = blueprint.effectiveness_bound();
-    let report = run_soak(blueprint, &smoke_config());
-    check_contract(&report, bound);
-    assert_eq!(report.service.fleet, "kk-mixed");
-}
-
-#[test]
 fn tiny_queue_surfaces_backpressure_without_loss() {
     // Capacity 1 with 4 concurrent clients: heavy backpressure, but the
     // contract is loss-free — rejections only ever happen at admission.
@@ -118,7 +107,7 @@ fn chaotic_smoke_holds_the_full_contract_degraded() {
         deadline: Some(RetryPolicy::new(Duration::from_millis(2), 8)),
         ..smoke_config()
     };
-    let blueprint = KkBlueprint::mixed(128, 4).unwrap();
+    let blueprint = KkBlueprint::new(128, 4).unwrap();
     let bound = blueprint.effectiveness_bound();
     let report = run_soak(blueprint, &config);
     check_contract(&report, bound);

@@ -415,8 +415,8 @@ impl VecRegisters {
         self.stamp.set(s);
         self.epoch_base.set(s);
         self.epochs.borrow_mut().clear();
-        // Bulk value restore through the kernel layer (the explorer rewinds
-        // whole register files per branch).
+        // Bulk value restore (the explorer rewinds whole register files per
+        // branch).
         kernels::copy_into_cells(&self.cells, snapshot);
         self.written.set(self.cells.len());
     }

@@ -144,10 +144,9 @@ pub fn perform_summary<I: IntoIterator<Item = JobSpan>>(spans: I) -> (u64, Vec<V
             }
         }
     }
-    // Violation scan through the runtime-dispatched kernel layer: almost
-    // every count is ≤ 1 in a correct execution, so the wide tier skips
-    // eight counts per compare and the scan degenerates to a handful of
-    // hits (this pass is epilogue bookkeeping — it charges no `local_work`).
+    // Violation scan: almost every count is ≤ 1 in a correct execution, so
+    // the scan degenerates to a handful of hits (this pass is epilogue
+    // bookkeeping — it charges no `local_work`).
     let mut violations = Vec::new();
     let mut idx = 0usize;
     while let Some(i) = amo_ostree::kernels::find_gt(&counts, 1, idx) {

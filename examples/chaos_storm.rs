@@ -135,7 +135,7 @@ fn main() {
         deadline: Some(RetryPolicy::new(Duration::from_millis(2), 8)),
     };
     println!("\nchaotic soak: worker kill every 25 grants, 2 ms deadline clients");
-    let outcome = run_soak(KkBlueprint::mixed(256, 4).expect("valid config"), &soak);
+    let outcome = run_soak(KkBlueprint::new(256, 4).expect("valid config"), &soak);
     println!("  {}", outcome.summary());
     assert_eq!(outcome.service.violations, 0, "the audit never fires");
     assert_eq!(

@@ -9,7 +9,7 @@
 //! twice, audited at runtime.
 //!
 //! The tour:
-//!   1. a heterogeneous fleet behind one service (the dyn process API),
+//!   1. one service over a KKβ fleet of erased automatons,
 //!   2. concurrent clients, including one that leaves mid-run (churn),
 //!   3. backpressure from the bounded ingest queue,
 //!   4. a churn soak with the headline metrics: claims/sec, p50/p99/p999
@@ -24,12 +24,9 @@ use std::time::Duration;
 use at_most_once::serve::{run_soak, ClaimService, KkBlueprint, SoakConfig};
 
 fn main() {
-    // ── 1. One service, two automaton types ─────────────────────────────
-    // `mixed` alternates the job-set backend per worker (FenwickSet /
-    // DenseFenwickSet): different concrete Rust types, one fleet — only
-    // expressible because the service holds `Box<dyn DynProcess>`.
-    let blueprint = KkBlueprint::mixed(256, 4).expect("valid config");
-    println!("starting 'kk-mixed' service: m=4 workers, 256-job generations, queue capacity 16");
+    // ── 1. One service over the KKβ fleet ───────────────────────────────
+    let blueprint = KkBlueprint::new(256, 4).expect("valid config");
+    println!("starting 'kk' service: m=4 workers, 256-job generations, queue capacity 16");
     let service = ClaimService::start(blueprint, 16);
 
     // ── 2. Concurrent clients, one of them flaky ────────────────────────
@@ -105,7 +102,7 @@ fn main() {
         "\nsoak: {} clients x {} claims, {} deserters, queue capacity {}",
         soak.clients, soak.claims_per_client, soak.deserters, soak.queue_capacity
     );
-    let outcome = run_soak(KkBlueprint::mixed(256, 4).expect("valid config"), &soak);
+    let outcome = run_soak(KkBlueprint::new(256, 4).expect("valid config"), &soak);
     println!("  {}", outcome.summary());
     assert_eq!(outcome.service.violations, 0, "the audit never fires");
     assert_eq!(
