@@ -17,7 +17,7 @@
 //! stdout. Exit code 1 on regression.
 
 use amo_bench::gate::{
-    arg_value, compare_env, markdown, parse_backend, parse_bench, parse_shards, MEM_TOLERANCE,
+    arg_value, compare_env, markdown, parse_backend, parse_bench, MEM_TOLERANCE,
 };
 
 fn main() {
@@ -56,24 +56,17 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Register backends and shard configurations ride along
-    // informationally: a mismatch (a durable journaling backend, a different
-    // worker-thread count) relaxes the timing bands — timing is not
-    // comparable across either axis — while deterministic counters stay
+    // Register backends ride along informationally: a mismatch (a durable
+    // journaling backend) relaxes the timing bands — timing is not
+    // comparable across backends — while deterministic counters stay
     // pinned exactly.
     let report = compare_env(
         &baseline,
         &current,
         tolerance,
         mem_tolerance,
-        (
-            parse_backend(&baseline_json).as_deref(),
-            parse_shards(&baseline_json).as_deref(),
-        ),
-        (
-            parse_backend(&current_json).as_deref(),
-            parse_shards(&current_json).as_deref(),
-        ),
+        parse_backend(&baseline_json).as_deref(),
+        parse_backend(&current_json).as_deref(),
     );
     let md = markdown(&report, tolerance);
     println!("{md}");

@@ -44,25 +44,12 @@ use amo_ostree::DenseFenwickSet;
 use amo_sim::{
     boxed, last_net_stats, run_scenario, run_scenario_on, AtomicRegisters, BackendSpec, BoxProcess,
     CrashPlan, Engine, EngineLimits, LatencyDist, MemOrder, NetworkSpec, RoundRobin, ScenarioSpec,
-    ShardSpec, ThreadSpec, VecRegisters, WithCrashes,
+    ThreadSpec, VecRegisters, WithCrashes,
 };
 use amo_write_all::{run_wa_scenario, WaConfig};
 
 /// Timed rounds per configuration (minimum is reported).
 const ROUNDS: usize = 3;
-
-/// Shard count of the sharded phased workloads — also the top-level
-/// `"shards"` header field (schema engine-v9).
-const SMOKE_SHARDS: usize = 4;
-
-/// Worker threads the sharded workloads actually use: the machine's
-/// parallelism clamped to the shard count. Recorded in the `"threads"`
-/// header so the gate can tell a single-core baseline from a multi-core
-/// run — timing is not comparable across thread counts, while every
-/// deterministic counter is thread-invariant by construction.
-fn smoke_threads() -> usize {
-    amo_sim::pool::effective_parallelism().min(SMOKE_SHARDS)
-}
 
 struct Entry {
     name: &'static str,
@@ -268,73 +255,6 @@ fn kk_mega_workload(name: &'static str, n: usize, m: usize) -> Entry {
         epoch_mem_bytes: Some(fast.epoch_mem_bytes),
         extra: Vec::new(),
         emit_ratios: true,
-    }
-}
-
-/// The sharded phased-execution workload (engine-v9): the same KKβ fleet
-/// through the deterministic sharded driver at S=1 (the sequential phased
-/// reference, timed as `single_step_ms`) and at S=[`SMOKE_SHARDS`] on the
-/// worker pool (timed as `fast_path_ms`). The two reports are asserted
-/// **bit-identical** — the tentpole shard-count-invariance pin running
-/// inside the gate binary on every CI pass. The timing ratio is a
-/// core-count measurement, not a code property (a single-core runner pays
-/// the pool's coordination overhead instead of collecting the speedup), so
-/// `emit_ratios: false` keeps the timing columns informational while every
-/// deterministic counter stays pinned exactly. Full scale runs this as
-/// `kk_giga_rr` (n=10⁷, m=64) — the break-the-single-run-wall trajectory
-/// workload — and quick scale as `kk_sharded_quick` (n=10⁵, m=32) so the
-/// CI gate exercises the sharded driver too.
-fn kk_sharded_workload(
-    name: &'static str,
-    n: usize,
-    m: usize,
-    rounds: usize,
-    max_steps: u64,
-) -> Entry {
-    let beta = KkConfig::work_optimal_beta(m);
-    let config = KkConfig::with_beta(n, m, beta).expect("valid config");
-    let base =
-        ScenarioSpec::round_robin_batched().with_limits(EngineLimits::with_max_steps(max_steps));
-    let phased = base.clone().with_shard_spec(ShardSpec::new(1, 1));
-    let sharded = base.with_shard_spec(ShardSpec::new(SMOKE_SHARDS, smoke_threads()));
-
-    let mut single_ms = f64::MAX;
-    let mut fast_ms = f64::MAX;
-    let mut pair = None;
-    for _ in 0..rounds {
-        let t = Instant::now();
-        let reference = run_scenario_simulated(&config, &phased);
-        single_ms = single_ms.min(ms(t));
-        let t = Instant::now();
-        let fast = run_scenario_simulated(&config, &sharded);
-        fast_ms = fast_ms.min(ms(t));
-        pair = Some((reference, fast));
-    }
-    let (reference, fast) = pair.expect("rounds >= 1");
-
-    assert!(fast.violations.is_empty(), "sharded safety");
-    assert!(fast.completed && reference.completed, "sharded termination");
-    assert_eq!(
-        fast, reference,
-        "S={SMOKE_SHARDS} diverged from the S=1 phased reference"
-    );
-
-    Entry {
-        name,
-        params: format!("n={n} m={m} beta={beta} S={SMOKE_SHARDS}"),
-        seed_ms: None,
-        single_ms,
-        fast_ms,
-        total_steps: fast.total_steps,
-        shared_ops: fast.mem_work.total(),
-        local_work: fast.local_work,
-        effectiveness: Some(fast.effectiveness),
-        // No RSS column: this workload runs after the mega workload (see
-        // iter_workload for why a post-mega VmHWM reading is not its own).
-        peak_rss_kb: None,
-        epoch_mem_bytes: Some(fast.epoch_mem_bytes),
-        extra: Vec::new(),
-        emit_ratios: false,
     }
 }
 
@@ -620,15 +540,6 @@ fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
     // different backend is downgraded to informational on the timing
     // columns, while every deterministic counter stays pinned exactly.
     out.push_str("  \"backend\": \"vec\",\n");
-    // The shard configuration of the sharded phased workloads (engine-v9):
-    // the shard count is fixed, but `threads` is the machine's parallelism
-    // clamped to it — a baseline recorded on a different thread count is
-    // downgraded to informational on the timing columns by the same
-    // mechanism as a backend mismatch, while every deterministic counter
-    // stays pinned exactly (counters are shard- and thread-invariant by
-    // construction; the shard_equivalence suite owns that pin).
-    out.push_str(&format!("  \"shards\": {SMOKE_SHARDS},\n"));
-    out.push_str(&format!("  \"threads\": {},\n", smoke_threads()));
     out.push_str("  \"workloads\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str("    {\n");
@@ -701,7 +612,6 @@ fn main() {
             // Scaled-down mega workload: without it the quick gate never
             // touched the epoch-memory path at all.
             kk_mega_workload("kk_mega_quick", 100_000, 32),
-            kk_sharded_workload("kk_sharded_quick", 100_000, 32, 2, 2_000_000_000),
             iter_workload(10_000, 4),
             write_all_workload(10_000, 4),
             quorum_workload(20_000, 8),
@@ -711,7 +621,6 @@ fn main() {
         vec![
             kk_workload(100_000, 16),
             kk_mega_workload("kk_mega_rr", 1_000_000, 64),
-            kk_sharded_workload("kk_giga_rr", 10_000_000, 64, 1, 20_000_000_000),
             iter_workload(50_000, 8),
             write_all_workload(50_000, 8),
             quorum_workload(50_000, 8),

@@ -8,9 +8,8 @@
 //!   candidate picks: same safety, different collision behaviour.
 
 use amo_baselines::randomized_kk_fleet;
-use amo_core::{run_fleet_simulated, KkConfig};
+use amo_core::{run_fleet_simulated, run_scenario_simulated, KkConfig};
 
-use crate::run_simulated_pooled;
 use amo_sim::{ScenarioSpec, VecRegisters};
 
 use crate::{fmt_f64, par_map, Scale, Table};
@@ -38,8 +37,8 @@ pub fn exp_beta_ablation(scale: Scale) -> Table {
     let betas = vec![m64, 2 * m64, m64 * m64, 3 * m64 * m64];
     for row in par_map(betas, |beta| {
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
-        let adv = run_simulated_pooled(&config, &ScenarioSpec::adversary("stuck-announcement"));
-        let lock = run_simulated_pooled(
+        let adv = run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"));
+        let lock = run_scenario_simulated(
             &config,
             &ScenarioSpec::adversary("staleness").with_collision_tracking(),
         );
@@ -88,7 +87,7 @@ pub fn exp_pick_ablation(scale: Scale) -> Table {
         let beta = KkConfig::work_optimal_beta(m);
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
         let r = if rule == "rank-split" {
-            run_simulated_pooled(
+            run_scenario_simulated(
                 &config,
                 &ScenarioSpec::adversary("lockstep").with_collision_tracking(),
             )

@@ -19,9 +19,8 @@
 //! (Lemma 5.1).
 
 use amo_baselines::randomized_kk_fleet;
-use amo_core::{run_fleet_simulated, AmoReport, KkConfig};
+use amo_core::{run_fleet_simulated, run_scenario_simulated, AmoReport, KkConfig};
 
-use crate::run_simulated_pooled;
 use amo_sim::{ScenarioSpec, VecRegisters};
 
 use crate::{fmt_ratio, par_map, Scale, Table};
@@ -56,11 +55,11 @@ pub fn exp_collisions(scale: Scale) -> Table {
         let beta = KkConfig::work_optimal_beta(m);
         let config = KkConfig::with_beta(n, m, beta).expect("valid");
         let r = match (picks, sched) {
-            ("rank-split", "staleness") => run_simulated_pooled(
+            ("rank-split", "staleness") => run_scenario_simulated(
                 &config,
                 &ScenarioSpec::adversary("staleness").with_collision_tracking(),
             ),
-            ("rank-split", "lockstep") => run_simulated_pooled(
+            ("rank-split", "lockstep") => run_scenario_simulated(
                 &config,
                 &ScenarioSpec::adversary("lockstep").with_collision_tracking(),
             ),

@@ -16,9 +16,8 @@
 //! `m > 2` and sits within an additive `m` of the TAS/RMW ceiling.
 
 use amo_baselines::{run_baseline_scenario, AmoBaselineKind};
-use amo_core::KkConfig;
+use amo_core::{run_scenario_simulated, KkConfig};
 
-use crate::run_simulated_pooled;
 use amo_sim::{CrashPlan, ScenarioSpec};
 
 use crate::{par_map, Scale, Table};
@@ -48,7 +47,7 @@ pub fn exp_comparison(scale: Scale) -> Table {
 
         // KKβ with β = m under its tight adversary.
         let config = KkConfig::new(n, m).expect("valid");
-        let kk = run_simulated_pooled(&config, &ScenarioSpec::adversary("stuck-announcement"));
+        let kk = run_scenario_simulated(&config, &ScenarioSpec::adversary("stuck-announcement"));
         assert!(kk.violations.is_empty());
         group.push([
             m.to_string(),

@@ -9,9 +9,8 @@
 //! 4. exhaustive exploration of small instances (every schedule and crash
 //!    pattern — the machine-checked version of the lemma).
 
-use amo_core::{kk_fleet, run_threads, KkConfig};
+use amo_core::{kk_fleet, run_scenario_simulated, run_threads, KkConfig};
 
-use crate::run_simulated_pooled;
 use amo_sim::thread::ThreadSpec;
 use amo_sim::{explore, CrashPlan, ExploreConfig, ScenarioSpec, VecRegisters};
 
@@ -48,7 +47,7 @@ pub fn exp_safety(scale: Scale) -> Table {
             let f = (seed as usize) % m;
             let plan = CrashPlan::at_steps((1..=f).map(|p| (p, seed * 13 + p as u64 * 7)));
             let r =
-                run_simulated_pooled(&config, &ScenarioSpec::random(seed).with_crash_plan(plan));
+                run_scenario_simulated(&config, &ScenarioSpec::random(seed).with_crash_plan(plan));
             (r.effectiveness, r.violations.len() as u64)
         });
         let execs = results.len() as u64;
@@ -67,7 +66,7 @@ pub fn exp_safety(scale: Scale) -> Table {
     {
         let results = par_map((0..rand_runs / 2).collect(), |seed| {
             let config = KkConfig::new(128, 4).unwrap();
-            let r = run_simulated_pooled(&config, &ScenarioSpec::block(seed, 1 + seed % 64));
+            let r = run_scenario_simulated(&config, &ScenarioSpec::block(seed, 1 + seed % 64));
             (r.effectiveness, r.violations.len() as u64)
         });
         let execs = results.len() as u64;

@@ -6,10 +6,8 @@
 //! `work / (n·m·log₂n·log₂m)`; the theorem predicts it stays bounded by a
 //! constant as `n` and `m` grow (the column must not trend upward).
 
-use amo_core::KkConfig;
+use amo_core::{run_scenario_simulated, KkConfig};
 use amo_sim::{ScenarioSpec, SchedulerSpec};
-
-use crate::run_simulated_pooled;
 
 use crate::{fmt_f64, fmt_ratio, par_map, Scale, Table};
 
@@ -51,7 +49,7 @@ pub fn exp_work_kk(scale: Scale) -> Table {
             SchedulerSpec::RoundRobin => "round-robin",
             _ => "block(32)",
         };
-        let r = run_simulated_pooled(&config, &spec);
+        let r = run_scenario_simulated(&config, &spec);
         assert!(r.violations.is_empty(), "E3 safety");
         let work = r.work();
         [

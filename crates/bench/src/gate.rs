@@ -111,34 +111,6 @@ pub fn parse_backend(json: &str) -> Option<String> {
     parse_header_str(json, "backend")
 }
 
-/// A top-level *numeric* header field (everything before the workloads
-/// array), rendered back as its digit string.
-fn parse_header_num(json: &str, key: &str) -> Option<String> {
-    let head = &json[..json.find("\"workloads\"").unwrap_or(json.len())];
-    let needle = format!("\"{key}\"");
-    let at = head.find(&needle)?;
-    let rest = &head[at + needle.len()..];
-    let rest = rest[rest.find(':')? + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        None
-    } else {
-        Some(rest[..end].to_owned())
-    }
-}
-
-/// The shard configuration a `BENCH_engine*.json` was produced under — the
-/// top-level `"shards"` and `"threads"` header fields (schema engine-v9),
-/// rendered as one `SxT` token (e.g. `"4x1"`) — or `None` for pre-sharding
-/// baselines.
-pub fn parse_shards(json: &str) -> Option<String> {
-    let s = parse_header_num(json, "shards")?;
-    let t = parse_header_num(json, "threads").unwrap_or_else(|| "1".to_owned());
-    Some(format!("{s}x{t}"))
-}
-
 /// Finding describing the register backends of baseline vs current run —
 /// **informational on mismatch**: running the smoke on the journaling
 /// [`DurableRegisters`] backend legitimately shifts timing columns (every
@@ -170,40 +142,6 @@ pub fn backend_finding(baseline: Option<&str>, current: Option<&str>) -> Option<
     Some(Finding {
         workload: "(all)".into(),
         field: "backend".into(),
-        baseline: b.to_owned(),
-        current: c.to_owned(),
-        regression: false,
-        verdict,
-    })
-}
-
-/// Finding describing the shard configurations (`shards×threads`) of
-/// baseline vs current run — **informational on mismatch**, exactly like
-/// the backend axis: a different worker-thread count (a single-core runner
-/// against a multi-core baseline, or an `AMO_SHARDS` CI leg) legitimately
-/// shifts the sharded workloads' timing columns, while every deterministic
-/// counter is shard- and thread-invariant *by construction* (the
-/// `shard_equivalence` suite owns that pin) — so the regular counter
-/// findings keep enforcing them exactly. Returns `None` when neither side
-/// records a shard configuration (pre-engine-v9 baselines on both sides).
-pub fn shard_finding(baseline: Option<&str>, current: Option<&str>) -> Option<Finding> {
-    if baseline.is_none() && current.is_none() {
-        return None;
-    }
-    let b = baseline.unwrap_or("unrecorded");
-    let c = current.unwrap_or("unrecorded");
-    let verdict = if b == c {
-        "shard configurations match".to_owned()
-    } else {
-        format!(
-            "informational: shard configuration differs from baseline ({b} → {c}) — timing/ratio \
-             columns are not thread-count-comparable; counters remain pinned exactly (shard- and \
-             thread-invariant by the shard_equivalence suite)"
-        )
-    };
-    Some(Finding {
-        workload: "(all)".into(),
-        field: "shards".into(),
         baseline: b.to_owned(),
         current: c.to_owned(),
         regression: false,
@@ -341,26 +279,23 @@ pub fn compare(baseline: &[Workload], current: &[Workload], tolerance: f64) -> G
     compare_with(baseline, current, tolerance, MEM_TOLERANCE)
 }
 
-/// [`compare_with`], additionally aware of the register **backend**
-/// (engine-v6's top-level `"backend"` field, see [`parse_backend`]) and of
-/// the **shard configuration** (engine-v9's `"shards"`/`"threads"` header,
-/// see [`parse_shards`]) each file was produced under. Each side is a
-/// `(backend, shards)` pair; a mismatch in either axis downgrades measured
-/// below-floor speed ratios to informational — a journaling backend or a
-/// different worker-thread count makes timing incomparable — while
-/// deterministic counters, memory bands and missing-column findings all
-/// stay hard. The axis pairings are reported as leading informational
-/// findings.
+/// [`compare_with`], additionally aware of the register **backend** each
+/// file was produced under (engine-v6's top-level `"backend"` field, see
+/// [`parse_backend`]). A backend mismatch downgrades measured below-floor
+/// speed ratios to informational — a journaling backend makes timing
+/// incomparable — while deterministic counters, memory bands and
+/// missing-column findings all stay hard. The backend pairing is reported
+/// as a leading informational finding.
 pub fn compare_env(
     baseline: &[Workload],
     current: &[Workload],
     tolerance: f64,
     mem_tolerance: f64,
-    (baseline_backend, baseline_shards): (Option<&str>, Option<&str>),
-    (current_backend, current_shards): (Option<&str>, Option<&str>),
+    baseline_backend: Option<&str>,
+    current_backend: Option<&str>,
 ) -> GateReport {
     let mut report = compare_with(baseline, current, tolerance, mem_tolerance);
-    if baseline_backend != current_backend || baseline_shards != current_shards {
+    if baseline_backend != current_backend {
         for f in &mut report.findings {
             // Only measured below-floor *ratios* depend on the environment.
             // Memory columns stay gated, and a ratio column *missing*
@@ -368,16 +303,10 @@ pub fn compare_env(
             let env_timing = f.field.starts_with("speedup") && f.current != "missing";
             if env_timing && f.regression {
                 f.regression = false;
-                f.verdict = format!(
-                    "informational (backend/shard config differs): {}",
-                    f.verdict
-                );
+                f.verdict = format!("informational (backend differs): {}", f.verdict);
             }
         }
         report.pass = !report.findings.iter().any(|f| f.regression);
-    }
-    if let Some(s) = shard_finding(baseline_shards, current_shards) {
-        report.findings.insert(0, s);
     }
     if let Some(b) = backend_finding(baseline_backend, current_backend) {
         report.findings.insert(0, b);
@@ -878,8 +807,8 @@ mod tests {
             &parse_bench(&grown),
             0.2,
             MEM_TOLERANCE,
-            (Some("vec"), None),
-            (Some("durable"), None),
+            Some("vec"),
+            Some("durable"),
         );
         assert!(!report.pass, "memory bands stay hard across backends");
         // ...and so must a ratio column vanishing entirely (malformed run,
@@ -892,8 +821,8 @@ mod tests {
             &truncated,
             0.2,
             MEM_TOLERANCE,
-            (Some("vec"), None),
-            (Some("durable"), None),
+            Some("vec"),
+            Some("durable"),
         );
         assert!(
             !report.pass,
@@ -959,8 +888,8 @@ mod tests {
             &parse_bench(&slowed),
             0.2,
             MEM_TOLERANCE,
-            (Some("vec"), None),
-            (Some("durable"), None),
+            Some("vec"),
+            Some("durable"),
         );
         assert!(report.pass, "cross-backend timing drop must not fail");
         assert!(report.findings.iter().any(|f| f.field == "backend"));
@@ -972,8 +901,8 @@ mod tests {
             &parse_bench(&drifted),
             0.2,
             MEM_TOLERANCE,
-            (Some("vec"), None),
-            (Some("durable"), None),
+            Some("vec"),
+            Some("durable"),
         );
         assert!(!report.pass, "counter drift fails regardless of backend");
     }
@@ -990,91 +919,51 @@ mod tests {
             &parse_bench(&slowed),
             0.2,
             MEM_TOLERANCE,
-            (Some("vec"), Some("4x4")),
-            (Some("vec"), Some("4x4")),
+            Some("vec"),
+            Some("vec"),
         );
         assert!(!report.pass, "same-env ratio collapse still fails");
     }
 
-    const V9: &str = r#"{
-  "schema": "amo-bench/engine-v9",
-  "scale": "quick",
-  "backend": "vec",
-  "shards": 4,
-  "threads": 4,
-  "workloads": [
-    {
-      "name": "kk_plain_rr",
-      "params": "n=20000 m=8 beta=192",
-      "fast_path_ms": 5.93,
-      "speedup_vs_single_step": 2.21,
-      "total_steps": 554776
-    }
-  ]
-}
-"#;
-
+    /// A multi-core run of the committed quick baseline whose
+    /// single-threaded `kk_mega_quick` lost its fast-path speedup must fail
+    /// the gate. The run's header carries a `"threads"` field the baseline
+    /// lacks: no header field other than the backend may relax a speed
+    /// floor.
     #[test]
-    fn shard_config_parses_from_the_header_only() {
-        assert_eq!(parse_shards(V9).as_deref(), Some("4x4"));
-        assert_eq!(parse_shards(V6), None, "engine-v6 records no shard config");
-        // A workload-level "shards" field must not be mistaken for the
-        // header's.
-        let trick = BASE.replace(
-            "\"name\": \"write_all\"",
-            "\"shards\": 9, \"name\": \"write_all\"",
+    fn committed_quick_baseline_enforces_speed_floors_on_a_multi_core_run() {
+        let baseline_json = include_str!("../../../BENCH_engine.quick.json");
+        let current_json = baseline_json.replace(
+            "  \"backend\": \"vec\",\n",
+            "  \"backend\": \"vec\",\n  \"threads\": 2,\n",
         );
-        assert_eq!(parse_shards(&trick), None);
-        // A missing threads field defaults to 1 (single-worker run).
-        let only_shards = V9.replace("  \"threads\": 4,\n", "");
-        assert_eq!(parse_shards(&only_shards).as_deref(), Some("4x1"));
-    }
-
-    #[test]
-    fn shard_mismatch_is_informational() {
-        let f = shard_finding(Some("4x4"), Some("4x1")).expect("finding");
-        assert!(!f.regression);
-        assert!(f.verdict.contains("informational"));
-        let same = shard_finding(Some("4x4"), Some("4x4")).expect("finding");
-        assert!(!same.regression);
-        assert!(same.verdict.contains("match"));
-        assert!(shard_finding(None, None).is_none());
-    }
-
-    #[test]
-    fn shard_mismatch_downgrades_ratio_gates_but_not_counters() {
-        let b = parse_bench(V9);
-        // A single-core runner: pool overhead drags the ratios; counters
-        // are shard- and thread-invariant by construction.
-        let slowed = V9.replace(
-            "\"speedup_vs_single_step\": 2.21",
-            "\"speedup_vs_single_step\": 1.00",
+        assert_ne!(
+            current_json, baseline_json,
+            "the run records a thread count"
         );
+        let baseline = parse_bench(baseline_json);
+        let mut current = parse_bench(&current_json);
+        let mega = current
+            .iter_mut()
+            .find(|w| w.name == "kk_mega_quick")
+            .expect("the quick baseline gates kk_mega_quick");
+        for (key, ratio) in &mut mega.ratios {
+            if key == "speedup_vs_single_step" {
+                *ratio = 1.0;
+            }
+        }
         let report = compare_env(
-            &b,
-            &parse_bench(&slowed),
+            &baseline,
+            &current,
             0.2,
             MEM_TOLERANCE,
-            (Some("vec"), Some("4x4")),
-            (Some("vec"), Some("4x1")),
+            parse_backend(baseline_json).as_deref(),
+            parse_backend(&current_json).as_deref(),
         );
-        assert!(report.pass, "cross-thread-count timing drop must not fail");
-        assert!(report.findings.iter().any(|f| f.field == "shards"));
-        // A counter drifting across shard counts breaks the tentpole
-        // invariance contract and fails hard.
-        let drifted = slowed.replace("\"total_steps\": 554776", "\"total_steps\": 554777");
-        let report = compare_env(
-            &b,
-            &parse_bench(&drifted),
-            0.2,
-            MEM_TOLERANCE,
-            (Some("vec"), Some("4x4")),
-            (Some("vec"), Some("4x1")),
-        );
-        assert!(
-            !report.pass,
-            "counter drift fails regardless of shard config"
-        );
+        assert!(!report.pass, "a collapsed speedup must fail the gate");
+        assert!(report.findings.iter().any(|f| f.regression
+            && f.workload == "kk_mega_quick"
+            && f.field == "speedup_vs_single_step"));
     }
 
     #[test]

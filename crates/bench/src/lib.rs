@@ -21,24 +21,6 @@ pub mod mem;
 
 pub use table::{fmt_f64, fmt_ratio, Table};
 
-/// Runs a simulated KKβ instance through this worker thread's
-/// [`FleetArena`](amo_core::FleetArena): consecutive grid cells on one
-/// worker reuse the same warm register buffer instead of mapping a fresh
-/// `m + m·n`-cell file per simulation and faulting in every page it
-/// writes — the struct-of-arrays arena locality the experiment grids run
-/// on.
-pub fn run_simulated_pooled(
-    config: &amo_core::KkConfig,
-    spec: &amo_sim::ScenarioSpec,
-) -> amo_core::AmoReport {
-    use std::cell::RefCell;
-    thread_local! {
-        static ARENA: RefCell<amo_core::FleetArena> =
-            RefCell::new(amo_core::FleetArena::new());
-    }
-    ARENA.with(|a| amo_core::run_scenario_simulated_in(&mut a.borrow_mut(), config, spec))
-}
-
 /// Maps `f` over `items` on scoped OS threads, preserving input order.
 ///
 /// Every grid cell of an experiment is an independent deterministic
@@ -47,17 +29,50 @@ pub fn run_simulated_pooled(
 /// Falls back to a plain sequential map when the machine reports a single
 /// core or the input is trivial.
 ///
-/// Grid parallelism and shard parallelism share one thread abstraction —
-/// [`amo_sim::pool`] — so nested use (a sharded simulation inside a grid
-/// cell, or a grid fanned out from a shard worker) runs inline instead of
-/// oversubscribing cores.
+/// The assignment is *strided* (items dealt round-robin): inputs ordered by
+/// growing instance size would otherwise pile every heavy cell onto the
+/// last worker. A worker panic is re-raised on the caller with its original
+/// payload (e.g. a safety assertion naming the failing grid cell), not a
+/// generic join error.
 pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    amo_sim::pool::par_map(amo_sim::pool::effective_parallelism(), items, f)
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(items.len());
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let mut buckets: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        buckets[i % threads].push((i, item));
+    }
+    let f = &f;
+    let mut indexed: Vec<(usize, U)> = std::thread::scope(|s| {
+        let handles: Vec<_> = buckets
+            .into_iter()
+            .map(|bucket| {
+                s.spawn(move || {
+                    bucket
+                        .into_iter()
+                        .map(|(i, x)| (i, f(x)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| match h.join() {
+                Ok(results) => results,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
+    });
+    indexed.sort_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, u)| u).collect()
 }
 
 /// Experiment scale: parameter grids for CI vs the recorded runs.
@@ -115,4 +130,32 @@ where
         "[{name}] completed in {:.1?} ({scale:?})",
         started.elapsed()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn par_map_preserves_order() {
+        let out = par_map((0..100).collect(), |x: i32| x * 2);
+        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_sequential_when_single_item() {
+        assert_eq!(par_map(vec![1], |x: i32| x + 1), vec![2]);
+        assert!(par_map(Vec::new(), |x: i32| x).is_empty());
+    }
+
+    #[test]
+    fn par_map_propagates_panics() {
+        let r = std::panic::catch_unwind(|| {
+            par_map(vec![1, 2, 3, 4], |x: i32| {
+                assert!(x != 3, "cell {x} failed");
+                x
+            })
+        });
+        assert!(r.is_err());
+    }
 }

@@ -1111,9 +1111,8 @@ impl<S: OrderedJobSet> KkProcess<S> {
 }
 
 impl<S: OrderedJobSet> KkProcess<S> {
-    /// Macro-stepping batched dispatcher — the shared body of
-    /// [`Process::step_many`] (`phased == false`) and
-    /// [`Process::step_turn`] (`phased == true`).
+    /// Macro-stepping batched dispatcher — the body of
+    /// [`Process::step_many`].
     ///
     /// The `gatherTry` and `gatherDone` loops — the dominant phases, costing
     /// `m − 1` and up to `n` sequential reads per `do` cycle — run as tight
@@ -1121,27 +1120,12 @@ impl<S: OrderedJobSet> KkProcess<S> {
     /// delegated to the single-action dispatcher. Each loop mirrors its
     /// single-step twin *action for action*, so a batch of `k` steps is
     /// indistinguishable from `k` engine-driven steps.
-    ///
-    /// In phased mode two extra rules keep a turn barrier-safe (see the
-    /// [`Process::step_turn`] contract): the turn stops before re-entering
-    /// `gatherTry` (the announcement written by `setNext` must cross an
-    /// epoch barrier before anyone — including this process's next sweep —
-    /// gathers it), and the fused whole-cycle arm is never taken (its
-    /// gather half belongs to the next epoch by the same rule).
-    fn step_batch<R: Registers + ?Sized>(
-        &mut self,
-        mem: &R,
-        budget: u64,
-        phased: bool,
-    ) -> BatchOutcome {
+    fn step_batch<R: Registers + ?Sized>(&mut self, mem: &R, budget: u64) -> BatchOutcome {
         debug_assert!(budget >= 1, "step_batch needs a positive budget");
         let mut steps: u64 = 0;
         let mut performed: Vec<(u64, JobSpan)> = Vec::new();
         let epochs = mem.epochs_enabled();
         while steps < budget {
-            if phased && steps > 0 && self.at_gather_boundary() {
-                break;
-            }
             match self.phase {
                 // Fused cycle tail — announce, both gather sweeps, check,
                 // do, log — taken when the whole remaining cycle is provably
@@ -1154,8 +1138,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
                 // steps, collapsed to its two writes, one set transfer and
                 // its accounting.
                 KkPhase::SetNext
-                    if !phased
-                        && self.epoch_cache
+                    if self.epoch_cache
                         && epochs
                         && matches!(self.mode, KkMode::Plain)
                         && budget - steps >= 2 * self.m as u64 + 4
@@ -1457,13 +1440,6 @@ impl<S: OrderedJobSet> KkProcess<S> {
             terminated: false,
         }
     }
-
-    /// `true` at the phased-turn communication boundary: about to start a
-    /// fresh `gatherTry` sweep (`q == 1` distinguishes a sweep *start* from
-    /// a budget-cut sweep resumption, which is not a boundary).
-    fn at_gather_boundary(&self) -> bool {
-        matches!(self.phase, KkPhase::GatherTry | KkPhase::FinalGatherTry) && self.q == 1
-    }
 }
 
 impl<R: Registers + ?Sized, S: OrderedJobSet> Process<R> for KkProcess<S> {
@@ -1471,21 +1447,9 @@ impl<R: Registers + ?Sized, S: OrderedJobSet> Process<R> for KkProcess<S> {
         self.step_one(mem)
     }
 
-    /// Macro-stepping fast path (see the [`Process::step_many`] contract)
-    /// — the batched dispatcher without phased boundaries.
+    /// Macro-stepping fast path (see the [`Process::step_many`] contract).
     fn step_many(&mut self, mem: &R, budget: u64) -> BatchOutcome {
-        self.step_batch(mem, budget, false)
-    }
-
-    /// Phased turn (see [`Process::step_turn`]): the batched dispatcher
-    /// with the epoch-barrier communication boundary enforced — announce
-    /// this epoch, gather the next.
-    fn step_turn(&mut self, mem: &R, budget: u64) -> BatchOutcome {
-        self.step_batch(mem, budget, true)
-    }
-
-    fn at_comm_boundary(&self) -> bool {
-        self.at_gather_boundary()
+        self.step_batch(mem, budget)
     }
 
     fn pid(&self) -> usize {

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod adversary;
-pub mod arena;
 mod config;
 mod kk;
 mod layout;
@@ -58,12 +57,10 @@ mod stats;
 pub use adversary::{
     generic_adversary, LockstepScheduler, StalenessAdversary, StuckAnnouncementAdversary,
 };
-pub use arena::FleetArena;
 pub use config::{ConfigError, KkConfig};
 pub use kk::{KkMode, KkPhase, KkProcess, PickRule, SpanMap};
 pub use layout::KkLayout;
 pub use runner::{
-    kk_fleet, kk_fleet_with, run_fleet_simulated, run_scenario_simulated,
-    run_scenario_simulated_in, run_threads, AmoReport,
+    kk_fleet, kk_fleet_with, run_fleet_simulated, run_scenario_simulated, run_threads, AmoReport,
 };
 pub use stats::CollisionMatrix;

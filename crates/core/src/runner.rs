@@ -193,25 +193,10 @@ pub fn run_scenario_simulated(config: &KkConfig, spec: &ScenarioSpec) -> AmoRepo
     run_fleet_simulated(VecRegisters::new(layout.cells()), fleet, config.n(), spec)
 }
 
-/// [`run_scenario_simulated`] drawing the register file from a
-/// [`FleetArena`](crate::FleetArena): the buffer of the previous simulation
-/// is reused warm instead of freshly allocated, which is the arena's
-/// multi-fleet locality win for the experiment grids.
-pub fn run_scenario_simulated_in(
-    arena: &mut crate::arena::FleetArena,
-    config: &KkConfig,
-    spec: &ScenarioSpec,
-) -> AmoReport {
-    let (layout, fleet) = kk_fleet_with(config, spec.collisions, spec.grants_quanta());
-    let mem = arena.lease(layout.cells());
-    let (report, mem) = run_fleet_full(mem, fleet, config.n(), spec);
-    arena.reclaim(mem);
-    report
-}
-
 /// Runs an arbitrary pre-built KKβ fleet of an `n`-job instance under
 /// `spec` (used by the ablations, which build fleets the config alone
-/// cannot describe).
+/// cannot describe). The collision matrix is harvested from the terminal
+/// slots when the spec tracked it.
 ///
 /// # Examples
 ///
@@ -233,18 +218,6 @@ pub fn run_fleet_simulated(
     n: usize,
     spec: &ScenarioSpec,
 ) -> AmoReport {
-    run_fleet_full(mem, fleet, n, spec).0
-}
-
-/// [`run_fleet_simulated`], additionally handing the register file back so
-/// arenas can recycle it. The collision matrix is harvested from the
-/// terminal slots when the spec tracked it.
-fn run_fleet_full(
-    mem: VecRegisters,
-    fleet: Vec<KkProcess>,
-    n: usize,
-    spec: &ScenarioSpec,
-) -> (AmoReport, VecRegisters) {
     let (exec, slots, mem) = run_scenario(mem, fleet, spec);
     let collisions = spec.collisions.then(|| {
         let rows = slots
@@ -253,11 +226,10 @@ fn run_fleet_full(
             .collect();
         CollisionMatrix::new(rows, n)
     });
-    let report = AmoReport {
+    AmoReport {
         collisions,
         ..AmoReport::from_execution(exec, spec.label(), mem.epoch_mem_bytes())
-    };
-    (report, mem)
+    }
 }
 
 /// Runs KKβ on OS threads over hardware atomics, configured by `spec`.

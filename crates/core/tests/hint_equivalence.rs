@@ -8,12 +8,9 @@
 //! must produce the same shared-memory observables as one backed by the
 //! unhinted [`DenseFenwickSet`] oracle under every scheduler — including
 //! the foreign-write-heavy adversaries whose whole point is to interleave
-//! invalidating merges between selections — and arena-recycled register
-//! files must replay fresh-allocation runs report-for-report.
+//! invalidating merges between selections.
 
-use amo_core::{
-    run_scenario_simulated, run_scenario_simulated_in, FleetArena, KkConfig, KkLayout, KkProcess,
-};
+use amo_core::{run_scenario_simulated, KkConfig, KkLayout, KkProcess};
 use amo_ostree::DenseFenwickSet;
 use amo_sim::{
     CrashPlan, Engine, EngineLimits, Execution, RoundRobin, ScenarioSpec, VecRegisters, WithCrashes,
@@ -86,30 +83,6 @@ fn hints_survive_adversarial_interleavings() {
         let report = run_scenario_simulated(&config, &spec);
         assert!(report.violations.is_empty(), "safety under adversary");
     }
-}
-
-/// Arena-recycled register files must replay fresh-allocation runs exactly,
-/// hints and all — including `local_work`, which would diverge if hint
-/// state leaked between tenants of a recycled buffer.
-#[test]
-fn arena_reuse_replays_fresh_runs() {
-    let mut arena = FleetArena::new();
-    for &(n, m) in &[(200usize, 4usize), (64, 2), (333, 5), (200, 4)] {
-        let config = KkConfig::new(n, m).expect("valid config");
-        for spec in [
-            ScenarioSpec::round_robin_batched(),
-            ScenarioSpec::round_robin(),
-        ] {
-            let fresh = run_scenario_simulated(&config, &spec);
-            let pooled = run_scenario_simulated_in(&mut arena, &config, &spec);
-            assert_eq!(fresh.performed, pooled.performed, "n={n} m={m}");
-            assert_eq!(fresh.total_steps, pooled.total_steps, "n={n} m={m}");
-            assert_eq!(fresh.mem_work, pooled.mem_work, "n={n} m={m}");
-            assert_eq!(fresh.local_work, pooled.local_work, "n={n} m={m}");
-            assert_eq!(fresh.effectiveness, pooled.effectiveness, "n={n} m={m}");
-        }
-    }
-    assert!(arena.reuses() > 0, "the arena actually recycled buffers");
 }
 
 /// Tracked-prefix epoch memory: a batched (cache-on) run reports a peak

@@ -4,7 +4,7 @@
 //! The simulation's fast path spends much of its wall-clock in short bitmap
 //! scans: [`FenwickSet`](crate::FenwickSet)'s `count_le` prefix counts, the
 //! n-th-set-bit probes that finish its (hinted) `select_excluding` walks,
-//! and the register file's prefix clears and restores. This module holds
+//! and the register file's restores. This module holds
 //! those scans as small bulk primitives in portable Rust, one body each.
 //!
 //! Their callers hand them short slices: `count_le` and the hinted walk
@@ -108,14 +108,6 @@ pub fn find_gt(counts: &[u32], threshold: u32, start: usize) -> Option<usize> {
         .iter()
         .position(|&c| c > threshold)
         .map(|p| start + p)
-}
-
-/// Fills a register-file prefix (`Cell` storage) with `value` — the prefix
-/// clear of `VecRegisters::reset`.
-pub fn fill_cells(cells: &[Cell<u64>], value: u64) {
-    for c in cells {
-        c.set(value);
-    }
 }
 
 /// `len` zeroed cells from a zeroed allocation — the storage of a fresh
@@ -244,7 +236,9 @@ mod tests {
         assert_eq!(cells.len(), 1000);
         assert!(cells.iter().all(|c| c.get() == 0));
         cells[999].set(7);
-        fill_cells(&cells[..10], 3);
+        for c in &cells[..10] {
+            c.set(3);
+        }
         cells.push(Cell::new(9));
         let values: Vec<u64> = cells.iter().map(Cell::get).collect();
         assert_eq!(&values[..10], &[3; 10]);
@@ -308,10 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn fill_and_copy_cells() {
+    fn copy_into_cells_overwrites_every_cell() {
         let cells: Vec<Cell<u64>> = (0..13).map(Cell::new).collect();
-        fill_cells(&cells, 7);
-        assert!(cells.iter().all(|c| c.get() == 7));
         let src: Vec<u64> = (100..113).collect();
         copy_into_cells(&cells, &src);
         assert_eq!(cells.iter().map(Cell::get).collect::<Vec<_>>(), src);

@@ -47,13 +47,12 @@
 //! must drop the hint only for truly unattributable changes. Hinted and
 //! unhinted walks return identical elements — debug builds assert the
 //! invariant, and the `hint_invalidation` property suite drives both
-//! backends through interleaved foreign writes, drops, rebuilds and arena
-//! reuse.
+//! backends through interleaved foreign writes, drops and rebuilds.
 //!
 //! # Bitmap kernels and counter-neutrality
 //!
 //! The physical bitmap scans underneath the structures — bulk popcounts,
-//! `count_le` prefix counts, n-th-set-bit probes, register prefix clears —
+//! `count_le` prefix counts, n-th-set-bit probes, register restores —
 //! are factored into the [`kernels`] module as portable Rust, one body per
 //! primitive.
 //!

@@ -16,7 +16,7 @@
 //! * a *drop* (a caller that cannot attribute a mutation must discard the
 //!   hint) forces the next selection back through the unhinted walk;
 //! * a *rebuild* (fresh allocation with identical contents — the
-//!   register-arena / snapshot-restore analogue) keeps the hint: validity
+//!   snapshot-restore analogue) keeps the hint: validity
 //!   depends only on the set's contents, not the allocation's identity.
 //!
 //! Every hinted result is compared against the blocked backend's unhinted
@@ -41,7 +41,7 @@ enum Ev {
     Hinted(Vec<u64>, usize),
     /// Unattributable mutation: the caller must discard the hint.
     DropHint,
-    /// Fresh structure with identical contents (arena reuse / restore).
+    /// Fresh structure with identical contents (a restore).
     Rebuild,
 }
 

@@ -2,10 +2,9 @@
 //! across *every* injection point the workspace has — process crashes and
 //! restarts ([`CrashPlan`](crate::CrashPlan)), storage blackout regimes ([`StorageFault`] on
 //! the durable backend), network perturbations and replica crashes
-//! ([`NetworkSpec`] on the quorum backend), named scheduler adversaries,
-//! and shard-worker panic injection ([`crate::pool`]) — and lowers onto a
-//! [`ScenarioSpec`] so every existing driver accepts the chaos dimension
-//! with zero algorithm-crate edits.
+//! ([`NetworkSpec`] on the quorum backend) and named scheduler
+//! adversaries — and lowers onto a [`ScenarioSpec`] so every existing
+//! driver accepts the chaos dimension with zero algorithm-crate edits.
 //!
 //! # Plan composition → `ScenarioSpec` lowering
 //!
@@ -17,9 +16,7 @@
 //! selects the quorum backend; an adversary event replaces the scheduler.
 //! A plan may carry **at most one backend axis** — scheduling both a
 //! storage and a network event is a plan bug and panics, because one run
-//! has one register file. Worker-panic events do not lower at all: they
-//! are armed onto the calling thread with [`ChaosPlan::arm`] and consumed
-//! by the next sharded run (see [`crate::pool::arm_chaos_panics`]).
+//! has one register file.
 //!
 //! The **quiet-plan identity** is the anchor of the whole surface: a plan
 //! with no events lowers to a spec that drives a bit-identical
@@ -57,7 +54,6 @@
 
 use crate::durable::StorageFault;
 use crate::net::{LatencyDist, NetworkSpec};
-use crate::pool;
 use crate::scenario::{BackendSpec, ScenarioSpec, SchedulerSpec};
 
 /// The adversary names a replayed plan may request: every registry name
@@ -105,17 +101,6 @@ pub enum ChaosEvent {
     Adversary {
         /// Registry name; must be in [`KNOWN_ADVERSARIES`] to replay.
         name: &'static str,
-    },
-    /// A shard epoch worker panics at the start of `epoch` — armed via
-    /// [`ChaosPlan::arm`], consumed by the next sharded run on this
-    /// thread. Fires on the worker indexed `worker % threads`, so the
-    /// panic surfaces under every thread count (including the sequential
-    /// reference).
-    WorkerPanic {
-        /// Target worker index (taken modulo the run's thread count).
-        worker: usize,
-        /// Communication epoch at whose start the panic fires.
-        epoch: u64,
     },
 }
 
@@ -179,11 +164,6 @@ impl ChaosPlan {
         self.with_event(ChaosEvent::Adversary { name })
     }
 
-    /// Schedules a shard-worker panic at the start of `epoch`.
-    pub fn worker_panic(self, worker: usize, epoch: u64) -> Self {
-        self.with_event(ChaosEvent::WorkerPanic { worker, epoch })
-    }
-
     /// Count of scheduled crash events.
     pub fn crash_count(&self) -> usize {
         self.events
@@ -228,9 +208,6 @@ impl ChaosPlan {
                     net.replicas, net.drop_per_mille, net.reorder_per_mille, net.replica_crashes
                 )),
                 ChaosEvent::Adversary { name } => parts.push(format!("adversary({name})")),
-                ChaosEvent::WorkerPanic { worker, epoch } => {
-                    parts.push(format!("worker-panic(w{worker}@e{epoch})"))
-                }
                 _ => {}
             }
         }
@@ -243,15 +220,10 @@ impl ChaosPlan {
     ///
     /// # Panics
     ///
-    /// Panics on plan/base combinations no driver can execute, with the
-    /// offending axis named: both a storage and a network event (one run
-    /// has one register file), or a sharded base combined with a backend,
-    /// adversary or restart event (the phased schedule is Vec-backed,
-    /// fair-scheduled and crash-stop only — the same configurations
-    /// [`run_scenario_sharded`](crate::run_scenario_sharded) rejects).
+    /// Panics if the plan schedules both a storage and a network event:
+    /// one run has one register file.
     pub fn lower_onto(&self, base: &ScenarioSpec) -> ScenarioSpec {
         let mut spec = base.clone();
-        let sharded = base.shard.enabled();
         let mut backend_axis: Option<&'static str> = None;
         let mut claim_backend = |axis: &'static str| {
             if let Some(prev) = backend_axis {
@@ -268,64 +240,22 @@ impl ChaosPlan {
                     spec.crash_plan.crash(pid, after);
                 }
                 ChaosEvent::Restart { pid, delay } => {
-                    assert!(
-                        !sharded,
-                        "chaos restart event cannot lower onto a sharded base: \
-                         the phased schedule is crash-stop only"
-                    );
                     spec.crash_plan.restart_after(pid, delay);
                 }
                 ChaosEvent::Storage { fault, seed } => {
                     claim_backend("storage");
-                    assert!(
-                        !sharded,
-                        "chaos storage event cannot lower onto a sharded base: \
-                         sharding runs over the volatile Vec backend only"
-                    );
                     spec.backend = BackendSpec::durable(fault, seed);
                 }
                 ChaosEvent::Network { net } => {
                     claim_backend("network");
-                    assert!(
-                        !sharded,
-                        "chaos network event cannot lower onto a sharded base: \
-                         sharding runs over the volatile Vec backend only"
-                    );
                     spec.backend = BackendSpec::quorum_with(net);
                 }
                 ChaosEvent::Adversary { name } => {
-                    assert!(
-                        !sharded,
-                        "chaos adversary event cannot lower onto a sharded base: \
-                         adversarial schedules need the interleaving engine"
-                    );
                     spec.scheduler = SchedulerSpec::Adversary(name);
-                }
-                ChaosEvent::WorkerPanic { .. } => {
-                    // Armed separately (`arm`), consumed by the sharded
-                    // driver; nothing to lower onto the spec.
                 }
             }
         }
         spec
-    }
-
-    /// Arms this plan's worker-panic events onto the calling thread; the
-    /// next sharded run started from this thread consumes them (see
-    /// [`crate::pool::arm_chaos_panics`]). The returned guard disarms any
-    /// still-pending points on drop, so a plan cannot leak panics into an
-    /// unrelated later run.
-    pub fn arm(&self) -> ChaosGuard {
-        let points: Vec<(usize, u64)> = self
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                ChaosEvent::WorkerPanic { worker, epoch } => Some((worker, epoch)),
-                _ => None,
-            })
-            .collect();
-        pool::arm_chaos_panics(&points);
-        ChaosGuard { _private: () }
     }
 
     /// Serialises the plan as a replayable text snippet (see the module
@@ -358,9 +288,6 @@ impl ChaosPlan {
                     )
                 }
                 ChaosEvent::Adversary { name } => format!("adversary name={name}"),
-                ChaosEvent::WorkerPanic { worker, epoch } => {
-                    format!("worker-panic worker={worker} epoch={epoch}")
-                }
             };
             out.push_str(&line);
             out.push('\n');
@@ -483,10 +410,6 @@ impl ChaosPlan {
                         })?;
                     ChaosEvent::Adversary { name: known }
                 }
-                "worker-panic" => ChaosEvent::WorkerPanic {
-                    worker: num("worker")? as usize,
-                    epoch: num("epoch")?,
-                },
                 other => return Err(format!("unknown event kind `{other}` in `{line}`")),
             };
             plan.events.push(event);
@@ -497,7 +420,7 @@ impl ChaosPlan {
     /// Draws a plan deterministically from `(seed, intensity, space)` —
     /// the same triple always yields the same plan. The intensity tier
     /// scales how many crashes are scheduled, how hostile the backend axis
-    /// is, and how likely an adversary or a worker panic joins the mix;
+    /// is, and how likely an adversary joins the mix;
     /// the space gates which axes may appear at all (see [`ChaosSpace`]).
     /// Crash victims are distinct pids in `1..=space.m` and the total
     /// crash count stays `< m` (the paper's `f < m` model).
@@ -597,14 +520,6 @@ impl ChaosPlan {
             let name = space.adversaries[(next() as usize) % space.adversaries.len()];
             plan = plan.adversary(name);
         }
-
-        // Worker-panic axis (sharded targets only): heavy tiers may kill a
-        // worker mid-run.
-        if let Some((workers, epochs)) = space.worker_panics {
-            if workers > 0 && epochs > 0 && next() % 3 < tier {
-                plan = plan.worker_panic((next() as usize) % workers, next() % epochs);
-            }
-        }
         plan
     }
 }
@@ -617,19 +532,6 @@ impl ScenarioSpec {
     }
 }
 
-/// RAII guard returned by [`ChaosPlan::arm`]: disarms any still-pending
-/// worker-panic points on drop.
-#[derive(Debug)]
-pub struct ChaosGuard {
-    _private: (),
-}
-
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
-        pool::disarm_chaos_panics();
-    }
-}
-
 /// Chaos intensity tiers of the E12 sweep: how hostile a drawn plan is
 /// allowed to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -638,8 +540,7 @@ pub enum Intensity {
     Light,
     /// Up to `m/2` crashes, moderate loss/latency, adversaries common.
     Medium,
-    /// Up to `m-1` crashes, hostile networks with replica crashes, worker
-    /// panics possible.
+    /// Up to `m-1` crashes, hostile networks with replica crashes.
     Heavy,
 }
 
@@ -670,8 +571,7 @@ impl Intensity {
 /// The fault axes [`ChaosPlan::draw`] may exercise against one target
 /// stack — capability gating, so a drawn plan is always executable by the
 /// stack it is drawn for (restarts only where `on_restart` exists,
-/// adversaries only where the registry resolves them, worker panics only
-/// for sharded targets).
+/// adversaries only where the registry resolves them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosSpace {
     /// Fleet size; crash victims are drawn from `1..=m`, `f < m`.
@@ -688,9 +588,6 @@ pub struct ChaosSpace {
     /// Adversary names the target stack's registry resolves; empty when
     /// none apply.
     pub adversaries: &'static [&'static str],
-    /// `Some((workers, epochs))` when worker-panic events may be drawn
-    /// (sharded targets): worker indices `< workers`, epochs `< epochs`.
-    pub worker_panics: Option<(usize, u64)>,
 }
 
 impl ChaosSpace {
@@ -704,7 +601,6 @@ impl ChaosSpace {
             storage: false,
             network: false,
             adversaries: &[],
-            worker_panics: None,
         }
     }
 
@@ -731,21 +627,14 @@ impl ChaosSpace {
         self.adversaries = names;
         self
     }
-
-    /// Allows worker-panic events against up to `workers` workers in the
-    /// first `epochs` epochs.
-    pub fn with_worker_panics(mut self, workers: usize, epochs: u64) -> Self {
-        self.worker_panics = Some((workers, epochs));
-        self
-    }
 }
 
 /// Delta-debugs `plan` to a minimal plan still satisfying `fails`,
 /// deterministically (see the module docs' shrinker contract): greedy
 /// single-event removal in index order first, then per-event field
-/// halving (crash budgets, restart delays, seeds, network knobs, panic
-/// epochs) in declaration order, iterated to a fixed point. `fails` must
-/// be deterministic; it is called once per candidate.
+/// halving (crash budgets, restart delays, seeds, network knobs) in
+/// declaration order, iterated to a fixed point. `fails` must be
+/// deterministic; it is called once per candidate.
 ///
 /// # Panics
 ///
@@ -864,14 +753,6 @@ fn shrink_event_candidates(event: &ChaosEvent) -> Vec<ChaosEvent> {
             }
         }
         ChaosEvent::Adversary { .. } => {}
-        ChaosEvent::WorkerPanic { worker, epoch } => {
-            for e in halves(epoch) {
-                out.push(ChaosEvent::WorkerPanic { worker, epoch: e });
-            }
-            if worker > 0 {
-                out.push(ChaosEvent::WorkerPanic { worker: 0, epoch });
-            }
-        }
     }
     out
 }
@@ -907,8 +788,7 @@ mod tests {
             .with_restarts()
             .with_storage()
             .with_network()
-            .with_adversaries(KNOWN_ADVERSARIES)
-            .with_worker_panics(4, 8);
+            .with_adversaries(KNOWN_ADVERSARIES);
         for seed in 0..200u64 {
             for tier in Intensity::ALL {
                 let a = ChaosPlan::draw(seed, tier, &space);
@@ -1002,20 +882,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot lower onto a sharded base")]
-    fn lowering_rejects_storage_on_sharded_base() {
-        let plan = ChaosPlan::quiet().storage(StorageFault::TornWrite, 1);
-        let _ = plan.lower_onto(&ScenarioSpec::round_robin().with_shards(4));
-    }
-
-    #[test]
     fn replay_round_trips_drawn_plans() {
         let space = ChaosSpace::new(6, 200)
             .with_restarts()
             .with_storage()
             .with_network()
-            .with_adversaries(KNOWN_ADVERSARIES)
-            .with_worker_panics(4, 16);
+            .with_adversaries(KNOWN_ADVERSARIES);
         for seed in 0..100u64 {
             for tier in Intensity::ALL {
                 let plan = ChaosPlan::draw(seed, tier, &space);
@@ -1040,10 +912,6 @@ mod tests {
                 },
                 ChaosEvent::Adversary {
                     name: "stuck-announcement",
-                },
-                ChaosEvent::WorkerPanic {
-                    worker: 1,
-                    epoch: 3,
                 },
             ],
         };
@@ -1129,20 +997,5 @@ mod tests {
     #[should_panic(expected = "needs a failing plan")]
     fn shrinker_rejects_passing_plans() {
         let _ = shrink_plan(&ChaosPlan::quiet(), |_| false);
-    }
-
-    #[test]
-    fn arm_guard_scopes_worker_panics() {
-        let plan = ChaosPlan::quiet().worker_panic(1, 3).worker_panic(0, 7);
-        {
-            let _guard = plan.arm();
-            let points = pool::take_chaos_panics();
-            assert_eq!(points, vec![(1, 3), (0, 7)]);
-            // Taken: nothing left to disarm, nothing leaks.
-            assert!(pool::take_chaos_panics().is_empty());
-        }
-        // A dropped guard clears un-taken points.
-        let _ = plan.arm();
-        assert!(pool::take_chaos_panics().is_empty());
     }
 }

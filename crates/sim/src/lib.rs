@@ -36,8 +36,6 @@
 //!   round reads, driven by a deterministic seeded [`NetworkModel`] and a
 //!   packet-budgeted Omega-style failure detector.
 //! * [`thread`] — the same fleet on OS threads over [`AtomicRegisters`].
-//! * [`arena`] — reusable register-file buffers ([`FleetArena`]) for
-//!   grid-style multi-fleet workloads.
 //!
 //! # The quantum / `step_many` contract
 //!
@@ -81,8 +79,8 @@
 //! [`Registers`] optionally exposes per-cell *epochs* plus a global
 //! mutation stamp ([`Registers::epochs_enabled`]): a cell's epoch strictly
 //! increases on every mutation of that cell (writes, swaps, snapshot
-//! restores, arena reuse) and the global epoch increases on every mutation
-//! of any cell. A process that recorded `(value, epoch)` for a cell and
+//! restores) and the global epoch increases on every mutation of any
+//! cell. A process that recorded `(value, epoch)` for a cell and
 //! later sees the same epoch may therefore serve a re-read from its local
 //! copy, and an unchanged global epoch certifies that *nothing* changed —
 //! which is what lets the KKβ announcement caches collapse whole
@@ -92,37 +90,6 @@
 //! traced path. Only the deterministic [`VecRegisters`] enables epochs;
 //! [`AtomicRegisters`] keeps them disabled because an epoch probe and a
 //! value load are not atomic together under real concurrency.
-//!
-//! # Sharded phased execution (determinism invariants)
-//!
-//! [`ScenarioSpec::shard`](scenario::ScenarioSpec::shard) routes
-//! [`run_scenario`] to the [`shard`] driver: the fleet is partitioned into
-//! `S` contiguous-pid shards whose turns execute on worker threads between
-//! *communication epochs*. The invariants that keep this bit-exactly
-//! reproducible (pinned by `shard_equivalence` and `prop_shard`):
-//!
-//! * **Merge-key ordering.** All shared writes of an epoch are buffered in
-//!   per-shard publication logs and replayed into the backing
-//!   [`VecRegisters`] at the barrier in `(epoch, pid, local_seq)` order —
-//!   epoch-major, pid-major, program-order within a turn. Because the
-//!   ordering key never mentions shards or threads, the global mutation
-//!   stamp, per-cell epochs, `epoch_mem_bytes` and all work counters evolve
-//!   along one canonical sequence: every `(S, threads)` combination
-//!   produces the identical [`Execution`].
-//! * **The epoch-barrier contract.** During an epoch every shared read is
-//!   served from the snapshot frozen at the previous barrier (plus the
-//!   process's own same-turn writes); a turn keeps foreign reads before
-//!   writes ([`Process::step_turn`]), so the phased run is sequentially
-//!   consistent and the at-most-once algorithms — safe under *every* SC
-//!   schedule — remain safe. KKβ stops each turn at `gatherTry`: announce
-//!   first, let the barrier publish, gather next epoch (Dekker's
-//!   announce-then-gather at epoch granularity).
-//! * **Why [`AtomicRegisters`] stays excluded.** Under real concurrency
-//!   there is no barrier at which a deterministic merge order could be
-//!   imposed — the hardware interleaving *is* the schedule. Sharding is a
-//!   property of the deterministic simulator only (`Vec` backend);
-//!   likewise `swap`-based baselines cannot shard because a
-//!   read-modify-write is not servable from a frozen snapshot.
 //!
 //! # Durability invariants (the `Durable` backend)
 //!
@@ -202,10 +169,10 @@
 //!
 //! A [`ChaosPlan`] composes every fault axis above into one seeded
 //! schedule — crashes/restarts, a storage blackout regime, a network
-//! environment, a named adversary, shard-worker panics — and
-//! [`ChaosPlan::lower_onto`] folds it onto any base [`ScenarioSpec`], so
-//! every existing driver accepts the chaos dimension with zero
-//! algorithm-crate edits. The contracts the suites pin:
+//! environment, a named adversary — and [`ChaosPlan::lower_onto`] folds
+//! it onto any base [`ScenarioSpec`], so every existing driver accepts
+//! the chaos dimension with zero algorithm-crate edits. The contracts the
+//! suites pin:
 //!
 //! * **Quiet-plan identity.** A plan with no events lowers to a spec that
 //!   produces a bit-identical [`Execution`] — the chaos dimension is
@@ -214,8 +181,6 @@
 //!   suite).
 //! * **One backend axis per run.** A plan scheduling both a storage and a
 //!   network event panics at lowering: one run has one register file.
-//!   Sharded bases reject backend, adversary and restart events with the
-//!   same loud messages as [`run_scenario_sharded`] itself.
 //! * **Seeded drawing is a pure function.** [`ChaosPlan::draw`] maps
 //!   `(seed, intensity, space)` to a plan deterministically, gated by a
 //!   [`ChaosSpace`] so a drawn plan is always executable by the stack it
@@ -230,13 +195,6 @@
 //!   [`ChaosPlan::parse_replay`] inverts it exactly; adversary names
 //!   resolve against the static [`chaos::KNOWN_ADVERSARIES`] dictionary,
 //!   so parsed plans still carry `&'static str` registry names.
-//! * **Worker panics are armed, not lowered.** [`ChaosPlan::arm`]
-//!   registers `(worker, epoch)` panic points thread-locally
-//!   ([`pool::arm_chaos_panics`]); the next sharded run drains them at
-//!   start and panics the worker indexed `worker % threads` at the epoch
-//!   boundary — surfacing through the panic-safe barrier protocol to the
-//!   caller under every thread count, never deadlocking. The RAII guard
-//!   disarms leftovers so plans cannot leak panics into unrelated runs.
 //!
 //! # Examples
 //!
@@ -254,26 +212,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod chaos;
 mod crash;
 mod durable;
 mod engine;
 mod explore;
 pub mod net;
-pub mod pool;
 mod process;
 mod registers;
 pub mod scenario;
 mod sched;
-pub mod shard;
 pub mod testing;
 pub mod thread;
 mod timeline;
 mod verify;
 
-pub use arena::FleetArena;
-pub use chaos::{shrink_plan, ChaosEvent, ChaosGuard, ChaosPlan, ChaosSpace, Intensity};
+pub use chaos::{shrink_plan, ChaosEvent, ChaosPlan, ChaosSpace, Intensity};
 pub use crash::CrashPlan;
 pub use durable::{DurableRegisters, DurableStats, StorageFault};
 pub use engine::{Engine, EngineLimits, Execution, LifeState, PerformRecord, Slot, TraceEntry};
@@ -282,15 +236,13 @@ pub use net::{Delivery, LatencyDist, NetStats, NetworkModel, NetworkSpec, Quorum
 pub use process::{BatchOutcome, JobSpan, Process, StepEvent};
 pub use registers::{AtomicRegisters, MemOrder, MemWork, Registers, VecRegisters};
 pub use scenario::{
-    boxed, last_net_stats, run_scenario, run_scenario_dyn, run_scenario_in, run_scenario_on,
-    BackendSpec, BoxProcess, DynProcess, ScenarioHooks, ScenarioProcess, ScenarioSpec,
-    SchedulerSpec,
+    boxed, last_net_stats, run_scenario, run_scenario_dyn, run_scenario_on, BackendSpec,
+    BoxProcess, DynProcess, ScenarioHooks, ScenarioProcess, ScenarioSpec, SchedulerSpec,
 };
 pub use sched::{
     BlockScheduler, Decision, RandomScheduler, RoundRobin, SchedView, Scheduler, ScriptedScheduler,
     WithCrashes,
 };
-pub use shard::{run_scenario_sharded, ShardRegisters, ShardSpec};
 pub use thread::{ThreadExecution, ThreadPerform, ThreadSpec};
 pub use timeline::render_timeline;
 pub use verify::{at_most_once_violations, distinct_jobs, perform_summary, JobCounts, Violation};

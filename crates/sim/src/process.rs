@@ -220,27 +220,11 @@ pub trait Process<R: Registers + ?Sized> {
         out
     }
 
-    /// Executes up to `budget` consecutive actions as one **phased turn** —
-    /// the sharded driver's unit of execution between communication epochs
-    /// (see [`crate::shard`]).
-    ///
-    /// Contract — a turn must be *barrier-safe*: during a turn every shared
-    /// read is served from a snapshot frozen at the last epoch barrier, and
-    /// every shared write is buffered until the next barrier. For the
-    /// resulting execution to remain sequentially consistent, a turn must
-    /// keep all its foreign-cell reads **before** all its writes (reads →
-    /// locals/performs → writes); in particular a process must never write
-    /// an announcement and then gather others' announcements inside the same
-    /// turn — the gather belongs to the next epoch, after the barrier has
-    /// published the announcement. A turn may stop early (`out.steps <
-    /// budget`) at such a communication boundary; the driver grants a fresh
-    /// turn next epoch.
-    ///
-    /// The default executes a **single action**, which is trivially
-    /// barrier-safe (one action performs at most one shared access).
-    /// Processes with a known communication structure override this to run
-    /// whole announce→gather→check→do cycles per epoch (as `KkProcess`
-    /// does, stopping at each `gatherTry` start).
+    /// Executes up to `budget` consecutive actions as one turn. No driver
+    /// calls it: the default runs a single [`step`](Self::step) and no
+    /// process in the workspace overrides it. It stays in the trait only
+    /// because the `perfbench/` benchmark's traced process wrapper
+    /// overrides it; removing it is left to a benchmark change.
     ///
     /// # Panics
     ///
@@ -261,18 +245,9 @@ pub trait Process<R: Registers + ?Sized> {
         out
     }
 
-    /// `true` when the process currently stands at a communication
-    /// boundary — the point where [`step_turn`](Self::step_turn) would end
-    /// a turn (before re-reading foreign cells whose fresh values only
-    /// become visible at the next epoch barrier).
-    ///
-    /// The sharded driver's single-step reference mode replays turns
-    /// action-by-action and uses this query to stop at exactly the
-    /// boundaries the batched `step_turn` stops at; the two modes are
-    /// pinned bit-identical. The default is `true` (the default turn is a
-    /// single action, so every action ends at a boundary). An override must
-    /// agree with the override of `step_turn`: `step_turn` stops early
-    /// exactly when this returns `true` mid-budget.
+    /// `true` at a point where [`step_turn`](Self::step_turn) ends a turn.
+    /// No driver calls it, and the default answers `true` for every
+    /// action; it stays in the trait for the same reason as `step_turn`.
     fn at_comm_boundary(&self) -> bool {
         true
     }
@@ -308,7 +283,8 @@ pub trait Process<R: Registers + ?Sized> {
     }
 }
 
-/// A boxed process is a process: every method forwards to the boxee.
+/// A boxed process is a process: every method a driver calls forwards to
+/// the boxee.
 ///
 /// This is the trait-object seam of the dyn-friendly process API.
 /// [`Process`] is object-safe (no generic methods, no `Self: Sized`
@@ -342,14 +318,6 @@ impl<R: Registers + ?Sized, P: Process<R> + ?Sized> Process<R> for Box<P> {
 
     fn step_many(&mut self, mem: &R, budget: u64) -> BatchOutcome {
         (**self).step_many(mem, budget)
-    }
-
-    fn step_turn(&mut self, mem: &R, budget: u64) -> BatchOutcome {
-        (**self).step_turn(mem, budget)
-    }
-
-    fn at_comm_boundary(&self) -> bool {
-        (**self).at_comm_boundary()
     }
 
     fn supports_restart(&self) -> bool {

@@ -113,8 +113,8 @@ pub trait Registers {
     /// Epoch contract (the invariant the caches build on):
     ///
     /// * [`epoch`](Self::epoch) of a cell strictly increases on **every**
-    ///   mutation of that cell (`write`, `swap`, snapshot `restore`, arena
-    ///   reuse), and never otherwise;
+    ///   mutation of that cell (`write`, `swap`, snapshot `restore`), and
+    ///   never otherwise;
     /// * therefore, if a process recorded `(value, epoch)` for a cell and a
     ///   later `epoch` call returns the same number, the cell still holds
     ///   `value` — a re-read may be served from the recorded copy;
@@ -219,15 +219,11 @@ pub trait Registers {
 ///   ([`kernels::zeroed_cells`]); pages no run writes stay the kernel's
 ///   shared zero page and never become resident;
 /// * the file keeps a *written high-water mark*: one past the highest cell
-///   written since creation or the last whole-file event. Every cell at or
-///   above it is zero. `write` and `swap` raise it,
-///   [`restore`](VecRegisters::restore) sets it to the file length and
-///   [`reset`](VecRegisters::reset) clears it;
-/// * [`reset`](VecRegisters::reset), the
-///   [`FleetArena`](crate::FleetArena) lease path, zeroes only the cells
-///   below the mark, and [`snapshot`](VecRegisters::snapshot), which the
-///   sharded driver takes as its first epoch image, copies only those
-///   cells into a zeroed vector.
+///   written since creation. Every cell at or above it is zero. `write`
+///   and `swap` raise it, and [`restore`](VecRegisters::restore) sets it
+///   to the file length;
+/// * [`snapshot`](VecRegisters::snapshot) copies only the cells below the
+///   mark into a zeroed vector.
 ///
 /// With the interleaved (position-major) `done` layout the written cells
 /// cluster at the low indices, so the mark stays close to the number of
@@ -243,16 +239,17 @@ pub trait Registers {
 /// per-cell storage exists only for cells `0..hi`, where `hi` is one past
 /// the highest cell ever mutated (grown on demand). Every cell beyond the
 /// tracked prefix reports the shared *base* epoch — the stamp at the last
-/// whole-file event ([`reset`](VecRegisters::reset),
-/// [`restore`](VecRegisters::restore), or creation).
+/// whole-file event ([`restore`](VecRegisters::restore), a switch of
+/// [`set_epoch_tracking`](VecRegisters::set_epoch_tracking), or
+/// creation).
 ///
 /// Soundness: the stamp strictly increases on **every** mutation, so each
 /// mutation event owns a globally unique epoch number. A recorded
 /// `(value, epoch)` pair therefore validates iff the cell has not been
 /// mutated since it was recorded — a whole-file event moves the base (and
 /// drops the dense prefix) to a stamp no earlier recording can equal, so
-/// caches primed against a previous life of the buffer (arena reuse,
-/// explorer rewinds) can never validate.
+/// caches primed against a previous state of the file (explorer rewinds)
+/// can never validate.
 ///
 /// Why a prefix and not a full vector: for the same reason as the written
 /// high-water mark, the dense epoch storage stays proportional to the
@@ -340,51 +337,14 @@ impl VecRegisters {
     }
 
     /// Peak bytes of dense epoch storage this file held since its creation
-    /// or last [`reset`](VecRegisters::reset) — the tracked-prefix
-    /// high-water mark times the entry size. `0` when no cell was mutated
-    /// with tracking on. Arena reuse resets the mark, so pooled runs report
-    /// their own peak, not a previous tenant's.
+    /// — the tracked-prefix high-water mark times the entry size. `0` when
+    /// no cell was mutated with tracking on.
     pub fn epoch_mem_bytes(&self) -> u64 {
         (self.epoch_hw.get() * std::mem::size_of::<u64>()) as u64
     }
 
-    /// Resizes the file to `cells` zeroed registers. A file of at most its
-    /// current length reuses the allocation and zeroes only the cells below
-    /// the written high-water mark (the arena fast path: warm cache lines,
-    /// no store to a cell the previous run left zero). A larger file takes
-    /// a fresh zeroed allocation instead of storing a zero into every new
-    /// cell.
-    ///
-    /// Work counters are cleared; the global stamp is *not* — the reset is
-    /// itself a whole-file mutation event, so the epoch base moves past
-    /// every previously recorded epoch and the dense prefix is dropped,
-    /// invalidating caches primed against the previous contents per the
-    /// [`Registers::epochs_enabled`] contract.
-    pub fn reset(&mut self, cells: usize) {
-        let s = self.stamp.get() + 1;
-        self.stamp.set(s);
-        self.epoch_base.set(s);
-        self.epochs.get_mut().clear();
-        // The high-water mark is per lease: an arena-recycled buffer must
-        // report the *next* run's peak, not the previous tenant's.
-        self.epoch_hw.set(0);
-        let written = self.written.replace(0);
-        if cells > self.cells.len() {
-            self.cells = kernels::zeroed_cells(cells);
-        } else {
-            // Cells past `cells` are cut off, and a later reset that grows
-            // the file again takes a fresh allocation, so they never
-            // resurface.
-            kernels::fill_cells(&self.cells[..written.min(cells)], 0);
-            self.cells.truncate(cells);
-        }
-        self.reads.set(0);
-        self.writes.set(0);
-        self.rmws.set(0);
-    }
-
-    /// Snapshot of all cell values (used by the explorer, the sharded
-    /// driver's first epoch image and for debugging).
+    /// Snapshot of all cell values (used by the explorer and for
+    /// debugging).
     ///
     /// The vector comes from a zeroed allocation and only the cells below
     /// the written high-water mark are copied into it, so a snapshot, like
@@ -743,36 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_the_epoch_high_water_per_lease() {
-        let mut m = VecRegisters::new(1024);
-        m.write(700, 1);
-        assert_eq!(m.epoch_mem_bytes(), 701 * 8);
-        m.reset(1024);
-        assert_eq!(m.epoch_mem_bytes(), 0, "next tenant starts from zero");
-        m.write(3, 1);
-        assert_eq!(m.epoch_mem_bytes(), 4 * 8, "peak is this run's own");
-    }
-
-    #[test]
-    fn reset_reuses_allocation_and_keeps_epochs_monotone() {
-        let mut m = VecRegisters::new(4);
-        m.write(2, 9);
-        m.read(2);
-        let e2 = m.epoch(2);
-        m.reset(2);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.snapshot(), vec![0, 0], "values zeroed");
-        assert_eq!(m.work().total(), 0, "work counters cleared");
-        m.reset(4);
-        assert_eq!(m.len(), 4);
-        assert_eq!(m.snapshot(), vec![0, 0, 0, 0]);
-        assert!(
-            m.epoch(2) > e2,
-            "re-grown cell cannot revalidate a stale cache"
-        );
-    }
-
-    #[test]
     fn epoch_storage_tracks_only_the_written_prefix() {
         let m = VecRegisters::new(1_000_000);
         assert_eq!(m.epoch_mem_bytes(), 0, "no mutation, no epoch storage");
@@ -805,19 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_moves_base_past_every_recorded_epoch() {
-        let mut m = VecRegisters::new(8);
-        for _ in 0..5 {
-            m.write(2, 9); // drive cell 2's epoch well past the stamp of cell 0
-        }
-        let hot = m.epoch(2);
-        m.reset(8);
-        assert!(m.epoch(2) > hot, "base moves past the hottest dense epoch");
-        m.write(2, 1);
-        assert!(m.epoch(2) > hot, "regrown cell cannot reuse an old epoch");
-    }
-
-    #[test]
     fn epoch_tracking_can_be_disabled() {
         let m = VecRegisters::new(16);
         m.set_epoch_tracking(false);
@@ -836,19 +753,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_only_below_the_written_mark_and_grows_fresh() {
-        let mut m = VecRegisters::new(8);
+    fn written_mark_follows_writes_swaps_and_restores() {
+        let m = VecRegisters::new(16);
+        assert_eq!(m.written.get(), 0);
         m.write(2, 5);
         assert_eq!(m.written.get(), 3);
         m.swap(6, 1);
         assert_eq!(m.written.get(), 7);
-        m.reset(4);
-        assert_eq!(m.written.get(), 0);
-        assert_eq!(m.snapshot(), vec![0; 4]);
         m.write(1, 9);
-        m.reset(16);
-        assert_eq!(m.len(), 16);
-        assert!((0..16).all(|c| m.peek(c) == 0), "a grown file is all zero");
+        assert_eq!(m.written.get(), 7, "a lower write keeps the mark");
         m.restore(&[0; 16]);
         assert_eq!(m.written.get(), 16, "a restore may write any cell");
     }
@@ -856,21 +769,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random `write`/`swap`/`restore`/`reset` sequences against a
-        /// plain `Vec` model: after every operation the snapshot equals the
-        /// model and every cell at or above the written high-water mark is
-        /// zero; after a reset the whole file is zero.
+        /// Random `write`/`swap`/`restore` sequences against a plain `Vec`
+        /// model: after every operation the snapshot equals the model and
+        /// every cell at or above the written high-water mark is zero.
         #[test]
         fn written_mark_bounds_every_nonzero_cell(
             len in 1usize..12,
-            ops in proptest::collection::vec((0u8..4, 0usize..16, 0u64..4), 1..40),
+            ops in proptest::collection::vec((0u8..3, 0usize..16, 0u64..4), 1..40),
         ) {
-            let mut mem = VecRegisters::new(len);
+            let mem = VecRegisters::new(len);
             let mut model = vec![0u64; len];
             for (kind, cell, value) in ops {
-                let len = model.len();
                 match kind {
-                    0 | 1 if len == 0 => {}
                     0 => {
                         mem.write(cell % len, value);
                         model[cell % len] = value;
@@ -880,19 +790,11 @@ mod tests {
                         prop_assert_eq!(old, model[cell % len]);
                         model[cell % len] = value;
                     }
-                    2 => {
+                    _ => {
                         let image: Vec<u64> =
                             (0..len as u64).map(|i| (i + value) % 3).collect();
                         mem.restore(&image);
                         model = image;
-                    }
-                    _ => {
-                        mem.reset(cell);
-                        model = vec![0; cell];
-                        prop_assert!(
-                            (0..cell).all(|c| mem.peek(c) == 0),
-                            "reset left a nonzero cell"
-                        );
                     }
                 }
                 prop_assert_eq!(mem.snapshot(), model.clone());

@@ -8,11 +8,11 @@
 //! under the *same* schedulers, crash plans and scales. A [`ScenarioSpec`]
 //! describes a complete simulated execution environment — scheduler, crash
 //! plan, limits, quantum, epoch-cache policy, engine path, register
-//! backend, collision instrumentation, shard parallelism — and
-//! [`run_scenario`] drives *any* fleet of [`ScenarioProcess`]es through it.
-//! It is the one way to configure a simulated run: every algorithm crate's
-//! simulated runner takes a `&ScenarioSpec`, and a threaded run is
-//! configured by the [`ThreadSpec`](crate::thread::ThreadSpec) that
+//! backend, collision instrumentation — and [`run_scenario`] drives *any*
+//! fleet of [`ScenarioProcess`]es through it. It is the one way to
+//! configure a simulated run: every algorithm crate's simulated runner
+//! takes a `&ScenarioSpec`, and a threaded run is configured by the
+//! [`ThreadSpec`](crate::thread::ThreadSpec) that
 //! [`ScenarioSpec::threaded`] lowers into.
 //!
 //! # The adversary registry
@@ -52,7 +52,6 @@
 
 use std::cell::Cell;
 
-use crate::arena::FleetArena;
 use crate::crash::CrashPlan;
 use crate::durable::{DurableRegisters, StorageFault};
 use crate::engine::{Engine, EngineLimits, Execution, Slot};
@@ -60,7 +59,6 @@ use crate::net::{NetStats, NetworkSpec, QuorumRegisters};
 use crate::process::Process;
 use crate::registers::{Registers, VecRegisters};
 use crate::sched::{BlockScheduler, RandomScheduler, RoundRobin, Scheduler, WithCrashes};
-use crate::shard::{run_scenario_sharded, ShardRegisters, ShardSpec};
 
 /// Scheduling strategy of a [`ScenarioSpec`]: the built-in fair schedulers
 /// structurally, or a named algorithm-specific adversary resolved through
@@ -246,11 +244,6 @@ pub struct ScenarioSpec {
     /// it (via [`ScenarioHooks::set_collision_tracking`]; costs memory
     /// and time).
     pub collisions: bool,
-    /// Shard parallelism (see [`ShardSpec`] and [`crate::shard`]). Disabled
-    /// by default; when enabled, [`run_scenario`] routes to
-    /// [`run_scenario_sharded`]'s phased schedule (Vec backend,
-    /// round-robin/random schedulers, crash-stop plans only).
-    pub shard: ShardSpec,
 }
 
 impl Default for ScenarioSpec {
@@ -264,7 +257,6 @@ impl Default for ScenarioSpec {
             reference_single_step: false,
             backend: BackendSpec::default(),
             collisions: false,
-            shard: ShardSpec::disabled(),
         }
     }
 }
@@ -352,22 +344,6 @@ impl ScenarioSpec {
     /// Enables collision instrumentation (see [`Self::collisions`]).
     pub fn with_collision_tracking(mut self) -> Self {
         self.collisions = true;
-        self
-    }
-
-    /// Replaces the shard-parallelism configuration (see [`ShardSpec`]).
-    pub fn with_shard_spec(mut self, shard: ShardSpec) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// Enables the phased sharded driver with `shards` partitions on as
-    /// many worker threads as the machine affords (shorthand for
-    /// [`with_shard_spec`](Self::with_shard_spec) + [`ShardSpec::auto`]).
-    /// Every deterministic observable is thread- and shard-count
-    /// independent, so this only trades wall-clock.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shard = ShardSpec::auto(shards);
         self
     }
 
@@ -565,12 +541,7 @@ impl<P: ScenarioHooks + ?Sized> ScenarioHooks for Box<P> {
 /// [`run_scenario_on`] drives any `ScenarioHooks + Process<R>` fleet over
 /// any `R: Registers`.)
 pub trait ScenarioProcess:
-    ScenarioHooks
-    + Process<VecRegisters>
-    + Process<DurableRegisters>
-    + Process<QuorumRegisters>
-    + Process<ShardRegisters>
-    + Send
+    ScenarioHooks + Process<VecRegisters> + Process<DurableRegisters> + Process<QuorumRegisters> + Send
 {
 }
 
@@ -579,7 +550,6 @@ impl<P> ScenarioProcess for P where
         + Process<VecRegisters>
         + Process<DurableRegisters>
         + Process<QuorumRegisters>
-        + Process<ShardRegisters>
         + Send
 {
 }
@@ -608,7 +578,6 @@ pub trait DynProcess:
     + Process<VecRegisters>
     + Process<DurableRegisters>
     + Process<QuorumRegisters>
-    + Process<ShardRegisters>
     + Process<crate::AtomicRegisters>
     + Send
 {
@@ -619,7 +588,6 @@ impl<P> DynProcess for P where
         + Process<VecRegisters>
         + Process<DurableRegisters>
         + Process<QuorumRegisters>
-        + Process<ShardRegisters>
         + Process<crate::AtomicRegisters>
         + Send
 {
@@ -650,7 +618,7 @@ pub fn boxed<P: DynProcess + 'static>(p: P) -> BoxProcess {
 /// Runs `fleet` over `mem` under the environment described by `spec`,
 /// returning the recorded [`Execution`], the final process slots (for
 /// terminal-state inspection: IterStep outputs, collision matrices, …) and
-/// the register file (for arenas and final-memory certification).
+/// the register file (for final-memory certification).
 ///
 /// This is the single driver every simulated runner stack routes through:
 /// each algorithm crate builds its fleet and register file and hands them
@@ -672,12 +640,6 @@ pub fn run_scenario<P: ScenarioProcess>(
     // before the one generic code path takes over.
     mem.set_epoch_tracking(spec.epoch_cache && spec.grants_quanta());
     LAST_NET_STATS.with(|s| s.set(None));
-
-    if spec.shard.enabled() {
-        // The phased sharded driver (validates its own spec subset: Vec
-        // backend, quantum-honouring scheduler, crash-stop plan).
-        return run_scenario_sharded(mem, fleet, spec);
-    }
 
     match spec.backend {
         BackendSpec::Durable { fault, seed } => {
@@ -838,21 +800,6 @@ impl ScenarioHooks for crate::testing::WriterProcess {}
 impl ScenarioHooks for crate::testing::PerformOnceProcess {}
 impl ScenarioHooks for crate::testing::RacyClaimProcess {}
 
-/// [`run_scenario`] drawing the register file from a [`FleetArena`]: the
-/// buffer of the previous simulation is reused warm instead of freshly
-/// allocated — the arena's multi-fleet locality win for experiment grids.
-pub fn run_scenario_in<P: ScenarioProcess>(
-    arena: &mut FleetArena,
-    cells: usize,
-    fleet: Vec<P>,
-    spec: &ScenarioSpec,
-) -> (Execution, Vec<Slot<P>>) {
-    let mem = arena.lease(cells);
-    let (exec, slots, mem) = run_scenario(mem, fleet, spec);
-    arena.reclaim(mem);
-    (exec, slots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,20 +877,6 @@ mod tests {
     #[test]
     fn supports_adversary_probes_without_running() {
         assert!(!WriterProcess::supports_adversary("lockstep"));
-    }
-
-    #[test]
-    fn arena_variant_matches_fresh_allocation() {
-        let mut arena = FleetArena::new();
-        let spec = ScenarioSpec::block(1, 3);
-        let run_pooled = |arena: &mut FleetArena| {
-            let fleet = vec![WriterProcess::new(1, 0, 9), WriterProcess::new(2, 1, 9)];
-            run_scenario_in(arena, 2, fleet, &spec).0
-        };
-        let first = run_pooled(&mut arena);
-        let second = run_pooled(&mut arena);
-        assert!(arena.reuses() >= 1);
-        assert_eq!(first, second, "warm buffers change nothing observable");
     }
 
     #[test]

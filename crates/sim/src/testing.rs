@@ -54,14 +54,6 @@ impl<R: Registers + ?Sized> Process<R> for WriterProcess {
         self.terminated
     }
 
-    /// Writers never read, so a phased turn has no communication boundary:
-    /// the sharded driver grants them whole quanta, exactly like the
-    /// interleaving engine — which is what pins sharded write-only fleets
-    /// bit-identical to the unsharded engine.
-    fn at_comm_boundary(&self) -> bool {
-        false
-    }
-
     fn supports_restart(&self) -> bool {
         true
     }
@@ -113,11 +105,6 @@ impl<R: Registers + ?Sized> Process<R> for PerformOnceProcess {
 
     fn is_terminated(&self) -> bool {
         self.terminated
-    }
-
-    /// Performs touch no shared memory at all — no communication boundary.
-    fn at_comm_boundary(&self) -> bool {
-        false
     }
 }
 

@@ -1,8 +1,7 @@
 //! The chaos-lowering equivalence suite: a **quiet** `ChaosPlan` (no
 //! events) lowered onto any base `ScenarioSpec` must produce a
 //! bit-identical `AmoReport` for every algorithm stack and every runner —
-//! the interleaving engine, the sharded phased driver and the type-erased
-//! dyn driver — and a non-quiet plan must lower to *exactly* the spec a
+//! the interleaving engine and the type-erased dyn driver — and a non-quiet plan must lower to *exactly* the spec a
 //! careful human would have built by hand. Together the two pins make the
 //! chaos dimension observationally free until a fault is actually
 //! scheduled, and fully explainable when one is.
@@ -80,18 +79,6 @@ fn quiet_plan_is_bit_identical_for_baselines() {
         let chaotic =
             run_wa_baseline_scenario(WaBaselineKind::Tas, 120, 4, &spec.with_chaos(&quiet));
         assert_eq!(base, chaotic, "wa-tas diverged under {}", spec.label());
-    }
-}
-
-#[test]
-fn quiet_plan_is_bit_identical_on_the_sharded_driver() {
-    let config = KkConfig::new(160, 4).unwrap();
-    let quiet = ChaosPlan::quiet();
-    for shards in [1usize, 4] {
-        let spec = ScenarioSpec::round_robin_batched().with_shards(shards);
-        let base = run_scenario_simulated(&config, &spec);
-        let chaotic = run_scenario_simulated(&config, &spec.with_chaos(&quiet));
-        assert_eq!(base, chaotic, "sharded (S={shards}) diverged");
     }
 }
 

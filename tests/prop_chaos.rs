@@ -110,7 +110,7 @@ proptest! {
         prop_assert_eq!(stats.atomicity_violations, 0);
     }
 
-    /// Every drawn plan lowers cleanly onto an unsharded base and
+    /// Every drawn plan lowers cleanly onto a base spec and
     /// round-trips its replay snippet exactly — across the whole
     /// `(seed, intensity)` plane of a fully-enabled space.
     #[test]
