@@ -100,7 +100,7 @@ fn run_generic<P: ScenarioProcess>(
     label: &'static str,
 ) -> AmoReport {
     let (exec, _slots, _mem) = amo_sim::run_scenario(VecRegisters::new(cells), fleet, spec);
-    AmoReport::from_execution(exec, label, 0)
+    AmoReport::from_execution(exec, label)
 }
 
 /// Runs a comparator under `spec` in the simulator.

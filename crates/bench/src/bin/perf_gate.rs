@@ -8,8 +8,9 @@
 //!           [--tolerance 0.2] [--mem-tolerance 0.25] [--summary PATH]
 //! ```
 //!
-//! Deterministic counters (`total_steps`, `local_work`, `shared_ops`,
-//! `effectiveness`, `epoch_mem_bytes`) must match exactly; speed ratios
+//! The two files must carry the same `"schema"` tag. Deterministic
+//! counters (`total_steps`, `local_work`, `shared_ops`, `effectiveness`
+//! and the other integer fields) must match exactly; speed ratios
 //! may dip at most `tolerance` below the baseline; banded memory columns
 //! (`peak_rss_mb`) must stay within `±mem-tolerance` of the baseline (see
 //! [`amo_bench::gate`] for the rationale). A markdown comparison table is appended to `--summary` if
@@ -17,7 +18,7 @@
 //! stdout. Exit code 1 on regression.
 
 use amo_bench::gate::{
-    arg_value, compare_env, markdown, parse_backend, parse_bench, MEM_TOLERANCE,
+    arg_value, compare_env, markdown, parse_backend, parse_bench, schema_mismatch, MEM_TOLERANCE,
 };
 
 fn main() {
@@ -54,6 +55,13 @@ fn main() {
     if current.is_empty() {
         eprintln!("[perf_gate] current {current_path} parsed to zero workloads");
         std::process::exit(2);
+    }
+
+    // A baseline of another schema has other header fields and workloads:
+    // regenerate it rather than compare.
+    if let Some(why) = schema_mismatch(&baseline_json, &current_json) {
+        eprintln!("[perf_gate] FAIL: {why} ({baseline_path} vs {current_path})");
+        std::process::exit(1);
     }
 
     // Register backends ride along informationally: a mismatch (a durable

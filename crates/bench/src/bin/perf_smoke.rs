@@ -30,9 +30,8 @@
 //! and the interleaved minimum is the standard way to estimate the
 //! undisturbed cost of each configuration under the same machine state.
 //! The deterministic fields (`total_steps`, `local_work`, `shared_ops`,
-//! `effectiveness`, and `epoch_mem_bytes` — the tracked-prefix high-water is
-//! a deterministic function of the execution) are what the CI gate pins
-//! exactly; the ratio fields carry a tolerance and the noisy memory column
+//! `effectiveness` and the extra protocol counters) are what the CI gate
+//! pins exactly; the ratio fields carry a tolerance and the noisy memory column
 //! (`peak_rss_mb` from Linux procfs) a ±25% band (see the `perf_gate`
 //! binary).
 
@@ -70,8 +69,6 @@ struct Entry {
     /// the VmHWM reset floors at *current* RSS, so a later reading would
     /// mostly price retained heap from an earlier workload).
     peak_rss_kb: Option<u64>,
-    /// Peak tracked-prefix epoch storage of the fast run's register file.
-    epoch_mem_bytes: Option<u64>,
     /// Additional deterministic integer counters (emitted verbatim; the
     /// gate pins every integer workload field exactly).
     extra: Vec<(&'static str, u64)>,
@@ -193,7 +190,6 @@ fn kk_workload(n: usize, m: usize) -> Entry {
         local_work: fast.local_work,
         effectiveness: Some(fast.effectiveness),
         peak_rss_kb: amo_bench::mem::peak_rss_kb(),
-        epoch_mem_bytes: Some(fast.epoch_mem_bytes),
         extra: Vec::new(),
         emit_ratios: true,
     }
@@ -210,10 +206,7 @@ fn kk_workload(n: usize, m: usize) -> Entry {
 /// allocation), so a round pays first-touch faults only for the pages its
 /// run writes. Full scale runs it as `kk_mega_rr` (n=10⁶, m=64);
 /// quick scale as `kk_mega_quick` (n=10⁵, m=32) so the CI gate covers the
-/// epoch-memory path too. This is the workload whose `epoch_mem_mb` column
-/// demonstrates the tracked-prefix epoch representation: the fast path's
-/// register file reports the peak dense-epoch footprint, which stays
-/// proportional to the cells actually written instead of `m·n`.
+/// at-scale fast path and its `peak_rss_mb` too.
 fn kk_mega_workload(name: &'static str, n: usize, m: usize) -> Entry {
     amo_bench::mem::reset_peak_rss();
     let beta = KkConfig::work_optimal_beta(m);
@@ -252,7 +245,6 @@ fn kk_mega_workload(name: &'static str, n: usize, m: usize) -> Entry {
         local_work: fast.local_work,
         effectiveness: Some(fast.effectiveness),
         peak_rss_kb: amo_bench::mem::peak_rss_kb(),
-        epoch_mem_bytes: Some(fast.epoch_mem_bytes),
         extra: Vec::new(),
         emit_ratios: true,
     }
@@ -304,7 +296,6 @@ fn iter_workload(n: usize, m: usize) -> Entry {
         // the mega workload is dominated by allocator-retained heap — a
         // reading here would gate the previous workload, not this one.
         peak_rss_kb: None,
-        epoch_mem_bytes: Some(fast.epoch_mem_bytes),
         extra: Vec::new(),
         emit_ratios: true,
     }
@@ -350,7 +341,6 @@ fn write_all_workload(n: usize, m: usize) -> Entry {
         // See iter_workload: a post-mega RSS reading is not this
         // workload's own.
         peak_rss_kb: None,
-        epoch_mem_bytes: None,
         extra: Vec::new(),
         emit_ratios: true,
     }
@@ -421,7 +411,6 @@ fn quorum_workload(n: usize, m: usize) -> Entry {
         local_work: quorum_run.local_work,
         effectiveness: Some(quorum_run.effectiveness),
         peak_rss_kb: None,
-        epoch_mem_bytes: None,
         extra: vec![
             ("net_messages", stats.messages_sent),
             ("net_one_round_reads", stats.reads_one_round),
@@ -520,7 +509,6 @@ fn atomic_threads_workload(n: usize, m: usize) -> Entry {
         local_work: atomic_exec.local_work,
         effectiveness: Some(atomic_exec.effectiveness()),
         peak_rss_kb: None,
-        epoch_mem_bytes: None,
         extra: vec![("thread_effectiveness_floor", config.effectiveness_bound())],
         emit_ratios: false,
     }
@@ -528,7 +516,7 @@ fn atomic_threads_workload(n: usize, m: usize) -> Entry {
 
 fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"amo-bench/engine-v9\",\n");
+    out.push_str("  \"schema\": \"amo-bench/engine-v10\",\n");
     out.push_str(&format!(
         "  \"scale\": \"{}\",\n",
         if scale.is_quick() { "quick" } else { "full" }
@@ -564,14 +552,6 @@ fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
                 "      \"peak_rss_mb\": {:.1},\n",
                 kb as f64 / 1024.0
             ));
-        }
-        if let Some(b) = e.epoch_mem_bytes {
-            // Emitted in bytes as an integer on purpose: the tracked-prefix
-            // high-water is a deterministic function of the execution, so
-            // the gate pins it *exactly* like the step counters — any change
-            // to the epoch representation must update the baseline in the
-            // same commit. (`peak_rss_mb` above is the banded, noisy one.)
-            out.push_str(&format!("      \"epoch_mem_bytes\": {b},\n"));
         }
         out.push_str(&format!("      \"total_steps\": {},\n", e.total_steps));
         out.push_str(&format!("      \"local_work\": {},\n", e.local_work));
@@ -610,7 +590,7 @@ fn main() {
         vec![
             kk_workload(20_000, 8),
             // Scaled-down mega workload: without it the quick gate never
-            // touched the epoch-memory path at all.
+            // touched the at-scale fast path at all.
             kk_mega_workload("kk_mega_quick", 100_000, 32),
             iter_workload(10_000, 4),
             write_all_workload(10_000, 4),
@@ -630,7 +610,7 @@ fn main() {
 
     println!("engine perf smoke ({scale:?})");
     println!(
-        "{:<14} {:<26} {:>9} {:>10} {:>9} {:>9} {:>9} {:>13} {:>8} {:>9}",
+        "{:<14} {:<26} {:>9} {:>10} {:>9} {:>9} {:>9} {:>13} {:>8}",
         "workload",
         "params",
         "seed ms",
@@ -639,12 +619,11 @@ fn main() {
         "vs seed",
         "vs 1step",
         "total steps",
-        "rss MB",
-        "epoch MB"
+        "rss MB"
     );
     for e in &entries {
         println!(
-            "{:<14} {:<26} {:>9} {:>10.1} {:>9.1} {:>9} {:>8.2}x {:>13} {:>8} {:>9}",
+            "{:<14} {:<26} {:>9} {:>10.1} {:>9.1} {:>9} {:>8.2}x {:>13} {:>8}",
             e.name,
             e.params,
             e.seed_ms.map_or_else(|| "-".into(), |s| format!("{s:.1}")),
@@ -656,10 +635,6 @@ fn main() {
             e.total_steps,
             e.peak_rss_kb
                 .map_or_else(|| "-".into(), |kb| format!("{:.1}", kb as f64 / 1024.0)),
-            e.epoch_mem_bytes.map_or_else(
-                || "-".into(),
-                |b| format!("{:.2}", b as f64 / (1024.0 * 1024.0))
-            )
         );
     }
 

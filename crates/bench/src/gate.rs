@@ -4,11 +4,10 @@
 //! Two classes of fields are checked per workload (matched by `name`):
 //!
 //! * **deterministic counters** (`total_steps`, `local_work`, `shared_ops`,
-//!   `effectiveness`, and `epoch_mem_bytes` — the tracked-prefix epoch
-//!   high-water is a deterministic function of the execution) must match
-//!   the baseline **exactly** — the simulator is deterministic, so any
-//!   drift is a semantic change that must come with a baseline update in
-//!   the same commit;
+//!   `effectiveness` and every other integer field) must match the
+//!   baseline **exactly** — the simulator is deterministic, so any drift is
+//!   a semantic change that must come with a baseline update in the same
+//!   commit;
 //! * **speed ratios** (`speedup_vs_seed`, `speedup_vs_single_step`) must not
 //!   fall below `baseline × (1 − tolerance)` — ratios of two measurements
 //!   taken in one process are far more machine-portable than absolute
@@ -26,8 +25,7 @@
 //!   legitimately; when that happens, regenerate the committed baseline in
 //!   the same commit rather than widening the band. Note `kk_mega_rr`
 //!   itself runs only at full scale (the nightly bench); the quick CI gate
-//!   enforces the epoch-memory path through its scaled twin
-//!   `kk_mega_quick`.
+//!   covers it through its scaled twin `kk_mega_quick`.
 //!
 //! A workload present in the baseline but missing from the current run is a
 //! **hard failure** — otherwise renaming or crashing a workload would
@@ -37,6 +35,11 @@
 //! baseline's timed fast-path sample is at least [`MIN_GATED_MS`]
 //! milliseconds — sub-millisecond sections on shared runners wobble far
 //! beyond any honest tolerance, so they are reported but not gated.
+//!
+//! Before any of this, the two files' `"schema"` tags must be equal
+//! ([`schema_mismatch`]): a tag names the header fields and workloads a file
+//! has, so a baseline written for another schema is regenerated, not
+//! compared.
 //!
 //! The JSON subset parsed here is exactly what `perf_smoke` emits (flat
 //! string/number fields inside a `workloads` array) — a hand-rolled scanner
@@ -101,6 +104,23 @@ fn parse_header_str(json: &str, key: &str) -> Option<String> {
     let rest = rest[rest.find(':')? + 1..].trim_start();
     let rest = rest.strip_prefix('"')?;
     Some(rest[..rest.find('"')?].to_owned())
+}
+
+/// Why `current_json` cannot be gated against `baseline_json`: their
+/// top-level `"schema"` tags differ (or one file has none). `None` when
+/// the tags are equal.
+pub fn schema_mismatch(baseline_json: &str, current_json: &str) -> Option<String> {
+    let baseline = parse_header_str(baseline_json, "schema");
+    let current = parse_header_str(current_json, "schema");
+    (baseline != current).then(|| {
+        let tag = |t: Option<String>| t.unwrap_or_else(|| "no schema".to_owned());
+        format!(
+            "schema mismatch: the baseline is {}, the current run {}; regenerate the baseline \
+             with the current perf_smoke",
+            tag(baseline),
+            tag(current)
+        )
+    })
 }
 
 /// The register backend a `BENCH_engine*.json` was produced under (the
@@ -964,6 +984,28 @@ mod tests {
         assert!(report.findings.iter().any(|f| f.regression
             && f.workload == "kk_mega_quick"
             && f.field == "speedup_vs_single_step"));
+    }
+
+    #[test]
+    fn schema_tags_must_match() {
+        let v9 = BASE.replace("engine-v3", "engine-v9");
+        let v10 = BASE.replace("engine-v3", "engine-v10");
+        let why = schema_mismatch(&v9, &v10).expect("a v9 baseline cannot gate a v10 run");
+        assert!(
+            why.contains("engine-v9") && why.contains("engine-v10"),
+            "{why}"
+        );
+        assert_eq!(schema_mismatch(&v10, &v10), None, "equal tags pass");
+        let untagged = v10.replace("  \"schema\": \"amo-bench/engine-v10\",\n", "");
+        assert!(
+            schema_mismatch(&v10, &untagged).is_some(),
+            "a missing tag fails"
+        );
+        let committed = include_str!("../../../BENCH_engine.quick.json");
+        assert!(
+            parse_header_str(committed, "schema").is_some(),
+            "the committed baseline has a tag"
+        );
     }
 
     #[test]

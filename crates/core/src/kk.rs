@@ -220,13 +220,11 @@ pub struct KkProcess<S: OrderedJobSet = FenwickSet> {
     /// invisible: every gather action still counts one shared read and one
     /// merge operation exactly like the cache-free automaton, only redundant
     /// loads and redundant `TRY` rebuilds are skipped (the register file's
-    /// epoch contract proves the skipped values unchanged).
+    /// global epoch proves the skipped values unchanged).
     epoch_cache: bool,
     /// Last observed value of `next_q` at index `q − 1` (`0` matches the
     /// cells' init value, so the initial cache is valid on fresh memory).
     gt_vals: Vec<u64>,
-    /// Epoch of `next_q` when `gt_vals[q − 1]` was recorded.
-    gt_epochs: Vec<u64>,
     /// `true` when `gt_vals` changed since `try_set` was last rebuilt.
     gt_dirty: bool,
     /// Others' share of the global epoch (global − own writes) during the
@@ -253,9 +251,6 @@ pub struct KkProcess<S: OrderedJobSet = FenwickSet> {
     /// `#{q ≠ pid : POS(q) ≤ n}` — the read count of a skipped `gatherDone`
     /// sweep, maintained so the whole-sweep skip is O(1).
     gd_open: usize,
-    /// Epoch of `done_{q,POS(q)}` when it was last read as `0`;
-    /// `u64::MAX` = no valid recording for the current frontier.
-    gd_epochs: Vec<u64>,
     /// Shared writes performed by this process (subtracted from the global
     /// epoch so the process's own announcements/log appends never invalidate
     /// its view of *other* processes' cells).
@@ -364,7 +359,6 @@ impl<S: OrderedJobSet> KkProcess<S> {
             output: None,
             epoch_cache: false,
             gt_vals: vec![0; m],
-            gt_epochs: vec![0; m],
             gt_dirty: false,
             gt_stamp: None,
             gd_stamp: None,
@@ -372,7 +366,6 @@ impl<S: OrderedJobSet> KkProcess<S> {
             gd_sweep_start: None,
             gt_nonzero: 0,
             gd_open: if n >= 1 { m - 1 } else { 0 },
-            gd_epochs: vec![u64::MAX; m],
             my_writes: 0,
             track_collisions: false,
             try_src: Vec::new(),
@@ -414,23 +407,26 @@ impl<S: OrderedJobSet> KkProcess<S> {
 
     /// Enables or disables the announcement-epoch cache.
     ///
-    /// With the cache on, the `gatherTry`/`gatherDone` loops consult the
-    /// register file's per-cell epochs ([`Registers::epoch`]) and skip
-    /// re-loading and re-merging announcements whose epoch is unchanged
-    /// since this process last read them; `TRY` is rebuilt incrementally at
-    /// the end of a sweep (and only when some announcement actually changed)
-    /// instead of from scratch every cycle. On register files without epoch
-    /// support ([`Registers::epochs_enabled`] is `false`) every probe
-    /// misses, which degrades to the cache-free behaviour.
+    /// With the cache on, the process keeps the last value it read from each
+    /// `next_q` and stamps every `gatherTry` and `gatherDone` sweep that ran
+    /// without a foreign write in between with the register file's global
+    /// epoch ([`Registers::global_epoch`], less this process's own writes).
+    /// While that stamp still matches, no other process has written since,
+    /// so the batched path ([`Process::step_many`]) collapses a whole sweep
+    /// into its accounting, and a fully stamped cycle into one fused block.
+    /// `TRY` is rebuilt at the end of a sweep, and only when some
+    /// announcement actually changed, instead of from scratch every cycle.
+    /// On register files without epochs ([`Registers::epochs_enabled`] is
+    /// `false`) no stamp is ever published, which degrades to the
+    /// cache-free behaviour.
     ///
     /// The cache is **observationally invisible**: shared-read counts, local
     /// operation counts, `do` actions and step indices are identical to the
     /// cache-free automaton (the `batch_equivalence` suites assert
     /// executions equal field-for-field across cache on/off and batched/
-    /// single-step). On the engine's single-step (and therefore traced)
-    /// path the process still performs full re-reads, reporting a provably
-    /// redundant one as [`StepEvent::CachedRead`] so traces keep attributing
-    /// the access to its cell.
+    /// single-step). The engine's single-step (and therefore traced) path
+    /// still performs every read, and labels a read the batched path would
+    /// skip as [`StepEvent::CachedRead`].
     pub fn set_epoch_cache(&mut self, enabled: bool) {
         self.epoch_cache = enabled;
     }
@@ -690,6 +686,14 @@ impl<S: OrderedJobSet> KkProcess<S> {
         mem.global_epoch() - self.my_writes
     }
 
+    /// `true` while the cache is on and a published sweep stamp still equals
+    /// the others' epoch: no other process has written since that sweep.
+    /// Only a register file with epochs gets a stamp published.
+    #[inline]
+    fn stamp_holds<R: Registers + ?Sized>(&self, stamp: Option<u64>, mem: &R) -> bool {
+        self.epoch_cache && stamp.is_some_and(|s| s == self.others_epoch(mem))
+    }
+
     /// Records a (possibly changed) observed announcement value, keeping the
     /// nonzero count in sync for O(1) sweep skips.
     #[inline]
@@ -723,7 +727,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
     /// the sweep's **first** action: a sweep may span scheduler turns, and a
     /// foreign write interleaved mid-sweep means the cached values were
     /// recorded at incoherent times — the whole-sweep skip must not trust
-    /// them (the per-cell epoch path remains sound either way).
+    /// them.
     fn finish_try_sweep<R: Registers + ?Sized>(&mut self, mem: &R) {
         if self.gt_dirty {
             self.scratch_valid = false;
@@ -777,43 +781,41 @@ impl<S: OrderedJobSet> KkProcess<S> {
         }
     }
 
-    /// One iteration of the `gatherTry_p` loop.
+    /// One iteration of the `gatherTry_p` loop — the single per-action body,
+    /// shared by [`Process::step`] and the batched path.
+    ///
+    /// With the cache on, a read made while the last `gatherTry` sweep's
+    /// stamp still matches is one the batched path skips: no other process
+    /// has written since that sweep, so the value is the cached one (checked
+    /// in debug builds) and the action is labelled
+    /// [`StepEvent::CachedRead`].
     fn gather_try<R: Registers + ?Sized>(&mut self, mem: &R, terminal: bool) -> StepEvent {
         if self.epoch_cache {
             self.note_try_sweep_start(mem);
         }
         let event = if self.q != self.pid {
             let cell = self.layout.next_cell(self.q);
+            let v = mem.read(cell);
             if self.epoch_cache {
                 let idx = self.q - 1;
-                let (hit, e) = if mem.epochs_enabled() {
-                    let e = mem.epoch(cell);
-                    (e == self.gt_epochs[idx], e)
-                } else {
-                    (false, 0)
-                };
-                // Full re-read on the single-step (traced) path; the event
-                // still marks the access as cache-satisfiable.
-                let v = mem.read(cell);
-                if hit {
-                    debug_assert_eq!(v, self.gt_vals[idx], "epoch hit with changed value");
-                } else {
-                    self.gt_epochs[idx] = e;
-                    self.gt_update(idx, v);
-                }
+                let cached = self.stamp_holds(self.gt_stamp, mem);
+                debug_assert!(
+                    !cached || v == self.gt_vals[idx],
+                    "stamped announcement changed"
+                );
+                self.gt_update(idx, v);
                 if v > 0 {
                     // Merge accounting parity with the cache-free
                     // `try_insert`; the structural merge is deferred to the
                     // sweep-end rebuild.
                     self.local_ops += 1;
                 }
-                if hit {
+                if cached {
                     StepEvent::CachedRead { cell }
                 } else {
                     StepEvent::Read { cell }
                 }
             } else {
-                let v = mem.read(cell);
                 if v > 0 {
                     self.try_insert(v, self.q);
                 }
@@ -839,6 +841,12 @@ impl<S: OrderedJobSet> KkProcess<S> {
     }
 
     /// One iteration of the `gatherDone_p` loop.
+    ///
+    /// With the cache on, a read made while the last `gatherDone` sweep's
+    /// stamp still matches is one the batched path skips: that sweep read
+    /// every watched log frontier as `0` and no other process has written
+    /// since, so the frontier still reads `0` (checked in debug builds) and
+    /// the action is labelled [`StepEvent::CachedRead`].
     fn gather_done<R: Registers + ?Sized>(&mut self, mem: &R, terminal: bool) -> StepEvent {
         if self.epoch_cache {
             self.note_done_sweep_start(mem);
@@ -849,42 +857,19 @@ impl<S: OrderedJobSet> KkProcess<S> {
             let pos_q = self.pos[self.q - 1];
             if pos_q <= n {
                 let cell = self.layout.done_cell(self.q, pos_q);
-                if self.epoch_cache {
-                    let idx = self.q - 1;
-                    let (hit, e) = if mem.epochs_enabled() {
-                        let e = mem.epoch(cell);
-                        (e == self.gd_epochs[idx], e)
-                    } else {
-                        (false, u64::MAX)
-                    };
-                    let v = mem.read(cell);
-                    event = if hit {
-                        debug_assert_eq!(v, 0, "epoch hit on a written log cell");
-                        StepEvent::CachedRead { cell }
-                    } else {
-                        StepEvent::Read { cell }
-                    };
-                    if v > 0 {
-                        self.done_insert(v, self.q);
-                        self.advance_pos(idx);
-                        // Frontier moved: the recorded epoch refers to the
-                        // previous slot.
-                        self.gd_epochs[idx] = u64::MAX;
-                        // Stay on the same row: more entries may follow.
-                    } else {
-                        self.gd_epochs[idx] = e;
-                        self.q += 1;
-                    }
+                let v = mem.read(cell);
+                event = if self.stamp_holds(self.gd_stamp, mem) {
+                    debug_assert_eq!(v, 0, "stamped log frontier written");
+                    StepEvent::CachedRead { cell }
                 } else {
-                    let v = mem.read(cell);
-                    event = StepEvent::Read { cell };
-                    if v > 0 {
-                        self.done_insert(v, self.q);
-                        self.advance_pos(self.q - 1);
-                        // Stay on the same row: more entries may follow.
-                    } else {
-                        self.q += 1;
-                    }
+                    StepEvent::Read { cell }
+                };
+                if v > 0 {
+                    self.done_insert(v, self.q);
+                    self.advance_pos(self.q - 1);
+                    // Stay on the same row: more entries may follow.
+                } else {
+                    self.q += 1;
                 }
             } else {
                 self.q += 1;
@@ -1055,8 +1040,8 @@ impl<S: OrderedJobSet> KkProcess<S> {
     /// Merges job `v`, logged by process `src`, into `DONE` and out of
     /// `FREE` — the one merge site of the single-step and batched paths.
     ///
-    /// A physical `DONE` takes the fused `done.insert` + `free.remove`
-    /// pair ([`OrderedJobSet::insert_paired_remove`]). A derived `DONE`
+    /// A physical `DONE` takes the `done.insert` + `free.remove` pair
+    /// ([`OrderedJobSet::insert_paired_remove`]). A derived `DONE`
     /// gains `v` exactly when `v` leaves `FREE`, so `free.remove(v)` alone
     /// does the structural work; a successful removal then charges its own
     /// `ops` delta once more for the `DONE` leg's insert, and a failed one
@@ -1115,16 +1100,18 @@ impl<S: OrderedJobSet> KkProcess<S> {
     /// [`Process::step_many`].
     ///
     /// The `gatherTry` and `gatherDone` loops — the dominant phases, costing
-    /// `m − 1` and up to `n` sequential reads per `do` cycle — run as tight
-    /// batched loops without per-action dispatch; every other phase is
-    /// delegated to the single-action dispatcher. Each loop mirrors its
-    /// single-step twin *action for action*, so a batch of `k` steps is
-    /// indistinguishable from `k` engine-driven steps.
+    /// `m − 1` and up to `n` sequential reads per `do` cycle — collapse to
+    /// their accounting while the epoch cache's sweep stamps hold, and a
+    /// fully stamped cycle collapses into one fused block. Otherwise
+    /// `gatherTry` runs its single-step body once per action and
+    /// `gatherDone` walks each log row in a tight loop; every other phase
+    /// is delegated to the single-action dispatcher. Each shortcut mirrors
+    /// the single-step reference *action for action*, so a batch of `k`
+    /// steps is indistinguishable from `k` engine-driven steps.
     fn step_batch<R: Registers + ?Sized>(&mut self, mem: &R, budget: u64) -> BatchOutcome {
         debug_assert!(budget >= 1, "step_batch needs a positive budget");
         let mut steps: u64 = 0;
         let mut performed: Vec<(u64, JobSpan)> = Vec::new();
-        let epochs = mem.epochs_enabled();
         while steps < budget {
             match self.phase {
                 // Fused cycle tail — announce, both gather sweeps, check,
@@ -1138,11 +1125,9 @@ impl<S: OrderedJobSet> KkProcess<S> {
                 // steps, collapsed to its two writes, one set transfer and
                 // its accounting.
                 KkPhase::SetNext
-                    if self.epoch_cache
-                        && epochs
-                        && matches!(self.mode, KkMode::Plain)
+                    if matches!(self.mode, KkMode::Plain)
                         && budget - steps >= 2 * self.m as u64 + 4
-                        && self.gt_stamp == Some(self.others_epoch(mem))
+                        && self.stamp_holds(self.gt_stamp, mem)
                         && self.gd_stamp == self.gt_stamp =>
                 {
                     let m = self.m as u64;
@@ -1187,19 +1172,15 @@ impl<S: OrderedJobSet> KkProcess<S> {
                     self.phase = KkPhase::CompNext;
                 }
                 KkPhase::GatherTry | KkPhase::FinalGatherTry => {
-                    // Batched `gatherTry`: one announcement read (or a local
-                    // self-skip) per action. Reads go through `peek` and are
-                    // accounted in bulk at the end of the run.
+                    // Batched `gatherTry`: the whole sweep while its stamp
+                    // holds, otherwise one announcement read (or a local
+                    // self-skip) per action.
                     let terminal = self.phase == KkPhase::FinalGatherTry;
                     if self.epoch_cache {
                         self.note_try_sweep_start(mem);
                     }
                     let rem = (self.m - self.q + 1) as u64;
-                    if self.epoch_cache
-                        && epochs
-                        && budget - steps >= rem
-                        && self.gt_stamp == Some(self.others_epoch(mem))
-                    {
+                    if budget - steps >= rem && self.stamp_holds(self.gt_stamp, mem) {
                         // Sweep-stamp fast path: nothing was written by any
                         // other process since this process's last completed
                         // sweep, so every remaining announcement provably
@@ -1233,65 +1214,17 @@ impl<S: OrderedJobSet> KkProcess<S> {
                         } else {
                             KkPhase::GatherDone
                         };
-                    } else if self.epoch_cache {
-                        // Per-action cache path: announcements are loaded
-                        // (the `next` region is hot — an epoch probe would
-                        // cost as much as the value itself) and compared to
-                        // the cached copy; `TRY` is only rebuilt at sweep
-                        // end when some value actually changed. Stale
-                        // `gt_epochs` are harmless: per-cell epochs are
-                        // monotone, so a stale entry can only miss, never
-                        // falsely hit.
-                        let mut reads = 0u64;
-                        while steps < budget {
-                            if self.q != self.pid {
-                                let idx = self.q - 1;
-                                let v = mem.peek(self.layout.next_cell(self.q));
-                                self.gt_update(idx, v);
-                                reads += 1;
-                                if v > 0 {
-                                    self.local_ops += 1;
-                                }
-                            }
-                            steps += 1;
-                            if self.q < self.m {
-                                self.q += 1;
-                            } else {
-                                self.finish_try_sweep(mem);
-                                self.q = 1;
-                                self.phase = if terminal {
-                                    KkPhase::FinalGatherDone
-                                } else {
-                                    KkPhase::GatherDone
-                                };
-                                break;
-                            }
-                        }
-                        mem.note_reads(reads);
                     } else {
-                        let mut reads = 0u64;
-                        while steps < budget {
-                            if self.q != self.pid {
-                                let v = mem.peek(self.layout.next_cell(self.q));
-                                reads += 1;
-                                if v > 0 {
-                                    self.try_insert(v, self.q);
-                                }
-                            }
+                        // Per-action path: the single-step body, once per
+                        // action, until the sweep ends or the budget does.
+                        // The `next` region is `m` hot cells; a tighter copy
+                        // of the body showed no end-to-end effect (DESIGN.md
+                        // ledger).
+                        let phase = self.phase;
+                        while steps < budget && self.phase == phase {
+                            self.gather_try(mem, terminal);
                             steps += 1;
-                            if self.q < self.m {
-                                self.q += 1;
-                            } else {
-                                self.q = 1;
-                                self.phase = if terminal {
-                                    KkPhase::FinalGatherDone
-                                } else {
-                                    KkPhase::GatherDone
-                                };
-                                break;
-                            }
                         }
-                        mem.note_reads(reads);
                     }
                 }
                 KkPhase::GatherDone | KkPhase::FinalGatherDone => {
@@ -1304,11 +1237,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
                     }
                     let n = self.layout.n() as u64;
                     let rem = (self.m - self.q + 1) as u64;
-                    if self.epoch_cache
-                        && epochs
-                        && budget - steps >= rem
-                        && self.gd_stamp == Some(self.others_epoch(mem))
-                    {
+                    if budget - steps >= rem && self.stamp_holds(self.gd_stamp, mem) {
                         // Sweep-stamp fast path: every watched log frontier
                         // was read as `0` within the last clean sweep and no
                         // process has written since, so the whole sweep is
@@ -1343,13 +1272,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
                         // index by `done_stride` instead of recomputing the
                         // layout mapping per entry — this walk is the
                         // algorithm's Θ(n·m) term and dominates simulated
-                        // wall-clock. (No per-cell epoch probes here: the
-                        // frontier cells are cold, so a probe would cost
-                        // exactly the load it replaces; the whole-sweep
-                        // stamp above is where `gatherDone` redundancy is
-                        // harvested. Stale `gd_epochs` entries can only
-                        // miss in the single-step twin, never falsely hit.)
-                        let cache = self.epoch_cache;
+                        // wall-clock.
                         let stride = self.layout.done_stride();
                         let mut reads = 0u64;
                         'gd: while steps < budget {
@@ -1389,9 +1312,6 @@ impl<S: OrderedJobSet> KkProcess<S> {
                                         if pos > n {
                                             self.gd_open -= 1;
                                         }
-                                        if cache {
-                                            self.gd_epochs[idx] = u64::MAX;
-                                        }
                                     }
                                 } else {
                                     self.q += 1;
@@ -1402,7 +1322,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
                                 steps += 1;
                             }
                             if self.q > self.m {
-                                if cache {
+                                if self.epoch_cache {
                                     self.finish_done_sweep(mem);
                                 }
                                 self.q = 1;
@@ -1499,9 +1419,9 @@ impl<S: OrderedJobSet> amo_sim::ScenarioHooks for KkProcess<S> {
 // `gt_vals`/`gt_dirty` are semantic when the epoch cache is on (they feed the
 // sweep-end `TRY` rebuild); with the cache off they are frozen at their
 // initial values, so including them never splits cache-free states. The
-// remaining cache fields (`gt_epochs`, stamps, `gd_epochs`, `my_writes`) are
-// pure memoisation — a hit returns exactly what a re-read would — and stay
-// excluded; so is `sel_hint`, since hinted and unhinted selection walks
+// remaining cache fields (the sweep stamps and counters, `my_writes`) are
+// pure memoisation — a skipped sweep reads exactly what a re-read would —
+// and stay excluded; so is `sel_hint`, since hinted and unhinted selection walks
 // return identical elements. A derived `DONE` (`done_set == None`) is
 // `J \ FREE`, so comparing `FREE` partitions states exactly as comparing
 // both sets did.
@@ -1963,6 +1883,71 @@ mod tests {
             guard += 1;
             assert!(guard < 1_000, "never reached {phase:?}");
         }
+    }
+
+    /// The single-step path labels a gather read cached exactly while the
+    /// phase's last sweep stamp holds. One foreign write anywhere ends the
+    /// stamp, so the read of an announcement that did not change is a plain
+    /// `Read` again.
+    #[test]
+    fn cached_read_label_follows_the_sweep_stamp() {
+        let (m, n) = (3, 12);
+        let config = KkConfig::new(n, m).unwrap();
+        let layout = KkLayout::contiguous(m, n, false);
+        let mem = VecRegisters::new(layout.cells());
+        let mut p: KkProcess = KkProcess::from_config(1, &config, layout).with_epoch_cache(true);
+        let sweep =
+            |p: &mut KkProcess| -> Vec<StepEvent> { (0..m).map(|_| p.step(&mem)).collect() };
+        let (next_2, next_3) = (layout.next_cell(2), layout.next_cell(3));
+
+        // The first cycle publishes the stamps; nothing is cached before.
+        drive_to_phase(&mut p, &mem, KkPhase::GatherTry);
+        let first = sweep(&mut p);
+        assert_eq!(
+            first[1..],
+            [
+                StepEvent::Read { cell: next_2 },
+                StepEvent::Read { cell: next_3 }
+            ]
+        );
+        drive_to_phase(&mut p, &mem, KkPhase::CompNext);
+
+        // A clean cycle later both sweeps are the ones `step_many` skips.
+        drive_to_phase(&mut p, &mem, KkPhase::GatherTry);
+        let cached = sweep(&mut p);
+        assert_eq!(
+            cached,
+            [
+                StepEvent::Local,
+                StepEvent::CachedRead { cell: next_2 },
+                StepEvent::CachedRead { cell: next_3 },
+            ]
+        );
+        let done = sweep(&mut p);
+        assert_eq!(
+            done[1..],
+            [
+                StepEvent::CachedRead {
+                    cell: layout.done_cell(2, 1)
+                },
+                StepEvent::CachedRead {
+                    cell: layout.done_cell(3, 1)
+                },
+            ]
+        );
+        drive_to_phase(&mut p, &mem, KkPhase::CompNext);
+
+        // Process 2 announces mid-sweep: both remaining reads are real.
+        drive_to_phase(&mut p, &mem, KkPhase::GatherTry);
+        assert_eq!(p.step(&mem), StepEvent::Local);
+        mem.write(next_2, 5);
+        assert_eq!(p.step(&mem), StepEvent::Read { cell: next_2 });
+        assert_eq!(
+            p.step(&mem),
+            StepEvent::Read { cell: next_3 },
+            "next_3 did not change, but the stamp no longer holds"
+        );
+        assert_eq!(p.try_set, vec![5]);
     }
 
     #[test]

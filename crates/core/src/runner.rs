@@ -43,10 +43,6 @@ pub struct AmoReport {
     pub local_work: u64,
     /// Total actions (simulated runs) or summed per-thread actions.
     pub total_steps: u64,
-    /// Peak bytes of tracked-prefix epoch storage the register file ever
-    /// held (see [`amo_sim::VecRegisters::epoch_mem_bytes`]); `0` for
-    /// threaded runs and for runs with epoch tracking off.
-    pub epoch_mem_bytes: u64,
     /// Pairwise collision counts, when tracking was enabled.
     pub collisions: Option<CollisionMatrix>,
     /// Which scheduler produced this run (for table labelling).
@@ -54,9 +50,9 @@ pub struct AmoReport {
 }
 
 impl AmoReport {
-    /// The report of a simulated run, labelled `label`, with the register
-    /// file's peak epoch storage `epoch_mem_bytes` and no collision matrix.
-    pub fn from_execution(exec: Execution, label: &'static str, epoch_mem_bytes: u64) -> Self {
+    /// The report of a simulated run, labelled `label`, with no collision
+    /// matrix.
+    pub fn from_execution(exec: Execution, label: &'static str) -> Self {
         let (effectiveness, violations) = exec.summary();
         AmoReport {
             effectiveness,
@@ -68,14 +64,13 @@ impl AmoReport {
             mem_work: exec.mem_work,
             local_work: exec.local_work,
             total_steps: exec.total_steps,
-            epoch_mem_bytes,
             collisions: None,
             scheduler_label: label,
         }
     }
 
     /// The report of a threaded run, labelled `label`: steps are summed
-    /// over the threads, and restarts and epoch storage are always empty.
+    /// over the threads, and restarts are always empty.
     pub fn from_threads(exec: ThreadExecution, label: &'static str) -> Self {
         let (effectiveness, violations) =
             amo_sim::perform_summary(exec.performed.iter().map(|r| r.span));
@@ -89,7 +84,6 @@ impl AmoReport {
             mem_work: exec.mem_work,
             local_work: exec.local_work,
             total_steps: exec.per_proc_steps.iter().sum(),
-            epoch_mem_bytes: 0,
             collisions: None,
             scheduler_label: label,
         }
@@ -172,8 +166,7 @@ pub fn kk_fleet_with(
 /// when the spec grants quanta (see [`ScenarioSpec::grants_quanta`]): the
 /// macro-stepping fast path reads adjacent cells in its `gatherDone`
 /// sweeps, while single-action schedules keep the row-major layout. The
-/// layout changes no execution, only
-/// [`epoch_mem_bytes`](AmoReport::epoch_mem_bytes).
+/// layout changes no execution, only its speed.
 ///
 /// # Examples
 ///
@@ -218,7 +211,7 @@ pub fn run_fleet_simulated(
     n: usize,
     spec: &ScenarioSpec,
 ) -> AmoReport {
-    let (exec, slots, mem) = run_scenario(mem, fleet, spec);
+    let (exec, slots, _) = run_scenario(mem, fleet, spec);
     let collisions = spec.collisions.then(|| {
         let rows = slots
             .iter()
@@ -228,7 +221,7 @@ pub fn run_fleet_simulated(
     });
     AmoReport {
         collisions,
-        ..AmoReport::from_execution(exec, spec.label(), mem.epoch_mem_bytes())
+        ..AmoReport::from_execution(exec, spec.label())
     }
 }
 

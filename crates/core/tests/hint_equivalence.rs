@@ -1,19 +1,20 @@
-//! Hinted-selection equivalence at the fleet level, plus the
-//! tracked-prefix epoch-memory contract.
+//! Hinted-selection equivalence at the fleet level.
 //!
 //! `KkProcess` threads a [`SelectHint`] from each `compNext` pick into the
-//! next one, repairing it across its own performs and dropping it whenever
-//! a foreign job is merged into `DONE`. The hinted walk must be
-//! observationally invisible: a fleet backed by the hinted [`FenwickSet`]
-//! must produce the same shared-memory observables as one backed by the
-//! unhinted [`DenseFenwickSet`] oracle under every scheduler — including
-//! the foreign-write-heavy adversaries whose whole point is to interleave
-//! invalidating merges between selections.
+//! next one. Every `FREE` removal, an own perform or a foreign job merged
+//! into `DONE`, names the removed element, so the process repairs the
+//! hint's rank in place and never drops it; only the next pick re-anchors
+//! it. The hinted walk must be observationally invisible: a fleet backed by
+//! the hinted [`FenwickSet`] must produce the same shared-memory
+//! observables as one backed by the unhinted [`DenseFenwickSet`] oracle
+//! under every scheduler — including the foreign-write-heavy adversaries
+//! whose whole point is to interleave merges between selections.
 
 use amo_core::{run_scenario_simulated, KkConfig, KkLayout, KkProcess};
 use amo_ostree::DenseFenwickSet;
 use amo_sim::{
-    CrashPlan, Engine, EngineLimits, Execution, RoundRobin, ScenarioSpec, VecRegisters, WithCrashes,
+    run_scenario, CrashPlan, Engine, EngineLimits, Execution, RoundRobin, ScenarioSpec,
+    VecRegisters, WithCrashes,
 };
 
 /// Drives one config through identical schedules with both set backends and
@@ -69,7 +70,9 @@ fn hinted_fenwick_matches_dense_oracle_across_quanta() {
 
 /// Foreign-write-heavy adversarial schedules: every scheduler here forces
 /// interleavings where other processes' `done` entries land between a
-/// process's selections, so hints are dropped and re-anchored constantly.
+/// process's selections, so hints are repaired after foreign merges and
+/// re-anchored constantly. Each run of the hinted fleet must match the
+/// unhinted dense oracle's run of the same spec.
 #[test]
 fn hints_survive_adversarial_interleavings() {
     let config = KkConfig::new(80, 4).expect("valid config");
@@ -80,30 +83,25 @@ fn hints_survive_adversarial_interleavings() {
         ScenarioSpec::random(0xC0FFEE),
         ScenarioSpec::block(7, 23),
     ] {
+        let what = spec.label();
         let report = run_scenario_simulated(&config, &spec);
-        assert!(report.violations.is_empty(), "safety under adversary");
-    }
-}
+        assert!(
+            report.violations.is_empty(),
+            "{what}: safety under adversary"
+        );
 
-/// Tracked-prefix epoch memory: a batched (cache-on) run reports a peak
-/// epoch footprint proportional to the cells actually written — far below
-/// the full register file — and a single-step run (cache off, tracking
-/// off) reports zero.
-#[test]
-fn epoch_memory_is_proportional_to_touched_cells() {
-    let config = KkConfig::new(20_000, 4).expect("valid config");
-    let fast = run_scenario_simulated(&config, &ScenarioSpec::round_robin_batched());
-    let cells_bytes = (4 + 4 * 20_000) as u64 * 8;
-    assert!(fast.epoch_mem_bytes > 0, "cache-on runs track epochs");
-    assert!(
-        fast.epoch_mem_bytes * 2 < cells_bytes,
-        "tracked prefix ({} B) must stay well below the full file ({} B)",
-        fast.epoch_mem_bytes,
-        cells_bytes
-    );
-    let single = run_scenario_simulated(&config, &ScenarioSpec::round_robin());
-    assert_eq!(
-        single.epoch_mem_bytes, 0,
-        "single-step runs keep epoch tracking off entirely"
-    );
+        // The dense oracle over the layout the runner picks for this spec.
+        let mut layout = KkLayout::contiguous(config.m(), config.n(), false);
+        if spec.grants_quanta() {
+            layout = layout.with_interleaved_done();
+        }
+        let fleet: Vec<KkProcess<DenseFenwickSet>> = (1..=config.m())
+            .map(|pid| KkProcess::from_config(pid, &config, layout))
+            .collect();
+        let (dense, _, _) = run_scenario(VecRegisters::new(layout.cells()), fleet, &spec);
+        let dense_performed: Vec<_> = dense.performed.iter().map(|r| (r.pid, r.span)).collect();
+        assert_eq!(report.performed, dense_performed, "{what}: performed");
+        assert_eq!(report.total_steps, dense.total_steps, "{what}: total_steps");
+        assert_eq!(report.mem_work, dense.mem_work, "{what}: shared work");
+    }
 }

@@ -135,8 +135,8 @@ impl ScenarioHooks for IterativeProcess {
 pub fn run_iterative_scenario(config: &IterConfig, spec: &ScenarioSpec) -> AmoReport {
     let (layout, fleet) = iter_fleet(config);
     let mem = VecRegisters::new(layout.cells());
-    let (exec, _slots, mem) = run_scenario(mem, fleet, spec);
-    AmoReport::from_execution(exec, spec.label(), mem.epoch_mem_bytes())
+    let (exec, _slots, _mem) = run_scenario(mem, fleet, spec);
+    AmoReport::from_execution(exec, spec.label())
 }
 
 /// Runs `IterativeKK(ε)` on OS threads over hardware atomics, configured

@@ -878,55 +878,6 @@ impl crate::rank::OrderedJobSet for FenwickSet {
         FenwickSet::remove(self, id)
     }
 
-    /// Fused `done.insert` + `free.remove`: the bit index, word offset,
-    /// mask and block coordinates are computed **once** and applied to both
-    /// structures back to back, replacing two independent bounds-checked
-    /// walks per merged log entry with one. Both sets in the KKβ automaton
-    /// range over the same universe, so the block geometry is shared; when
-    /// it is not (foreign callers), the remove leg recomputes its own
-    /// superblock shift — coordinates up to the block level depend only on
-    /// `id`. Work accounting is charge-for-charge the unpaired sequence
-    /// (asserted by the `paired_merge` property suite).
-    fn insert_paired_remove(&mut self, free: &mut Self, id: u64) -> (bool, bool) {
-        assert!(
-            id >= 1 && id as usize <= self.universe,
-            "insert of {id} outside universe 1..={}",
-            self.universe
-        );
-        let i = id as usize - 1;
-        let wi = i / 64;
-        let mask = 1u64 << (i % 64);
-        let b = i / BLOCK_BITS;
-        // Insert leg (self = the DONE set).
-        let word = &mut self.bits[wi];
-        if *word & mask != 0 {
-            self.ops.bump();
-            return (false, false);
-        }
-        self.ops.add(2);
-        *word |= mask;
-        self.blk[b] += 1;
-        self.sup[b >> self.sup_shift] += 1;
-        self.len += 1;
-        // Remove leg (free), reusing the coordinates. An id beyond `free`'s
-        // universe degrades to `remove`'s out-of-range charge.
-        if i >= free.universe {
-            free.ops.bump();
-            return (true, false);
-        }
-        let word = &mut free.bits[wi];
-        if *word & mask == 0 {
-            free.ops.bump();
-            return (true, false);
-        }
-        free.ops.add(2);
-        *word &= !mask;
-        free.blk[b] -= 1;
-        free.sup[b >> free.sup_shift] -= 1;
-        free.len -= 1;
-        (true, true)
-    }
-
     fn ops(&self) -> u64 {
         FenwickSet::ops(self)
     }

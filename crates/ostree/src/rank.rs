@@ -147,8 +147,8 @@ pub trait OrderedJobSet:
 
     /// The paired foreign-merge operation: inserts `id` into `self` (the
     /// `DONE` role) and, exactly when it was newly inserted, removes it
-    /// from `free` — fusing the `done.insert` + `free.remove` pair of the
-    /// KKβ `gatherDone` merge, once per observed log entry.
+    /// from `free` — the `done.insert` + `free.remove` pair of the KKβ
+    /// `gatherDone` merge, once per observed log entry.
     ///
     /// Only processes that keep `DONE` as a physical set call it: iterated
     /// stages whose initial `FREE` is a proper subset of the universe. A
@@ -157,20 +157,15 @@ pub trait OrderedJobSet:
     /// paper-scale run).
     ///
     /// Returns `(inserted, removed)`: `inserted` is what `self.insert(id)`
-    /// would have returned, `removed` what the conditional `free.remove(id)`
-    /// would have (always `false` when `inserted` is `false` — the removal
-    /// is not attempted then, exactly like the unpaired sequence).
+    /// returned, `removed` what the conditional `free.remove(id)` returned
+    /// (always `false` when `inserted` is `false` — the removal is not
+    /// attempted then).
     ///
-    /// **Contract:** observationally identical to
-    /// `let i = self.insert(id); let r = i && free.remove(id); (i, r)`,
-    /// including each set's [`ops`](Self::ops) charges — implementations
-    /// may only fuse shared *computation* (index math, bounds checks),
-    /// never change the work measure. The `paired_merge` property suite
-    /// asserts this against the unpaired sequence on both bitmap backends.
-    ///
-    /// The default implementation *is* the unpaired sequence;
-    /// [`FenwickSet`](crate::FenwickSet) overrides it with a fused
-    /// one-index-computation walk over both structures.
+    /// The body is exactly `let i = self.insert(id); let r = i &&
+    /// free.remove(id); (i, r)`, with each set's [`ops`](Self::ops) charges,
+    /// and no backend overrides it. It stays a trait method because the
+    /// benchmark's traced set wrapper (`perfbench/`) counts it as its own
+    /// call.
     ///
     /// # Panics
     ///

@@ -34,7 +34,7 @@
 //!
 //! Recovery then rebuilds the register file by replaying the surviving log
 //! over the base snapshot and writing the result back through
-//! [`VecRegisters::restore`] — a whole-file epoch event, so announcement
+//! [`VecRegisters::restore`], which moves the global epoch, so announcement
 //! caches can never validate values from before the blackout. Every fault
 //! is thereby *structurally* confined to the crashed process's soft
 //! suffix: a write that precedes any of its performs is durable and can
@@ -448,11 +448,6 @@ impl Registers for DurableRegisters {
     }
 
     #[inline]
-    fn epoch(&self, cell: usize) -> u64 {
-        self.inner.epoch(cell)
-    }
-
-    #[inline]
     fn global_epoch(&self) -> u64 {
         self.inner.global_epoch()
     }
@@ -496,8 +491,8 @@ impl Registers for DurableRegisters {
         let image = self.store.borrow_mut().blackout(pid, self.fault, &mut rng);
         self.rng.set(rng);
         if let Some(image) = image {
-            // Whole-file restore: epochs move past every recording, so no
-            // announcement cache can validate a pre-blackout value.
+            // The restore moves the global epoch past every sweep stamp, so
+            // no announcement cache can validate a pre-blackout value.
             self.inner.restore(&image);
         }
     }
@@ -527,7 +522,6 @@ mod tests {
         assert_eq!(plain.work(), wrapped.work());
         assert_eq!(plain.snapshot(), wrapped.snapshot());
         assert_eq!(plain.global_epoch(), wrapped.global_epoch());
-        assert_eq!(plain.epoch(0), wrapped.epoch(0));
     }
 
     #[test]
@@ -698,11 +692,12 @@ mod tests {
         let mem = durable(2, StorageFault::DroppedFlush, 8);
         mem.note_actor(1);
         mem.write(0, 1);
-        let e = mem.epoch(0);
         let g = mem.global_epoch();
         mem.crash_blackout(1);
-        assert!(mem.epoch(0) > e, "lost cell cannot revalidate a cache");
-        assert!(mem.global_epoch() > g);
+        assert!(
+            mem.global_epoch() > g,
+            "a lost cell cannot revalidate a cache"
+        );
     }
 
     #[test]

@@ -76,20 +76,20 @@
 //!
 //! # Register epochs (the announcement-cache invariant)
 //!
-//! [`Registers`] optionally exposes per-cell *epochs* plus a global
-//! mutation stamp ([`Registers::epochs_enabled`]): a cell's epoch strictly
-//! increases on every mutation of that cell (writes, swaps, snapshot
-//! restores) and the global epoch increases on every mutation of any
-//! cell. A process that recorded `(value, epoch)` for a cell and
-//! later sees the same epoch may therefore serve a re-read from its local
-//! copy, and an unchanged global epoch certifies that *nothing* changed —
-//! which is what lets the KKβ announcement caches collapse whole
-//! `gatherTry`/`gatherDone` sweeps into their accounting between failures.
-//! Model-level observables are untouched: a cached read is still counted
-//! as one shared read and surfaces as [`StepEvent::CachedRead`] on the
-//! traced path. Only the deterministic [`VecRegisters`] enables epochs;
-//! [`AtomicRegisters`] keeps them disabled because an epoch probe and a
-//! value load are not atomic together under real concurrency.
+//! A [`Registers`] file may keep a global mutation stamp
+//! ([`Registers::global_epoch`], announced by
+//! [`Registers::epochs_enabled`]) that increases on every mutation of any
+//! cell: writes, swaps and snapshot restores. An unchanged stamp certifies
+//! that *nothing* changed. The KKβ announcement cache stamps each
+//! `gatherTry` and `gatherDone` sweep that saw no foreign write, and while
+//! the stamp (less the process's own writes) still matches, the batched
+//! path collapses whole sweeps, and whole cycles, into their accounting.
+//! Model-level observables are untouched: a skipped read is still counted
+//! as one shared read, and on the single-step (traced) path the same read
+//! surfaces as [`StepEvent::CachedRead`]. Only the deterministic
+//! [`VecRegisters`] enables epochs; [`AtomicRegisters`] keeps them disabled
+//! because a stamp probe and a value load are not atomic together under
+//! real concurrency.
 //!
 //! # Durability invariants (the `Durable` backend)
 //!

@@ -951,11 +951,6 @@ impl Registers for QuorumRegisters {
     }
 
     #[inline]
-    fn epoch(&self, cell: usize) -> u64 {
-        self.inner.epoch(cell)
-    }
-
-    #[inline]
     fn global_epoch(&self) -> u64 {
         self.inner.global_epoch()
     }
@@ -1017,7 +1012,6 @@ mod tests {
         }
         assert_eq!(plain.work(), wrapped.work());
         assert_eq!(plain.global_epoch(), wrapped.global_epoch());
-        assert_eq!(plain.epoch(0), wrapped.epoch(0));
         assert_eq!(wrapped.net_stats().atomicity_violations, 0);
     }
 

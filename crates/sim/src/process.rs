@@ -89,19 +89,20 @@ pub enum StepEvent {
         /// Index of the cell read.
         cell: usize,
     },
-    /// The action read one shared cell whose value was provably unchanged
-    /// since the process last read it (the cell's epoch — see
-    /// [`Registers::epoch`] — did not move), so an epoch-caching process
-    /// served it from its local copy.
+    /// The action read one shared cell whose value was provably unchanged:
+    /// no other process has written anything since the epoch-caching
+    /// process's last clean sweep over these cells (the register file's
+    /// [`global_epoch`], less the process's own writes, did not move). It
+    /// is a read the batched fast path skips.
     ///
     /// The access is still a *model* read: it is counted in [`MemWork`]
     /// exactly like [`StepEvent::Read`], and the cell index attributes it in
     /// traces. On the engine's single-step (and therefore tracing) path the
-    /// process performs a full re-read anyway — the variant only marks the
-    /// access as cache-satisfiable; the batched fast path is where the load
-    /// is actually skipped.
+    /// process performs the read anyway — the variant only marks the access
+    /// as cache-satisfiable; the batched fast path is where the load is
+    /// actually skipped.
     ///
-    /// [`Registers::epoch`]: crate::Registers::epoch
+    /// [`global_epoch`]: crate::Registers::global_epoch
     /// [`MemWork`]: crate::MemWork
     CachedRead {
         /// Index of the cell read (from cache).

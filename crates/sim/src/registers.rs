@@ -1,4 +1,4 @@
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use amo_ostree::kernels;
@@ -107,42 +107,42 @@ pub trait Registers {
         let _ = reads;
     }
 
-    /// `true` when this register file maintains per-cell epochs (version
-    /// counters) that announcement-caching processes may rely on.
+    /// `true` when this register file keeps a [`global_epoch`] that
+    /// announcement-caching processes may rely on.
     ///
-    /// Epoch contract (the invariant the caches build on):
+    /// Epoch contract (the invariant the caches build on): the global epoch
+    /// increases on every mutation of **any** cell (`write`, `swap`, a
+    /// snapshot `restore`) and never otherwise. So an unchanged global
+    /// epoch certifies that *no* cell changed, and a process may skip
+    /// re-reading values it read since then. That is all the KKβ caches
+    /// use: a whole `gatherTry` or `gatherDone` sweep is skipped while the
+    /// epoch (less the process's own writes) still equals the one stamped
+    /// at the end of its last clean sweep.
     ///
-    /// * [`epoch`](Self::epoch) of a cell strictly increases on **every**
-    ///   mutation of that cell (`write`, `swap`, snapshot `restore`), and
-    ///   never otherwise;
-    /// * therefore, if a process recorded `(value, epoch)` for a cell and a
-    ///   later `epoch` call returns the same number, the cell still holds
-    ///   `value` — a re-read may be served from the recorded copy;
-    /// * [`global_epoch`](Self::global_epoch) increases on every mutation of
-    ///   **any** cell, so an unchanged global epoch certifies that *no* cell
-    ///   changed.
+    /// The default is `false`, and a cache must then never skip a read.
+    /// Only the deterministic simulator's [`VecRegisters`] enables it:
+    /// under real concurrency the epoch probe and the value read are two
+    /// separate loads, so the pair is not atomic and the invariant would be
+    /// unsound ([`AtomicRegisters`] keeps it disabled by design).
     ///
-    /// The default is `false` — epoch queries then return constants and a
-    /// cache must never skip a read. Only the deterministic simulator's
-    /// [`VecRegisters`] enables it: under real concurrency the epoch probe
-    /// and the value read are two separate loads, so the pair is not atomic
-    /// and the invariant would be unsound ([`AtomicRegisters`] keeps it
-    /// disabled by design).
+    /// [`global_epoch`]: Self::global_epoch
     fn epochs_enabled(&self) -> bool {
         false
     }
 
-    /// The epoch (version counter) of `cell`; see
-    /// [`epochs_enabled`](Self::epochs_enabled) for the contract. Without
-    /// epoch support the default returns `0` for every cell, which is safe
-    /// only because `epochs_enabled` is `false`.
+    /// A version of `cell` that is unchanged while the cell is. The default
+    /// is the [`global_epoch`](Self::global_epoch), which moves on every
+    /// mutation of any cell and so also on every mutation of this one. No
+    /// cache reads it; it stays while the benchmark's traced register
+    /// wrapper (`perfbench/`) forwards it.
     fn epoch(&self, cell: usize) -> u64 {
         let _ = cell;
-        0
+        self.global_epoch()
     }
 
     /// Monotone counter of mutations across the whole file; see
-    /// [`epochs_enabled`](Self::epochs_enabled) for the contract.
+    /// [`epochs_enabled`](Self::epochs_enabled) for the contract. `0` for
+    /// files without epochs.
     fn global_epoch(&self) -> u64 {
         0
     }
@@ -229,54 +229,24 @@ pub trait Registers {
 /// cluster at the low indices, so the mark stays close to the number of
 /// cells written.
 ///
-/// # Tracked-prefix epochs
+/// # Global epoch
 ///
-/// The file maintains per-cell *epochs* satisfying the
-/// [`Registers::epochs_enabled`] contract — this is what the
-/// announcement-epoch caches of the KKβ processes key on. The
-/// representation is a **tracked prefix**: a cell's epoch is the value of
-/// the global mutation stamp at that cell's last mutation, and dense
-/// per-cell storage exists only for cells `0..hi`, where `hi` is one past
-/// the highest cell ever mutated (grown on demand). Every cell beyond the
-/// tracked prefix reports the shared *base* epoch — the stamp at the last
-/// whole-file event ([`restore`](VecRegisters::restore), a switch of
-/// [`set_epoch_tracking`](VecRegisters::set_epoch_tracking), or
-/// creation).
-///
-/// Soundness: the stamp strictly increases on **every** mutation, so each
-/// mutation event owns a globally unique epoch number. A recorded
-/// `(value, epoch)` pair therefore validates iff the cell has not been
-/// mutated since it was recorded — a whole-file event moves the base (and
-/// drops the dense prefix) to a stamp no earlier recording can equal, so
-/// caches primed against a previous state of the file (explorer rewinds)
-/// can never validate.
-///
-/// Why a prefix and not a full vector: for the same reason as the written
-/// high-water mark, the dense epoch storage stays proportional to the
-/// cells a run touches instead of doubling the register file's footprint.
-///
-/// Epoch maintenance can be switched off entirely
-/// ([`set_epoch_tracking`](VecRegisters::set_epoch_tracking)) for runs
-/// whose processes never consult epochs (single-action granularity, where
-/// the caches cannot skip anything); the file then reports
-/// [`Registers::epochs_enabled`]` == false` and allocates no epoch storage
-/// at all.
+/// The file counts every mutation in one stamp, its
+/// [`global_epoch`](Registers::global_epoch), which is what the
+/// announcement-epoch caches of the KKβ processes key on (see
+/// [`Registers::epochs_enabled`]). A [`restore`](VecRegisters::restore)
+/// counts as a mutation too, so a cache primed against an earlier state of
+/// the file (an explorer rewind) never validates. Runs whose processes
+/// never consult the stamp (single-action granularity, where a cache can
+/// skip nothing) switch it off for the caches with
+/// [`set_epoch_tracking`](VecRegisters::set_epoch_tracking).
 #[derive(Debug, Clone, Default)]
 pub struct VecRegisters {
     cells: Vec<Cell<u64>>,
     /// Written high-water mark: every cell at or above it is zero.
     written: Cell<usize>,
-    /// Dense epochs for the tracked prefix (stamp at last mutation); cells
-    /// beyond `epochs.len()` report `epoch_base`.
-    epochs: RefCell<Vec<u64>>,
-    /// Epoch of every cell beyond the tracked prefix (the stamp at the last
-    /// whole-file event).
-    epoch_base: Cell<u64>,
-    /// High-water tracked-prefix length (the memory metric reported by
-    /// [`epoch_mem_bytes`](VecRegisters::epoch_mem_bytes)).
-    epoch_hw: Cell<usize>,
-    /// `true` when epoch maintenance is switched off (field is the negated
-    /// form so `Default` keeps tracking on).
+    /// `true` when the caches may not rely on the stamp (field is the
+    /// negated form so `Default` keeps tracking on).
     epochs_off: Cell<bool>,
     /// Mutations across all cells (monotone; never reset).
     stamp: Cell<u64>,
@@ -304,43 +274,22 @@ impl VecRegisters {
         }
     }
 
-    /// Ensures the tracked prefix covers `cell` and records `stamp` as its
-    /// epoch.
-    #[inline]
-    fn touch_epoch(&self, cell: usize, stamp: u64) {
-        let mut epochs = self.epochs.borrow_mut();
-        if cell >= epochs.len() {
-            epochs.resize(cell + 1, self.epoch_base.get());
-            if epochs.len() > self.epoch_hw.get() {
-                self.epoch_hw.set(epochs.len());
-            }
-        }
-        epochs[cell] = stamp;
-    }
-
-    /// Enables or disables per-cell epoch maintenance.
+    /// Sets what [`Registers::epochs_enabled`] reports.
     ///
     /// Runs that never consult epochs (no quanta granted, so no
-    /// announcement cache can skip a read) disable tracking to keep the
-    /// write path a plain store and the epoch footprint at zero. Switching
-    /// — either way — counts as a whole-file event: the stamp and base are
-    /// bumped and the dense prefix dropped, so no recording made under the
-    /// previous regime can validate afterwards.
+    /// announcement cache can skip a read) switch it off, and no process
+    /// then publishes a sweep stamp. The stamp itself counts every mutation
+    /// either way, so a stamp published before a switch is still sound
+    /// after it.
     pub fn set_epoch_tracking(&self, enabled: bool) {
-        if self.epochs_off.get() == enabled {
-            let s = self.stamp.get() + 1;
-            self.stamp.set(s);
-            self.epoch_base.set(s);
-            self.epochs.borrow_mut().clear();
-            self.epochs_off.set(!enabled);
-        }
+        self.epochs_off.set(!enabled);
     }
 
-    /// Peak bytes of dense epoch storage this file held since its creation
-    /// — the tracked-prefix high-water mark times the entry size. `0` when
-    /// no cell was mutated with tracking on.
+    /// Bytes of per-cell epoch storage: always `0`, since the file keeps
+    /// only its global stamp. It stays while the benchmark (`perfbench/`)
+    /// reports it as `reg.epoch_mem_mb`.
     pub fn epoch_mem_bytes(&self) -> u64 {
-        (self.epoch_hw.get() * std::mem::size_of::<u64>()) as u64
+        0
     }
 
     /// Snapshot of all cell values (used by the explorer and for
@@ -361,20 +310,17 @@ impl VecRegisters {
     /// Restores a snapshot previously taken with
     /// [`snapshot`](VecRegisters::snapshot).
     ///
-    /// A whole-file event: every cell's epoch moves to the new base (a
-    /// restore may change any value, and the explorer rewinds memory behind
-    /// the processes' backs), so epoch caches never serve values from a
-    /// different branch of an exploration.
+    /// Counts as one mutation of the global epoch (a restore may change any
+    /// value, and the explorer rewinds memory behind the processes' backs),
+    /// so epoch caches never serve values from a different branch of an
+    /// exploration.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot length differs from the register count.
     pub fn restore(&self, snapshot: &[u64]) {
         assert_eq!(snapshot.len(), self.cells.len(), "snapshot size mismatch");
-        let s = self.stamp.get() + 1;
-        self.stamp.set(s);
-        self.epoch_base.set(s);
-        self.epochs.borrow_mut().clear();
+        self.stamp.set(self.stamp.get() + 1);
         // Bulk value restore (the explorer rewinds whole register files per
         // branch).
         kernels::copy_into_cells(&self.cells, snapshot);
@@ -409,11 +355,7 @@ impl Registers for VecRegisters {
     #[inline]
     fn write(&self, cell: usize, value: u64) {
         self.writes.set(self.writes.get() + 1);
-        let s = self.stamp.get() + 1;
-        self.stamp.set(s);
-        if !self.epochs_off.get() {
-            self.touch_epoch(cell, s);
-        }
+        self.stamp.set(self.stamp.get() + 1);
         self.cells[cell].set(value);
         self.note_written(cell);
     }
@@ -421,11 +363,7 @@ impl Registers for VecRegisters {
     #[inline]
     fn swap(&self, cell: usize, value: u64) -> u64 {
         self.rmws.set(self.rmws.get() + 1);
-        let s = self.stamp.get() + 1;
-        self.stamp.set(s);
-        if !self.epochs_off.get() {
-            self.touch_epoch(cell, s);
-        }
+        self.stamp.set(self.stamp.get() + 1);
         let old = self.cells[cell].replace(value);
         self.note_written(cell);
         old
@@ -437,18 +375,6 @@ impl Registers for VecRegisters {
 
     fn epochs_enabled(&self) -> bool {
         !self.epochs_off.get()
-    }
-
-    #[inline]
-    fn epoch(&self, cell: usize) -> u64 {
-        if self.epochs_off.get() {
-            return 0;
-        }
-        let epochs = self.epochs.borrow();
-        epochs
-            .get(cell)
-            .copied()
-            .unwrap_or_else(|| self.epoch_base.get())
     }
 
     #[inline]
@@ -676,18 +602,15 @@ mod tests {
     fn epochs_move_only_on_mutation() {
         let m = VecRegisters::new(3);
         assert!(m.epochs_enabled());
-        assert_eq!(m.epoch(1), 0);
         let g0 = m.global_epoch();
         m.read(1);
         m.peek(1);
-        assert_eq!(m.epoch(1), 0, "reads leave epochs untouched");
-        assert_eq!(m.global_epoch(), g0);
+        assert_eq!(m.global_epoch(), g0, "reads leave the epoch untouched");
         m.write(1, 7);
-        assert_eq!(m.epoch(1), 1);
-        assert_eq!(m.epoch(0), 0, "other cells untouched");
-        assert!(m.global_epoch() > g0);
-        m.swap(1, 9);
-        assert_eq!(m.epoch(1), 2);
+        assert_eq!(m.global_epoch(), g0 + 1);
+        m.swap(2, 9);
+        assert_eq!(m.global_epoch(), g0 + 2);
+        assert_eq!(m.epoch(0), m.global_epoch(), "a cell's epoch is the file's");
     }
 
     #[test]
@@ -695,43 +618,10 @@ mod tests {
         let m = VecRegisters::new(2);
         let snap = m.snapshot();
         m.write(0, 5);
-        let (e0, e1, g) = (m.epoch(0), m.epoch(1), m.global_epoch());
+        let g = m.global_epoch();
         m.restore(&snap);
-        assert!(m.epoch(0) > e0 && m.epoch(1) > e1, "every cell bumped");
-        assert!(m.global_epoch() > g);
+        assert!(m.global_epoch() > g, "a restore is a mutation");
         assert_eq!(m.snapshot(), snap);
-    }
-
-    #[test]
-    fn epoch_storage_tracks_only_the_written_prefix() {
-        let m = VecRegisters::new(1_000_000);
-        assert_eq!(m.epoch_mem_bytes(), 0, "no mutation, no epoch storage");
-        m.write(7, 1);
-        m.write(3, 2);
-        assert_eq!(
-            m.epoch_mem_bytes(),
-            8 * 8,
-            "prefix covers 0..=7, not the whole file"
-        );
-        assert_eq!(m.epoch(3), m.global_epoch());
-        assert_eq!(m.epoch(999_999), 0, "untouched tail reports the base");
-        m.write(999, 3);
-        assert_eq!(m.epoch_mem_bytes(), 1000 * 8);
-    }
-
-    #[test]
-    fn untracked_tail_epochs_validate_and_invalidate_correctly() {
-        let m = VecRegisters::new(100);
-        // A cache records (0, epoch) for an untouched cell...
-        let e = m.epoch(90);
-        m.write(5, 1); // foreign mutation elsewhere
-        assert_eq!(m.epoch(90), e, "untouched cell's epoch is stable");
-        m.write(90, 7);
-        assert_ne!(m.epoch(90), e, "mutation moves the cell past the base");
-        let e2 = m.epoch(90);
-        m.restore(&m.snapshot());
-        assert_ne!(m.epoch(90), e2, "whole-file events invalidate everything");
-        assert_ne!(m.epoch(90), e);
     }
 
     #[test]
@@ -739,17 +629,16 @@ mod tests {
         let m = VecRegisters::new(16);
         m.set_epoch_tracking(false);
         assert!(!m.epochs_enabled());
-        m.write(3, 5);
-        assert_eq!(m.epoch(3), 0, "disabled files answer like the default");
-        assert_eq!(m.epoch_mem_bytes(), 0, "no epoch storage accrues");
-        assert_eq!(m.read(3), 5, "values are unaffected");
-        // Re-enabling is a whole-file event: nothing recorded before (under
-        // either regime) may validate afterwards.
         let g = m.global_epoch();
+        m.write(3, 5);
+        assert_eq!(m.read(3), 5, "values are unaffected");
+        assert!(
+            m.global_epoch() > g,
+            "the stamp still counts, so a stamp published before the switch stays sound"
+        );
         m.set_epoch_tracking(true);
         assert!(m.epochs_enabled());
-        assert!(m.global_epoch() > g);
-        assert_eq!(m.epoch(3), m.global_epoch());
+        assert_eq!(m.epoch_mem_bytes(), 0, "no per-cell epoch storage");
     }
 
     #[test]

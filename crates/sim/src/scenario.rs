@@ -125,7 +125,7 @@ impl SchedulerSpec {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum BackendSpec {
-    /// Deterministic in-memory registers with tracked-prefix epochs
+    /// Deterministic in-memory registers with a global mutation epoch
     /// ([`VecRegisters`]).
     #[default]
     Vec,

@@ -2,13 +2,17 @@
 //! turns a recorded [`TraceEntry`](crate::TraceEntry) stream into per-process
 //! lanes.
 //!
+//! KKβ with `n = 6`, `m = 2` and the epoch cache on, traced under
+//! round-robin, with process 2 crashed after three actions:
+//!
 //! ```text
-//! p1 | c W r r d C ...
-//! p2 | c W r ✗
+//! p1 | . W . r . r . ! W . W . c . c . ! W . W . c . c . ! W . W . c . c . ! W #
+//! p2 | . W r ✗
 //! ```
 //!
-//! Legend: `.` local action, `W` shared write, `r` shared read, `s` RMW,
-//! `!` perform (a `do`), `#` termination, `✗` crash.
+//! Legend: `.` local action, `W` shared write, `r` shared read, `c` a read
+//! the batched path skips ([`StepEvent::CachedRead`]), `s` RMW, `!` perform
+//! (a `do`), `#` termination, `✗` crash.
 
 use crate::engine::TraceEntry;
 use crate::process::StepEvent;

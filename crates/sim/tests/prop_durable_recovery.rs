@@ -215,7 +215,7 @@ proptest! {
             apply(&wrapped, op);
             if let Op::Write(cell, _) | Op::Swap(cell, _) = op {
                 prop_assert_eq!(plain.read(cell), wrapped.read(cell));
-                prop_assert_eq!(plain.epoch(cell), wrapped.epoch(cell));
+                prop_assert_eq!(plain.global_epoch(), wrapped.global_epoch());
             }
         }
         prop_assert_eq!(plain.snapshot(), wrapped.snapshot());

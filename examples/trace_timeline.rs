@@ -1,8 +1,8 @@
 //! Records an execution trace of KKβ and renders it as per-process ASCII
 //! lanes — the debugging view of the model's interleavings.
 //!
-//! Legend: `.` local, `r` read, `W` write, `!` perform (`do`), `#` done,
-//! `✗` crash.
+//! Legend: `.` local, `r` read, `c` a read the batched path skips, `W`
+//! write, `!` perform (`do`), `#` done, `✗` crash.
 //!
 //! ```bash
 //! cargo run --release --example trace_timeline

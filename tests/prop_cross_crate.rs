@@ -19,9 +19,8 @@ fn crash_plan(m: usize, seed: u64) -> CrashPlan {
 /// pipeline directly on the engine — hand-built fleet, hand-wired epoch
 /// cache and tracking, hand-composed scheduler + [`WithCrashes`] — and
 /// requires `run_scenario_simulated` to reproduce it
-/// observable-for-observable (`local_work` and `epoch_mem_bytes`
-/// included), so a bug in the scenario driver cannot hide behind a runner
-/// that shares it.
+/// observable-for-observable (`local_work` included), so a bug in the
+/// scenario driver cannot hide behind a runner that shares it.
 #[test]
 fn scenario_shims_match_a_hand_built_engine_reference() {
     use at_most_once::core::{kk_fleet_with, KkProcess};
@@ -41,7 +40,7 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
         cache: bool,
         sched: S,
         plan: &CrashPlan,
-    ) -> (u64, u64, u64, u64, u64, Vec<usize>) {
+    ) -> (u64, u64, u64, u64, Vec<usize>) {
         let (layout, mut fleet) = kk_fleet_with(config, false, interleaved);
         if cache {
             for p in &mut fleet {
@@ -51,7 +50,7 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
         let mem = VecRegisters::new(layout.cells());
         mem.set_epoch_tracking(cache);
         let sched = WithCrashes::new(sched, plan.clone());
-        let (exec, _slots, mem) = Engine::new(mem, fleet, sched).run_full(Default::default());
+        let exec = Engine::new(mem, fleet, sched).run(Default::default());
         let (effectiveness, violations) = exec.summary();
         assert!(violations.is_empty());
         (
@@ -59,7 +58,6 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
             exec.total_steps,
             exec.mem_work.total(),
             exec.local_work,
-            mem.epoch_mem_bytes(),
             exec.crashed,
         )
     }
@@ -77,7 +75,6 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
             report.total_steps,
             report.mem_work.total(),
             report.local_work,
-            report.epoch_mem_bytes,
             report.crashed.clone(),
         ),
         "rr-batched run diverged from the hand-built engine reference"
@@ -96,21 +93,18 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
             report.total_steps,
             report.mem_work.total(),
             report.local_work,
-            report.epoch_mem_bytes,
             report.crashed.clone(),
         ),
         "random run diverged from the hand-built engine reference"
     );
 
     // Bursty blocks grant quanta, so the runner picks the interleaved
-    // `done` layout with the cache and epoch tracking on; the tracked
-    // prefix (`epoch_mem_bytes`) is what that layout choice changes.
+    // `done` layout with the cache and epoch tracking on.
     let golden = reference(&config, true, true, BlockScheduler::new(7, 23), &plan);
     let report = run_scenario_simulated(
         &config,
         &ScenarioSpec::block(7, 23).with_crash_plan(plan.clone()),
     );
-    assert!(golden.4 > 0, "block runs track epochs");
     assert_eq!(
         golden,
         (
@@ -118,7 +112,6 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
             report.total_steps,
             report.mem_work.total(),
             report.local_work,
-            report.epoch_mem_bytes,
             report.crashed.clone(),
         ),
         "block run diverged from the hand-built engine reference"
@@ -136,7 +129,7 @@ fn scenario_shims_match_a_hand_built_engine_reference() {
     assert_eq!(golden.0, report.effectiveness);
     assert_eq!(golden.0, config.effectiveness_bound(), "Theorem 4.4 exact");
     assert_eq!(
-        (golden.1, golden.2, golden.3, golden.5),
+        (golden.1, golden.2, golden.3, golden.4),
         (
             report.total_steps,
             report.mem_work.total(),

@@ -200,9 +200,6 @@ impl Registers for CountingRegisters {
     fn epochs_enabled(&self) -> bool {
         self.inner.epochs_enabled()
     }
-    fn epoch(&self, cell: usize) -> u64 {
-        self.inner.epoch(cell)
-    }
     fn global_epoch(&self) -> u64 {
         self.inner.global_epoch()
     }
