@@ -163,8 +163,7 @@ pub fn run_baseline_threads(
         spec: &ThreadSpec,
         label: &'static str,
     ) -> AmoReport {
-        let mem = spec.alloc(cells);
-        AmoReport::from_threads(spec.run(&mem, fleet), label)
+        AmoReport::from_execution(spec.run(&AtomicRegisters::new(cells), fleet), label)
     }
     match kind {
         AmoBaselineKind::TrivialSplit => {

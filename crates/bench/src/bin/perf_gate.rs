@@ -18,7 +18,7 @@
 //! stdout. Exit code 1 on regression.
 
 use amo_bench::gate::{
-    arg_value, compare_env, markdown, parse_backend, parse_bench, schema_mismatch, MEM_TOLERANCE,
+    arg_value, compare_with, markdown, parse_bench, schema_mismatch, MEM_TOLERANCE,
 };
 
 fn main() {
@@ -64,18 +64,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Register backends ride along informationally: a mismatch (a durable
-    // journaling backend) relaxes the timing bands — timing is not
-    // comparable across backends — while deterministic counters stay
-    // pinned exactly.
-    let report = compare_env(
-        &baseline,
-        &current,
-        tolerance,
-        mem_tolerance,
-        parse_backend(&baseline_json).as_deref(),
-        parse_backend(&current_json).as_deref(),
-    );
+    let report = compare_with(&baseline, &current, tolerance, mem_tolerance);
     let md = markdown(&report, tolerance);
     println!("{md}");
 

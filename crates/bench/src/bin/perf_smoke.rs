@@ -42,7 +42,7 @@ use amo_iterative::{run_iterative_scenario, IterConfig};
 use amo_ostree::DenseFenwickSet;
 use amo_sim::{
     boxed, last_net_stats, run_scenario, run_scenario_on, AtomicRegisters, BackendSpec, BoxProcess,
-    CrashPlan, Engine, EngineLimits, LatencyDist, MemOrder, NetworkSpec, RoundRobin, ScenarioSpec,
+    CrashPlan, Engine, EngineLimits, LatencyDist, NetworkSpec, RoundRobin, ScenarioSpec,
     ThreadSpec, VecRegisters, WithCrashes,
 };
 use amo_write_all::{run_wa_scenario, WaConfig};
@@ -469,21 +469,17 @@ fn atomic_threads_workload(n: usize, m: usize) -> Entry {
         let (vec_exec, _, _) =
             run_scenario(VecRegisters::new(layout.cells()), static_fleet(), &spec);
         single_ms = single_ms.min(ms(t));
-        let thread_spec = ThreadSpec::new();
-        let mem = thread_spec.alloc(layout.cells());
+        let mem = AtomicRegisters::new(layout.cells());
         let t = Instant::now();
-        let threaded = thread_spec.run(&mem, boxed_fleet());
+        let threaded = ThreadSpec::new().run(&mem, boxed_fleet());
         fast_ms = fast_ms.min(ms(t));
         pair = Some((vec_exec, threaded));
     }
     let (vec_exec, threaded) = pair.expect("ROUNDS >= 1");
 
     // Deterministic leg: serialized engine, hardware atomics, erased fleet.
-    let (atomic_exec, _, _) = run_scenario_on(
-        AtomicRegisters::new(layout.cells(), MemOrder::SeqCst),
-        boxed_fleet(),
-        &spec,
-    );
+    let (atomic_exec, _, _) =
+        run_scenario_on(AtomicRegisters::new(layout.cells()), boxed_fleet(), &spec);
     assert_eq!(
         atomic_exec, vec_exec,
         "serialized atomic+dyn run must be bit-identical to the volatile static run"
@@ -516,18 +512,11 @@ fn atomic_threads_workload(n: usize, m: usize) -> Entry {
 
 fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"amo-bench/engine-v10\",\n");
+    out.push_str("  \"schema\": \"amo-bench/engine-v11\",\n");
     out.push_str(&format!(
         "  \"scale\": \"{}\",\n",
         if scale.is_quick() { "quick" } else { "full" }
     ));
-    // The register backend the smoke ran on (engine-v6; `"quorum"` joined
-    // the value set in engine-v7). The smoke's timed workloads measure the
-    // plain volatile file — the `kk_quorum_net` workload times the quorum
-    // protocol *against* it in-process — and a baseline produced under a
-    // different backend is downgraded to informational on the timing
-    // columns, while every deterministic counter stays pinned exactly.
-    out.push_str("  \"backend\": \"vec\",\n");
     out.push_str("  \"workloads\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str("    {\n");

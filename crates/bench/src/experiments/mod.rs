@@ -10,7 +10,7 @@
 //! | E6 | [`comparison`] | §1 ordering vs prior work |
 //! | E7 | [`collisions`] | Lemma 5.5 (pairwise collision bound) |
 //! | A1/A4 | [`ablations`] | DESIGN.md design-choice ablations |
-//! | E8 | [`threads`] | real-thread throughput + ordering ablation |
+//! | E8 | [`threads`] | real-thread safety and throughput vs m |
 //! | E9 | [`scenario_matrix`] | cross-algorithm adversary matrix (scenario layer) |
 //! | E10 | [`recovery_matrix`] | storage-fault × restart matrix (durable backend) |
 //! | E11 | [`network_matrix`] | algorithm × network matrix (quorum message-passing backend) |

@@ -123,52 +123,6 @@ pub fn schema_mismatch(baseline_json: &str, current_json: &str) -> Option<String
     })
 }
 
-/// The register backend a `BENCH_engine*.json` was produced under (the
-/// top-level `"backend"` string field: `"vec"` or `"durable"` since schema
-/// engine-v6, plus `"quorum"` since engine-v7), or `None` for pre-backend
-/// baselines.
-pub fn parse_backend(json: &str) -> Option<String> {
-    parse_header_str(json, "backend")
-}
-
-/// Finding describing the register backends of baseline vs current run —
-/// **informational on mismatch**: running the smoke on the journaling
-/// [`DurableRegisters`] backend legitimately shifts timing columns (every
-/// write is journaled), and the same goes for the quorum message-passing
-/// backend ([`QuorumRegisters`], engine-v7 — every register operation runs
-/// a network protocol), while both wrappers
-/// are bit-identical on every deterministic counter (fault-free / lossless
-/// degenerate cases, pinned by the equivalence suites) — which the regular
-/// counter findings keep enforcing exactly. Returns `None` when neither
-/// side records a backend (pre-engine-v6 baselines on both sides).
-///
-/// [`DurableRegisters`]: amo_sim::DurableRegisters
-/// [`QuorumRegisters`]: amo_sim::QuorumRegisters
-pub fn backend_finding(baseline: Option<&str>, current: Option<&str>) -> Option<Finding> {
-    if baseline.is_none() && current.is_none() {
-        return None;
-    }
-    let b = baseline.unwrap_or("unrecorded");
-    let c = current.unwrap_or("unrecorded");
-    let verdict = if b == c {
-        "backends match".to_owned()
-    } else {
-        format!(
-            "informational: backend differs from baseline ({b} → {c}) — timing/ratio columns \
-             are not backend-comparable; counters remain pinned exactly (fault-free durable is \
-             bit-identical by the equivalence suite)"
-        )
-    };
-    Some(Finding {
-        workload: "(all)".into(),
-        field: "backend".into(),
-        baseline: b.to_owned(),
-        current: c.to_owned(),
-        regression: false,
-        verdict,
-    })
-}
-
 /// Splits the top-level `workloads` array of a `BENCH_engine*.json` into
 /// per-workload field maps. Returns an empty vector on malformed input —
 /// callers treat that as a hard error.
@@ -297,41 +251,6 @@ pub const MEM_TOLERANCE: f64 = 0.25;
 /// banded at ±[`MEM_TOLERANCE`]).
 pub fn compare(baseline: &[Workload], current: &[Workload], tolerance: f64) -> GateReport {
     compare_with(baseline, current, tolerance, MEM_TOLERANCE)
-}
-
-/// [`compare_with`], additionally aware of the register **backend** each
-/// file was produced under (engine-v6's top-level `"backend"` field, see
-/// [`parse_backend`]). A backend mismatch downgrades measured below-floor
-/// speed ratios to informational — a journaling backend makes timing
-/// incomparable — while deterministic counters, memory bands and
-/// missing-column findings all stay hard. The backend pairing is reported
-/// as a leading informational finding.
-pub fn compare_env(
-    baseline: &[Workload],
-    current: &[Workload],
-    tolerance: f64,
-    mem_tolerance: f64,
-    baseline_backend: Option<&str>,
-    current_backend: Option<&str>,
-) -> GateReport {
-    let mut report = compare_with(baseline, current, tolerance, mem_tolerance);
-    if baseline_backend != current_backend {
-        for f in &mut report.findings {
-            // Only measured below-floor *ratios* depend on the environment.
-            // Memory columns stay gated, and a ratio column *missing*
-            // entirely is a malformed run, not environment timing wobble.
-            let env_timing = f.field.starts_with("speedup") && f.current != "missing";
-            if env_timing && f.regression {
-                f.regression = false;
-                f.verdict = format!("informational (backend differs): {}", f.verdict);
-            }
-        }
-        report.pass = !report.findings.iter().any(|f| f.regression);
-    }
-    if let Some(b) = backend_finding(baseline_backend, current_backend) {
-        report.findings.insert(0, b);
-    }
-    report
 }
 
 /// [`compare`] with an explicit memory band.
@@ -500,7 +419,8 @@ pub fn compare_with(
                     baseline: "missing".into(),
                     current: format!("{cv:.1} MB"),
                     regression: false,
-                    verdict: "informational (column absent from baseline — regenerate it                               on a platform that measures this)"
+                    verdict: "informational (column absent from baseline — regenerate it \
+                              on a platform that measures this)"
                         .into(),
                 });
             }
@@ -813,149 +733,39 @@ mod tests {
         assert!(report.findings.iter().any(|f| f.field == "peak_rss_mb"
             && !f.regression
             && f.baseline == "missing"
-            && f.verdict.contains("regenerate")));
+            && f.verdict.contains("regenerate it on a platform")));
     }
 
     #[test]
-    fn env_mismatch_keeps_memory_and_missing_column_gates_hard() {
-        // Memory does not depend on the register backend's timing, so an
-        // RSS blow-up on a durable leg must still fail...
+    fn memory_band_and_missing_ratio_columns_stay_hard() {
+        // An RSS blow-up beyond the band fails...
         let b = parse_bench(MEM_BASE);
         let grown = MEM_BASE.replace("\"peak_rss_mb\": 60.0", "\"peak_rss_mb\": 90.0");
-        let report = compare_env(
-            &b,
-            &parse_bench(&grown),
-            0.2,
-            MEM_TOLERANCE,
-            Some("vec"),
-            Some("durable"),
-        );
-        assert!(!report.pass, "memory bands stay hard across backends");
-        // ...and so must a ratio column vanishing entirely (malformed run,
-        // not timing wobble).
-        let v6 = parse_bench(V6);
-        let mut truncated = parse_bench(V6);
+        let report = compare(&b, &parse_bench(&grown), 0.2);
+        assert!(!report.pass, "memory bands are hard");
+        // ...and so does a gated ratio column vanishing entirely (a
+        // malformed run, not timing wobble).
+        let base = parse_bench(BASE);
+        let mut truncated = parse_bench(BASE);
         truncated[0].ratios.clear();
-        let report = compare_env(
-            &v6,
-            &truncated,
-            0.2,
-            MEM_TOLERANCE,
-            Some("vec"),
-            Some("durable"),
-        );
-        assert!(
-            !report.pass,
-            "missing ratio columns stay hard across backends"
-        );
-    }
-
-    const V6: &str = r#"{
-  "schema": "amo-bench/engine-v6",
-  "scale": "quick",
-  "backend": "vec",
-  "workloads": [
-    {
-      "name": "kk_plain_rr",
-      "params": "n=20000 m=8 beta=192",
-      "fast_path_ms": 5.93,
-      "speedup_vs_single_step": 2.21,
-      "total_steps": 554776
-    }
-  ]
-}
-"#;
-
-    #[test]
-    fn backend_field_parses_from_the_header_only() {
-        assert_eq!(parse_backend(V6).as_deref(), Some("vec"));
-        assert_eq!(
-            parse_backend(BASE),
-            None,
-            "pre-engine-v6 files record no backend"
-        );
-        // A workload-level "backend" field must not be mistaken for the
-        // header's.
-        let trick = BASE.replace(
-            "\"name\": \"write_all\"",
-            "\"backend\": \"x\", \"name\": \"write_all\"",
-        );
-        assert_eq!(parse_backend(&trick), None);
-    }
-
-    #[test]
-    fn backend_mismatch_is_informational() {
-        let f = backend_finding(Some("vec"), Some("durable")).expect("finding");
-        assert!(!f.regression);
-        assert!(f.verdict.contains("informational"));
-        let same = backend_finding(Some("vec"), Some("vec")).expect("finding");
-        assert!(!same.regression);
-        assert!(same.verdict.contains("match"));
-        assert!(backend_finding(None, None).is_none());
-    }
-
-    #[test]
-    fn backend_mismatch_downgrades_ratio_gates_but_not_counters() {
-        let b = parse_bench(V6);
-        // A durable-backend run: journaling drags the ratios, counters are
-        // bit-identical by the fault-free equivalence contract.
-        let slowed = V6.replace(
-            "\"speedup_vs_single_step\": 2.21",
-            "\"speedup_vs_single_step\": 1.00",
-        );
-        let report = compare_env(
-            &b,
-            &parse_bench(&slowed),
-            0.2,
-            MEM_TOLERANCE,
-            Some("vec"),
-            Some("durable"),
-        );
-        assert!(report.pass, "cross-backend timing drop must not fail");
-        assert!(report.findings.iter().any(|f| f.field == "backend"));
-        // A counter drifting on the durable backend breaks the bit-identity
-        // contract and fails hard.
-        let drifted = slowed.replace("\"total_steps\": 554776", "\"total_steps\": 554777");
-        let report = compare_env(
-            &b,
-            &parse_bench(&drifted),
-            0.2,
-            MEM_TOLERANCE,
-            Some("vec"),
-            Some("durable"),
-        );
-        assert!(!report.pass, "counter drift fails regardless of backend");
-    }
-
-    #[test]
-    fn matching_backends_keep_the_ratio_gate() {
-        let b = parse_bench(V6);
-        let slowed = V6.replace(
-            "\"speedup_vs_single_step\": 2.21",
-            "\"speedup_vs_single_step\": 1.00",
-        );
-        let report = compare_env(
-            &b,
-            &parse_bench(&slowed),
-            0.2,
-            MEM_TOLERANCE,
-            Some("vec"),
-            Some("vec"),
-        );
-        assert!(!report.pass, "same-env ratio collapse still fails");
+        let report = compare(&base, &truncated, 0.2);
+        assert!(!report.pass, "a missing ratio column is hard");
+        assert!(report.findings.iter().any(|f| f.regression
+            && f.workload == "kk_plain_rr"
+            && f.current == "missing"
+            && f.verdict.contains("ratio missing")));
     }
 
     /// A multi-core run of the committed quick baseline whose
     /// single-threaded `kk_mega_quick` lost its fast-path speedup must fail
     /// the gate. The run's header carries a `"threads"` field the baseline
-    /// lacks: no header field other than the backend may relax a speed
-    /// floor.
+    /// lacks: no header field may relax a speed floor.
     #[test]
     fn committed_quick_baseline_enforces_speed_floors_on_a_multi_core_run() {
         let baseline_json = include_str!("../../../BENCH_engine.quick.json");
         let current_json = baseline_json.replace(
-            "  \"backend\": \"vec\",\n",
-            "  \"backend\": \"vec\",\n  \"threads\": 2,\n",
+            "  \"scale\": \"quick\",\n",
+            "  \"scale\": \"quick\",\n  \"threads\": 2,\n",
         );
         assert_ne!(
             current_json, baseline_json,
@@ -972,14 +782,8 @@ mod tests {
                 *ratio = 1.0;
             }
         }
-        let report = compare_env(
-            &baseline,
-            &current,
-            0.2,
-            MEM_TOLERANCE,
-            parse_backend(baseline_json).as_deref(),
-            parse_backend(&current_json).as_deref(),
-        );
+        assert_eq!(schema_mismatch(baseline_json, &current_json), None);
+        let report = compare(&baseline, &current, 0.2);
         assert!(!report.pass, "a collapsed speedup must fail the gate");
         assert!(report.findings.iter().any(|f| f.regression
             && f.workload == "kk_mega_quick"

@@ -3,8 +3,9 @@
 //! EXPERIMENTS.md for recorded paper-vs-measured results).
 //!
 //! Each `exp_*` function returns [`Table`]s; the binaries under `src/bin/`
-//! print them (`cargo run --release -p amo-bench --bin exp_all`), and the
-//! criterion benches under `benches/` measure wall-clock on real threads.
+//! print them (`cargo run --release -p amo-bench --bin exp_all`). Wall-clock
+//! is timed by the `perf_smoke` binary (the engine, the set structures, the
+//! iterated and Write-All algorithms) and by E8 (real threads against `m`).
 //!
 //! Every experiment takes a [`Scale`]: [`Scale::Quick`] keeps the harness
 //! runnable in CI and in `#[test]`s; [`Scale::Full`] is the configuration

@@ -3,13 +3,16 @@
 //!
 //! A simulated run is configured by one [`ScenarioSpec`] and routed through
 //! the shared scenario driver ([`amo_sim::run_scenario`]); a threaded run is
-//! configured by one [`ThreadSpec`]. [`AmoReport::from_execution`] and
-//! [`AmoReport::from_threads`] are the single place a report is built from
+//! configured by one [`ThreadSpec`]. Both return an [`Execution`], and
+//! [`AmoReport::from_execution`] is the single place a report is built from
 //! either kind of run, for this crate and for the iterated and baseline
 //! runners alike.
 
-use amo_sim::thread::{ThreadExecution, ThreadSpec};
-use amo_sim::{run_scenario, Execution, JobSpan, MemWork, ScenarioSpec, VecRegisters, Violation};
+use amo_sim::thread::ThreadSpec;
+use amo_sim::{
+    run_scenario, AtomicRegisters, Execution, JobSpan, MemWork, ScenarioSpec, VecRegisters,
+    Violation,
+};
 
 use crate::config::KkConfig;
 use crate::kk::KkProcess;
@@ -50,8 +53,8 @@ pub struct AmoReport {
 }
 
 impl AmoReport {
-    /// The report of a simulated run, labelled `label`, with no collision
-    /// matrix.
+    /// The report of a simulated or threaded run, labelled `label`, with
+    /// no collision matrix.
     pub fn from_execution(exec: Execution, label: &'static str) -> Self {
         let (effectiveness, violations) = exec.summary();
         AmoReport {
@@ -64,26 +67,6 @@ impl AmoReport {
             mem_work: exec.mem_work,
             local_work: exec.local_work,
             total_steps: exec.total_steps,
-            collisions: None,
-            scheduler_label: label,
-        }
-    }
-
-    /// The report of a threaded run, labelled `label`: steps are summed
-    /// over the threads, and restarts are always empty.
-    pub fn from_threads(exec: ThreadExecution, label: &'static str) -> Self {
-        let (effectiveness, violations) =
-            amo_sim::perform_summary(exec.performed.iter().map(|r| r.span));
-        AmoReport {
-            effectiveness,
-            violations,
-            performed: exec.performed.iter().map(|r| (r.pid, r.span)).collect(),
-            crashed: exec.crashed,
-            restarted: Vec::new(),
-            completed: exec.completed,
-            mem_work: exec.mem_work,
-            local_work: exec.local_work,
-            total_steps: exec.per_proc_steps.iter().sum(),
             collisions: None,
             scheduler_label: label,
         }
@@ -246,8 +229,8 @@ pub fn run_fleet_simulated(
 /// crash-stop only (see [`amo_sim::thread`]).
 pub fn run_threads(config: &KkConfig, spec: &ThreadSpec) -> AmoReport {
     let (layout, fleet) = kk_fleet(config, false);
-    let mem = spec.alloc(layout.cells());
-    AmoReport::from_threads(spec.run(&mem, fleet), "threads")
+    let mem = AtomicRegisters::new(layout.cells());
+    AmoReport::from_execution(spec.run(&mem, fleet), "threads")
 }
 
 #[cfg(test)]

@@ -2,12 +2,14 @@
 //!
 //! A simulated run takes a [`ScenarioSpec`] and goes through the shared
 //! scenario driver ([`amo_sim::run_scenario`]); a threaded run takes a
-//! [`ThreadSpec`]. Both report through amo-core's [`AmoReport`]
-//! constructors.
+//! [`ThreadSpec`]. Both report through amo-core's
+//! [`AmoReport::from_execution`].
 
 use amo_core::{AmoReport, ConfigError, KkConfig};
 use amo_sim::thread::ThreadSpec;
-use amo_sim::{run_scenario, ScenarioHooks, ScenarioSpec, Scheduler, VecRegisters};
+use amo_sim::{
+    run_scenario, AtomicRegisters, ScenarioHooks, ScenarioSpec, Scheduler, VecRegisters,
+};
 
 use crate::layout::IterLayout;
 use crate::process::IterativeProcess;
@@ -143,8 +145,8 @@ pub fn run_iterative_scenario(config: &IterConfig, spec: &ScenarioSpec) -> AmoRe
 /// by `spec`.
 pub fn run_iterative_threads(config: &IterConfig, spec: &ThreadSpec) -> AmoReport {
     let (layout, fleet) = iter_fleet(config);
-    let mem = spec.alloc(layout.cells());
-    AmoReport::from_threads(spec.run(&mem, fleet), "threads")
+    let mem = AtomicRegisters::new(layout.cells());
+    AmoReport::from_execution(spec.run(&mem, fleet), "threads")
 }
 
 #[cfg(test)]

@@ -18,8 +18,10 @@
 //!   uses as the paper's "basic operations" (Definition 2.5) when measuring
 //!   work complexity.
 //! * [`DenseFenwickSet`] — the per-element Fenwick (binary indexed) tree
-//!   with `O(log n)` everything: the paper-faithful reference, the
-//!   structure ablation (A2), and the `perf_smoke` baseline.
+//!   with `O(log n)` everything: the paper-faithful reference and the
+//!   structure ablation (A2), which `perf_smoke` times as `kk_plain_rr`'s
+//!   `seed_equivalent_ms` against its `single_step_ms` (the same
+//!   single-step schedule over [`FenwickSet`]).
 //!
 //! Both implement [`RankedSet`] and [`OrderedJobSet`] (the mutable
 //! interface the KKβ automaton is generic over), and [`rank_excluding`] /

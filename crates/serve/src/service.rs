@@ -97,7 +97,7 @@ use std::time::{Duration, Instant};
 use amo_core::{KkConfig, KkLayout, KkProcess};
 use amo_ostree::FenwickSet;
 use amo_sim::scenario::{boxed, BoxProcess};
-use amo_sim::{AtomicRegisters, MemOrder, StepEvent};
+use amo_sim::{AtomicRegisters, StepEvent};
 
 use crate::latency::LatencyHistogram;
 use crate::queue::{IngestQueue, QueueStats, Rejected, SubmitError};
@@ -318,7 +318,7 @@ impl Shared {
             let gen = Arc::new(Generation {
                 index,
                 base: index * n,
-                mem: AtomicRegisters::new(self.blueprint.cells(), MemOrder::SeqCst),
+                mem: AtomicRegisters::new(self.blueprint.cells()),
                 audit: (0..words).map(|_| AtomicU64::new(0)).collect(),
             });
             (gen, dead)

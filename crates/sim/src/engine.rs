@@ -32,7 +32,9 @@ pub struct PerformRecord {
     pub pid: usize,
     /// Jobs performed by the action.
     pub span: JobSpan,
-    /// Global step index at which the action executed.
+    /// Global step index at which the action executed (on real threads,
+    /// the performing thread's own action index; see
+    /// [`ThreadSpec::run`](crate::ThreadSpec::run)).
     pub step: u64,
 }
 
@@ -74,7 +76,9 @@ impl EngineLimits {
     }
 }
 
-/// The record of one complete execution `α`.
+/// The record of one complete execution `α`, simulated or on real threads
+/// ([`ThreadSpec::run`](crate::ThreadSpec::run) lists how a threaded run
+/// fills it).
 ///
 /// Equality is field-for-field over every recorded observable (perform
 /// records with their step indices, work accounting, per-process step

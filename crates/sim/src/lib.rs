@@ -10,7 +10,7 @@
 //! * [`Registers`] — the shared-memory abstraction: a flat file of `u64`
 //!   cells with `read`/`write` (and `swap` for RMW-based baselines).
 //!   Implementations: [`VecRegisters`] (deterministic simulation) and
-//!   [`AtomicRegisters`] (real `AtomicU64`s with configurable ordering).
+//!   [`AtomicRegisters`] (real `SeqCst` `AtomicU64`s).
 //! * [`Process`] — an automaton executed one *action* at a time; each action
 //!   performs **at most one shared-memory access**, which is exactly the
 //!   atomicity granularity of the paper's model.
@@ -35,7 +35,8 @@
 //!   [`Registers`] over a majority-quorum replica set with one-and-a-half
 //!   round reads, driven by a deterministic seeded [`NetworkModel`] and a
 //!   packet-budgeted Omega-style failure detector.
-//! * [`thread`] — the same fleet on OS threads over [`AtomicRegisters`].
+//! * [`thread`] — the same fleet on OS threads over [`AtomicRegisters`],
+//!   configured by one [`ThreadSpec`] and returning the same [`Execution`].
 //!
 //! # The quantum / `step_many` contract
 //!
@@ -234,15 +235,15 @@ pub use engine::{Engine, EngineLimits, Execution, LifeState, PerformRecord, Slot
 pub use explore::{explore, ExploreConfig, ExploreOutcome, MemoMode};
 pub use net::{Delivery, LatencyDist, NetStats, NetworkModel, NetworkSpec, QuorumRegisters};
 pub use process::{BatchOutcome, JobSpan, Process, StepEvent};
-pub use registers::{AtomicRegisters, MemOrder, MemWork, Registers, VecRegisters};
+pub use registers::{AtomicRegisters, MemWork, Registers, VecRegisters};
 pub use scenario::{
-    boxed, last_net_stats, run_scenario, run_scenario_dyn, run_scenario_on, BackendSpec,
-    BoxProcess, DynProcess, ScenarioHooks, ScenarioProcess, ScenarioSpec, SchedulerSpec,
+    boxed, last_net_stats, run_scenario, run_scenario_on, BackendSpec, BoxProcess, DynProcess,
+    ScenarioHooks, ScenarioProcess, ScenarioSpec, SchedulerSpec,
 };
 pub use sched::{
     BlockScheduler, Decision, RandomScheduler, RoundRobin, SchedView, Scheduler, ScriptedScheduler,
     WithCrashes,
 };
-pub use thread::{ThreadExecution, ThreadPerform, ThreadSpec};
+pub use thread::ThreadSpec;
 pub use timeline::render_timeline;
 pub use verify::{at_most_once_violations, distinct_jobs, perform_summary, JobCounts, Violation};

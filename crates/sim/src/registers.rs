@@ -3,48 +3,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use amo_ostree::kernels;
 
-/// Memory-ordering regime for [`AtomicRegisters`].
-///
-/// The paper's proofs assume *linearizable* (atomic) registers, which
-/// [`MemOrder::SeqCst`] delivers unconditionally. The algorithm uses only
-/// single-writer multi-reader registers, for which release/acquire coherence
-/// is conjectured sufficient; [`MemOrder::AcqRel`] exposes that regime for
-/// the ablation study (DESIGN.md D5) — it is *not* the verified default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MemOrder {
-    /// Sequentially consistent loads and stores (the verified default).
-    #[default]
-    SeqCst,
-    /// `Acquire` loads, `Release` stores, `AcqRel` swaps.
-    AcqRel,
-}
-
-impl MemOrder {
-    #[inline]
-    fn load(self) -> Ordering {
-        match self {
-            MemOrder::SeqCst => Ordering::SeqCst,
-            MemOrder::AcqRel => Ordering::Acquire,
-        }
-    }
-
-    #[inline]
-    fn store(self) -> Ordering {
-        match self {
-            MemOrder::SeqCst => Ordering::SeqCst,
-            MemOrder::AcqRel => Ordering::Release,
-        }
-    }
-
-    #[inline]
-    fn swap(self) -> Ordering {
-        match self {
-            MemOrder::SeqCst => Ordering::SeqCst,
-            MemOrder::AcqRel => Ordering::AcqRel,
-        }
-    }
-}
-
 /// Counters of shared-memory traffic (part of the paper's work measure).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemWork {
@@ -393,8 +351,27 @@ impl Registers for VecRegisters {
 
 /// Real hardware-atomic register file for the thread runtime.
 ///
-/// Traffic counters use relaxed atomics so accounting does not perturb the
-/// ordering under test.
+/// Every load, store and swap of a cell is `SeqCst`, and threaded runs
+/// have no other regime. The paper proves KKβ safe over atomic registers,
+/// and that proof rests on the announce handshake: process `p` writes
+/// `next_p` (`setNext`) and then reads every `next_q` (`gatherTry`), while
+/// `q` does the same with the roles swapped. That is the store-buffering
+/// (SB) litmus shape. If both reads could miss both writes, `p` and `q`
+/// could each admit a job the other had announced, and both perform it.
+/// `Release` stores with `Acquire` loads allow exactly that outcome under
+/// Rust's (C++20) memory model, and x86-TSO's store buffers produce it in
+/// hardware (Sewell et al., "x86-TSO", CACM 2010). `SeqCst` forbids it:
+/// when every access to the cells is `SeqCst`, all of them fall into one
+/// total order that respects each thread's program order and in which a
+/// load returns the latest store before it, so the cells are the atomic
+/// registers the proof assumes. In the SB shape, whichever of the two
+/// writes comes first in that order also precedes the other process's
+/// read, which therefore cannot return the cell's older value. The
+/// release/acquire regime this file once offered had no such argument and
+/// is deleted (DESIGN.md, deviation D5).
+///
+/// Traffic counters use relaxed atomics: they are tallies and publish no
+/// other data.
 ///
 /// Epochs stay **disabled** here ([`Registers::epochs_enabled`] returns
 /// `false`): under real concurrency an epoch probe and the value read are
@@ -403,29 +380,22 @@ impl Registers for VecRegisters {
 #[derive(Debug, Default)]
 pub struct AtomicRegisters {
     cells: Vec<AtomicU64>,
-    order: MemOrder,
     reads: AtomicU64,
     writes: AtomicU64,
     rmws: AtomicU64,
 }
 
 impl AtomicRegisters {
-    /// Creates `cells` zero-initialised registers with the given ordering.
-    pub fn new(cells: usize, order: MemOrder) -> Self {
+    /// Creates `cells` zero-initialised registers.
+    pub fn new(cells: usize) -> Self {
         let mut v = Vec::with_capacity(cells);
         v.resize_with(cells, || AtomicU64::new(0));
         Self {
             cells: v,
-            order,
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             rmws: AtomicU64::new(0),
         }
-    }
-
-    /// The ordering regime this file was created with.
-    pub fn order(&self) -> MemOrder {
-        self.order
     }
 
     /// Snapshot of all cell values (quiescent use only).
@@ -441,12 +411,12 @@ impl Registers for AtomicRegisters {
     #[inline]
     fn read(&self, cell: usize) -> u64 {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        self.cells[cell].load(self.order.load())
+        self.cells[cell].load(Ordering::SeqCst)
     }
 
     #[inline]
     fn peek(&self, cell: usize) -> u64 {
-        self.cells[cell].load(self.order.load())
+        self.cells[cell].load(Ordering::SeqCst)
     }
 
     #[inline]
@@ -457,13 +427,13 @@ impl Registers for AtomicRegisters {
     #[inline]
     fn write(&self, cell: usize, value: u64) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.cells[cell].store(value, self.order.store());
+        self.cells[cell].store(value, Ordering::SeqCst);
     }
 
     #[inline]
     fn swap(&self, cell: usize, value: u64) -> u64 {
         self.rmws.fetch_add(1, Ordering::Relaxed);
-        self.cells[cell].swap(value, self.order.swap())
+        self.cells[cell].swap(value, Ordering::SeqCst)
     }
 
     fn len(&self) -> usize {
@@ -542,27 +512,24 @@ mod tests {
 
     #[test]
     fn atomic_registers_basic() {
-        for order in [MemOrder::SeqCst, MemOrder::AcqRel] {
-            let m = AtomicRegisters::new(3, order);
-            assert_eq!(m.order(), order);
-            m.write(1, 42);
-            assert_eq!(m.read(1), 42);
-            assert_eq!(m.swap(1, 7), 42);
-            assert_eq!(m.snapshot(), vec![0, 7, 0]);
-            assert_eq!(
-                m.work(),
-                MemWork {
-                    reads: 1,
-                    writes: 1,
-                    rmws: 1
-                }
-            );
-        }
+        let m = AtomicRegisters::new(3);
+        m.write(1, 42);
+        assert_eq!(m.read(1), 42);
+        assert_eq!(m.swap(1, 7), 42);
+        assert_eq!(m.snapshot(), vec![0, 7, 0]);
+        assert_eq!(
+            m.work(),
+            MemWork {
+                reads: 1,
+                writes: 1,
+                rmws: 1
+            }
+        );
     }
 
     #[test]
     fn atomic_registers_cross_thread() {
-        let m = AtomicRegisters::new(1, MemOrder::SeqCst);
+        let m = AtomicRegisters::new(1);
         std::thread::scope(|s| {
             s.spawn(|| m.write(0, 123));
         });
@@ -699,7 +666,7 @@ mod tests {
 
     #[test]
     fn atomic_registers_report_epochs_disabled() {
-        let m = AtomicRegisters::new(2, MemOrder::SeqCst);
+        let m = AtomicRegisters::new(2);
         assert!(!m.epochs_enabled());
         m.write(0, 1);
         assert_eq!(m.epoch(0), 0);

@@ -11,9 +11,10 @@
 //! backend, collision instrumentation — and [`run_scenario`] drives *any*
 //! fleet of [`ScenarioProcess`]es through it. It is the one way to
 //! configure a simulated run: every algorithm crate's simulated runner
-//! takes a `&ScenarioSpec`, and a threaded run is configured by the
-//! [`ThreadSpec`](crate::thread::ThreadSpec) that
-//! [`ScenarioSpec::threaded`] lowers into.
+//! takes a `&ScenarioSpec`. A real-thread run is configured by one
+//! [`ThreadSpec`](crate::thread::ThreadSpec) instead: the machine schedules
+//! its threads and its registers are hardware atomics, so only a crash
+//! plan and a step cap (the watchdog) carry over to threads.
 //!
 //! # The adversary registry
 //!
@@ -112,8 +113,9 @@ impl SchedulerSpec {
 
 /// Register-file backend of a simulated scenario.
 ///
-/// Threaded execution over [`AtomicRegisters`](crate::AtomicRegisters)
-/// stays a separate entry point by design: real threads have no
+/// Threaded execution over [`AtomicRegisters`](crate::AtomicRegisters) is
+/// not a backend: it is configured by a
+/// [`ThreadSpec`](crate::thread::ThreadSpec), because real threads have no
 /// deterministic scheduler to spec.
 ///
 /// The enum (and its field-carrying variants) are `#[non_exhaustive]`:
@@ -385,56 +387,6 @@ impl ScenarioSpec {
     pub fn label(&self) -> &'static str {
         self.scheduler.label()
     }
-
-    /// Lowers this simulated spec into a real-thread
-    /// [`ThreadSpec`](crate::thread::ThreadSpec) — the builder-style
-    /// threaded entry point.
-    ///
-    /// What carries over, and what cannot:
-    ///
-    /// * **crash plan** — carried verbatim (crash-stop budgets; a plan
-    ///   with restart entries is rejected by
-    ///   [`ThreadSpec::run`](crate::thread::ThreadSpec::run), because real
-    ///   threads are crash-stop only);
-    /// * **limits** — the engine's *global* step cap becomes the
-    ///   *per-thread* wait-freedom watchdog: no global action order exists
-    ///   across free-running threads, so a per-process bound is the
-    ///   strongest cap the runtime can enforce;
-    /// * **scheduler, quantum** — dropped: the machine schedules real
-    ///   threads, so the fair built-ins have no threaded meaning. A
-    ///   [`SchedulerSpec::Adversary`] spec is rejected (panic) instead of
-    ///   silently losing its adversary;
-    /// * **epoch cache, collisions, backend** — dropped:
-    ///   [`AtomicRegisters`](crate::AtomicRegisters) keeps epochs off by
-    ///   design (an epoch probe and a value load are not atomic together
-    ///   under real concurrency), instrumentation is simulator-only, and
-    ///   the threaded backend *is* the hardware. A non-`Vec`
-    ///   [`BackendSpec`] is rejected (panic) — durable journaling and
-    ///   quorum messaging exist only in the simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec requests a named adversary or a non-`Vec`
-    /// backend (see above).
-    pub fn threaded(&self) -> crate::thread::ThreadSpec {
-        assert!(
-            !self.scheduler.is_adversary(),
-            "adversary {:?} cannot lower to threads: real threads are scheduled by the \
-             machine, so an adversarial schedule is inexpressible — run adversary cells \
-             in the simulator",
-            self.scheduler.label()
-        );
-        assert!(
-            matches!(self.backend, BackendSpec::Vec),
-            "backend {:?} cannot lower to threads: durable journaling and quorum \
-             messaging are simulator-only backends — threaded runs execute over \
-             hardware AtomicRegisters",
-            self.backend.label()
-        );
-        crate::thread::ThreadSpec::new()
-            .with_crash_plan(self.crash_plan.clone())
-            .with_watchdog(self.limits.max_steps)
-    }
 }
 
 /// The backend-free registry contract between the generic driver and
@@ -660,28 +612,6 @@ pub fn run_scenario<P: ScenarioProcess>(
         // file. (In-crate, the wildcard keeps `#[non_exhaustive]` honest.)
         _ => run_scenario_on(mem, fleet, spec),
     }
-}
-
-/// [`run_scenario`] over an erased, possibly heterogeneous fleet — the dyn
-/// entry point of the scenario layer.
-///
-/// `Box<dyn DynProcess>` satisfies [`ScenarioProcess`] through the
-/// forwarding impls, so this is *literally* `run_scenario` at a concrete
-/// fleet type: same driver, same engine paths, same backends. The
-/// `dyn_equivalence` suite pins that a homogeneous fleet run through here
-/// is bit-identical ([`Execution`] `==`) to the same fleet run unboxed.
-///
-/// # Panics
-///
-/// As [`run_scenario`] — plus, because adversary registries are static
-/// per concrete type, **any** [`SchedulerSpec::Adversary`] spec panics on
-/// an erased fleet (see the [`ScenarioHooks`] impl for `Box<P>`).
-pub fn run_scenario_dyn(
-    mem: VecRegisters,
-    fleet: Vec<BoxProcess>,
-    spec: &ScenarioSpec,
-) -> (Execution, Vec<Slot<BoxProcess>>, VecRegisters) {
-    run_scenario(mem, fleet, spec)
 }
 
 thread_local! {
@@ -1009,35 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_lowering_carries_crashes_and_watchdog() {
-        let spec = ScenarioSpec::round_robin_batched()
-            .with_crash_plan(CrashPlan::at_steps([(2usize, 5u64)]))
-            .with_max_steps(4_000);
-        let tspec = spec.threaded();
-        assert_eq!(tspec.crash_plan().budget(2), Some(5));
-        assert_eq!(tspec.watchdog(), Some(4_000));
-        let mem = tspec.alloc(2);
-        let procs = vec![WriterProcess::new(1, 0, 40), WriterProcess::new(2, 1, 40)];
-        let exec = tspec.run(&mem, procs);
-        assert_eq!(exec.crashed, vec![2]);
-        assert!(exec.completed);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot lower to threads")]
-    fn threaded_lowering_rejects_adversaries() {
-        let _ = ScenarioSpec::adversary("lockstep").threaded();
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot lower to threads")]
-    fn threaded_lowering_rejects_simulated_backends() {
-        let _ = ScenarioSpec::round_robin()
-            .durable(StorageFault::None, 1)
-            .threaded();
-    }
-
-    #[test]
     fn dyn_fleet_runs_and_matches_static() {
         // The headline dyn-equivalence pin at the unit level: a
         // homogeneous boxed fleet is bit-identical to the unboxed run.
@@ -1054,7 +955,7 @@ mod tests {
                 boxed(WriterProcess::new(1, 0, 9)),
                 boxed(WriterProcess::new(2, 1, 9)),
             ];
-            let (dyn_exec, slots, _) = run_scenario_dyn(mem, fleet, &spec);
+            let (dyn_exec, slots, _) = run_scenario(mem, fleet, &spec);
             assert_eq!(static_exec, dyn_exec, "{}", spec.label());
             assert_eq!(slots.len(), 2);
         }
@@ -1068,7 +969,7 @@ mod tests {
             boxed(crate::testing::PerformOnceProcess::new(1, 5)),
             boxed(WriterProcess::new(2, 0, 3)),
         ];
-        let (exec, _, _) = run_scenario_dyn(VecRegisters::new(1), fleet, &ScenarioSpec::default());
+        let (exec, _, _) = run_scenario(VecRegisters::new(1), fleet, &ScenarioSpec::default());
         assert!(exec.completed);
         assert_eq!(exec.performed.len(), 1);
         assert_eq!(exec.performed[0].span, crate::JobSpan::single(5));
@@ -1078,7 +979,7 @@ mod tests {
     #[should_panic(expected = "not registered")]
     fn dyn_fleet_cannot_resolve_named_adversaries() {
         let fleet: Vec<BoxProcess> = vec![boxed(WriterProcess::new(1, 0, 2))];
-        let _ = run_scenario_dyn(
+        let _ = run_scenario(
             VecRegisters::new(1),
             fleet,
             &ScenarioSpec::adversary("lockstep"),

@@ -7,12 +7,13 @@
 //! thread, stepping its automaton to completion; crash-stop failures are
 //! injected as per-thread step budgets from a [`CrashPlan`].
 //!
-//! Runs are described by the builder-style [`ThreadSpec`] (mirroring the
-//! [`BackendSpec`](crate::BackendSpec) builder constructors) and driven by
-//! [`ThreadSpec::run`]; a simulated [`ScenarioSpec`](crate::ScenarioSpec)
-//! lowers into one via
-//! [`ScenarioSpec::threaded`](crate::ScenarioSpec::threaded). Every
-//! threaded runner in the workspace takes a `&ThreadSpec`.
+//! A run is configured by one [`ThreadSpec`] and driven by
+//! [`ThreadSpec::run`] over an [`AtomicRegisters`] file, whose cells are
+//! `SeqCst` atomics (its docs give the reason). Every threaded runner in
+//! the workspace takes a `&ThreadSpec`. A run returns the simulator's
+//! [`Execution`] and is read the same way as a simulated one;
+//! [`ThreadSpec::run`] lists what its fields mean without a global step
+//! order.
 //!
 //! # Crash semantics: stop, never restart
 //!
@@ -31,22 +32,21 @@
 //! ```
 //! use amo_sim::testing::PerformOnceProcess;
 //! use amo_sim::thread::ThreadSpec;
-//! use amo_sim::{AtomicRegisters, MemOrder};
+//! use amo_sim::AtomicRegisters;
 //!
-//! let mem = AtomicRegisters::new(0, MemOrder::SeqCst);
+//! let mem = AtomicRegisters::new(0);
 //! let procs = vec![PerformOnceProcess::new(1, 1), PerformOnceProcess::new(2, 2)];
 //! let exec = ThreadSpec::new().run(&mem, procs);
 //! assert!(exec.completed);
 //! assert_eq!(exec.effectiveness(), 2);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use crate::crash::CrashPlan;
-use crate::process::{JobSpan, Process, StepEvent};
-use crate::registers::{AtomicRegisters, MemOrder, MemWork, Registers};
-use crate::verify::{at_most_once_violations, distinct_jobs, Violation};
+use crate::engine::{Execution, PerformRecord};
+use crate::process::{Process, StepEvent};
+use crate::registers::{AtomicRegisters, Registers};
 
 /// A declarative description of one real-thread execution, built with the
 /// same builder idiom as [`BackendSpec`](crate::BackendSpec) /
@@ -54,21 +54,19 @@ use crate::verify::{at_most_once_violations, distinct_jobs, Violation};
 ///
 /// The spec owns everything a threaded run can be configured with: the
 /// crash plan (crash-**stop** budgets only — see the module docs for why
-/// restarts are rejected), the wait-freedom watchdog, and the
-/// memory-ordering regime used when the spec allocates the register file
-/// itself ([`alloc`](Self::alloc)).
+/// restarts are rejected) and the wait-freedom watchdog.
 ///
 /// # Examples
 ///
 /// ```
 /// use amo_sim::testing::WriterProcess;
 /// use amo_sim::thread::ThreadSpec;
-/// use amo_sim::CrashPlan;
+/// use amo_sim::{AtomicRegisters, CrashPlan};
 ///
 /// let spec = ThreadSpec::new()
 ///     .with_crash_plan(CrashPlan::at_steps([(2usize, 5u64)]))
 ///     .with_watchdog(10_000);
-/// let mem = spec.alloc(2);
+/// let mem = AtomicRegisters::new(2);
 /// let procs = vec![WriterProcess::new(1, 0, 40), WriterProcess::new(2, 1, 40)];
 /// let exec = spec.run(&mem, procs);
 /// assert_eq!(exec.crashed, vec![2]);
@@ -77,12 +75,10 @@ use crate::verify::{at_most_once_violations, distinct_jobs, Violation};
 pub struct ThreadSpec {
     crash_plan: CrashPlan,
     watchdog: Option<u64>,
-    order: MemOrder,
 }
 
 impl ThreadSpec {
-    /// A spec with no crashes, no watchdog and the verified
-    /// [`MemOrder::SeqCst`] regime.
+    /// A spec with no crashes and no watchdog.
     pub fn new() -> Self {
         Self::default()
     }
@@ -98,38 +94,10 @@ impl ThreadSpec {
 
     /// Caps every process at `steps` actions as a wait-freedom watchdog;
     /// a process exceeding it is reported via
-    /// [`ThreadExecution::completed`] `== false`.
+    /// [`Execution::completed`] `== false`.
     pub fn with_watchdog(mut self, steps: u64) -> Self {
         self.watchdog = Some(steps);
         self
-    }
-
-    /// Selects the memory-ordering regime [`alloc`](Self::alloc) uses
-    /// (default: the verified [`MemOrder::SeqCst`]).
-    pub fn with_order(mut self, order: MemOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// The configured crash plan.
-    pub fn crash_plan(&self) -> &CrashPlan {
-        &self.crash_plan
-    }
-
-    /// The configured watchdog, if any.
-    pub fn watchdog(&self) -> Option<u64> {
-        self.watchdog
-    }
-
-    /// The configured memory-ordering regime.
-    pub fn order(&self) -> MemOrder {
-        self.order
-    }
-
-    /// Allocates a zeroed register file of `cells` hardware atomics under
-    /// this spec's ordering regime.
-    pub fn alloc(&self, cells: usize) -> AtomicRegisters {
-        AtomicRegisters::new(cells, self.order)
     }
 
     /// Runs the fleet on OS threads over `mem`, one thread per process.
@@ -138,12 +106,24 @@ impl ThreadSpec {
     /// simultaneously. Returns once every thread has terminated, crashed
     /// (per plan) or exhausted the watchdog.
     ///
+    /// The result is the simulator's [`Execution`]. Threads share no
+    /// global step order, so some of its fields read differently from a
+    /// simulated run:
+    ///
+    /// * `performed` is grouped by ascending pid, each pid's records in
+    ///   program order;
+    /// * a record's `step` is the performing thread's own 1-based action
+    ///   index;
+    /// * `crashed` lists the crash-injected pids in ascending order;
+    /// * `total_steps` is the sum of `per_proc_steps`;
+    /// * `restarted` and `trace` are empty.
+    ///
     /// # Panics
     ///
     /// Panics if `procs` is empty or pids are not `1..=m` in order, if the
     /// crash plan carries restart entries (real threads are crash-stop
     /// only — see the module docs), or if a worker thread panics.
-    pub fn run<P>(&self, mem: &AtomicRegisters, procs: Vec<P>) -> ThreadExecution
+    pub fn run<P>(&self, mem: &AtomicRegisters, procs: Vec<P>) -> Execution
     where
         P: Process<AtomicRegisters> + Send,
     {
@@ -164,56 +144,53 @@ impl ThreadSpec {
         }
         let m = procs.len();
         let barrier = Barrier::new(m);
-        let incomplete = AtomicU64::new(0);
 
         struct WorkerResult {
-            pid: usize,
-            performed: Vec<ThreadPerform>,
+            performed: Vec<PerformRecord>,
             steps: u64,
             crashed: bool,
+            timed_out: bool,
             local_work: u64,
         }
 
-        let start = std::time::Instant::now();
         let results: Vec<WorkerResult> = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(m);
             for mut p in procs {
                 let barrier = &barrier;
-                let incomplete = &incomplete;
-                let spec = &self;
                 handles.push(s.spawn(move || {
                     let pid = p.pid();
-                    let budget = spec.crash_plan.budget(pid);
+                    let budget = self.crash_plan.budget(pid);
                     let mut performed = Vec::new();
                     let mut steps: u64 = 0;
                     let mut crashed = false;
+                    let mut timed_out = false;
                     barrier.wait();
                     loop {
                         if budget.is_some_and(|b| steps >= b) {
                             crashed = true;
                             break;
                         }
-                        if spec.watchdog.is_some_and(|w| steps >= w) {
-                            incomplete.fetch_add(1, Ordering::Relaxed);
+                        if self.watchdog.is_some_and(|w| steps >= w) {
+                            timed_out = true;
                             break;
                         }
-                        match p.step(mem) {
-                            StepEvent::Perform { span } => {
-                                steps += 1;
-                                performed.push(ThreadPerform { pid, span });
-                            }
-                            StepEvent::Terminated => {
-                                steps += 1;
-                                break;
-                            }
-                            _ => steps += 1,
+                        let event = p.step(mem);
+                        steps += 1;
+                        match event {
+                            StepEvent::Perform { span } => performed.push(PerformRecord {
+                                pid,
+                                span,
+                                step: steps,
+                            }),
+                            StepEvent::Terminated => break,
+                            _ => {}
                         }
                     }
                     WorkerResult {
-                        pid,
                         performed,
                         steps,
                         crashed,
+                        timed_out,
                         local_work: p.local_work(),
                     }
                 }));
@@ -223,83 +200,42 @@ impl ThreadSpec {
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect()
         });
-        let elapsed = start.elapsed();
 
-        let mut performed = Vec::new();
-        let mut crashed = Vec::new();
-        let mut per_proc_steps = vec![0u64; m];
-        let mut local_work = 0u64;
-        for r in results {
-            per_proc_steps[r.pid - 1] = r.steps;
-            if r.crashed {
-                crashed.push(r.pid);
-            }
-            local_work += r.local_work;
-            performed.extend(r.performed);
-        }
-
-        ThreadExecution {
-            performed,
-            crashed,
-            per_proc_steps,
-            completed: incomplete.load(Ordering::Relaxed) == 0,
+        // `results` is in pid order, so `performed` and `crashed` come out
+        // grouped and sorted by pid.
+        let mut exec = Execution {
+            performed: Vec::new(),
+            total_steps: 0,
+            crashed: Vec::new(),
+            restarted: Vec::new(),
+            completed: true,
             mem_work: mem.work(),
-            local_work,
-            elapsed,
+            local_work: 0,
+            per_proc_steps: Vec::with_capacity(m),
+            trace: Vec::new(),
+        };
+        for (pid, r) in (1..).zip(results) {
+            exec.performed.extend(r.performed);
+            exec.total_steps += r.steps;
+            if r.crashed {
+                exec.crashed.push(pid);
+            }
+            exec.completed &= !r.timed_out;
+            exec.local_work += r.local_work;
+            exec.per_proc_steps.push(r.steps);
         }
-    }
-}
-
-/// One `do` action observed on a thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadPerform {
-    /// Performing process.
-    pub pid: usize,
-    /// Jobs performed.
-    pub span: JobSpan,
-}
-
-/// Outcome of a threaded execution.
-#[derive(Debug, Clone)]
-pub struct ThreadExecution {
-    /// Every `do` action (ordered by pid, then program order within a pid;
-    /// there is no meaningful global order across threads).
-    pub performed: Vec<ThreadPerform>,
-    /// Pids that were crash-injected.
-    pub crashed: Vec<usize>,
-    /// Actions executed per process (index `i` holds pid `i + 1`).
-    pub per_proc_steps: Vec<u64>,
-    /// `true` when every non-crashed process terminated within the watchdog.
-    pub completed: bool,
-    /// Shared-memory traffic.
-    pub mem_work: MemWork,
-    /// Local basic operations summed over all processes.
-    pub local_work: u64,
-    /// Wall-clock duration of the parallel phase.
-    pub elapsed: std::time::Duration,
-}
-
-impl ThreadExecution {
-    /// `Do(α)`: distinct jobs performed.
-    pub fn effectiveness(&self) -> u64 {
-        distinct_jobs(self.performed.iter().map(|r| r.span))
-    }
-
-    /// At-most-once violations (must be empty for a correct algorithm).
-    pub fn violations(&self) -> Vec<Violation> {
-        at_most_once_violations(self.performed.iter().map(|r| r.span))
+        exec
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registers::MemOrder;
     use crate::testing::{PerformOnceProcess, WriterProcess};
 
     #[test]
     fn threads_complete() {
-        let mem = AtomicRegisters::new(4, MemOrder::SeqCst);
+        let mem = AtomicRegisters::new(4);
         let procs: Vec<WriterProcess> = (1..=4).map(|p| WriterProcess::new(p, p - 1, 50)).collect();
         let exec = ThreadSpec::new().run(&mem, procs);
         assert!(exec.completed);
@@ -310,7 +246,7 @@ mod tests {
 
     #[test]
     fn crash_plan_limits_steps() {
-        let mem = AtomicRegisters::new(2, MemOrder::SeqCst);
+        let mem = AtomicRegisters::new(2);
         let procs = vec![WriterProcess::new(1, 0, 1_000), WriterProcess::new(2, 1, 5)];
         let spec = ThreadSpec::new().with_crash_plan(CrashPlan::at_steps([(1usize, 7u64)]));
         let exec = spec.run(&mem, procs);
@@ -321,7 +257,7 @@ mod tests {
 
     #[test]
     fn watchdog_reports_incomplete() {
-        let mem = AtomicRegisters::new(1, MemOrder::SeqCst);
+        let mem = AtomicRegisters::new(1);
         let procs = vec![WriterProcess::new(1, 0, 1_000)];
         let exec = ThreadSpec::new().with_watchdog(10).run(&mem, procs);
         assert!(!exec.completed);
@@ -329,7 +265,7 @@ mod tests {
 
     #[test]
     fn performs_are_collected_across_threads() {
-        let mem = AtomicRegisters::new(0, MemOrder::SeqCst);
+        let mem = AtomicRegisters::new(0);
         let procs: Vec<PerformOnceProcess> = (1..=8)
             .map(|p| PerformOnceProcess::new(p, p as u64))
             .collect();
@@ -341,7 +277,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "ordered by pid")]
     fn pid_order_enforced() {
-        let mem = AtomicRegisters::new(0, MemOrder::SeqCst);
+        let mem = AtomicRegisters::new(0);
         let _ = ThreadSpec::new().run(&mem, vec![PerformOnceProcess::new(2, 1)]);
     }
 
@@ -351,7 +287,7 @@ mod tests {
         // Silently ignoring restart entries used to make a threaded run
         // with a durable-style plan report misleading results; now the
         // combination is a loud harness error.
-        let mem = AtomicRegisters::new(0, MemOrder::SeqCst);
+        let mem = AtomicRegisters::new(0);
         let mut plan = CrashPlan::at_steps([(1usize, 3u64)]);
         plan.restart_after(1, 5);
         let _ = ThreadSpec::new()
@@ -359,16 +295,67 @@ mod tests {
             .run(&mem, vec![PerformOnceProcess::new(1, 1)]);
     }
 
+    /// Performs jobs `1000·pid + 1 ..= 1000·pid + k`, one per action, then
+    /// terminates.
+    struct Performer {
+        pid: usize,
+        k: u64,
+        done: u64,
+        terminated: bool,
+    }
+
+    impl<R: Registers + ?Sized> Process<R> for Performer {
+        fn step(&mut self, _mem: &R) -> StepEvent {
+            if self.done == self.k {
+                self.terminated = true;
+                return StepEvent::Terminated;
+            }
+            self.done += 1;
+            StepEvent::Perform {
+                span: crate::JobSpan::single(1000 * self.pid as u64 + self.done),
+            }
+        }
+
+        fn pid(&self) -> usize {
+            self.pid
+        }
+
+        fn is_terminated(&self) -> bool {
+            self.terminated
+        }
+    }
+
     #[test]
-    fn spec_builders_and_accessors() {
-        let spec = ThreadSpec::new()
-            .with_crash_plan(CrashPlan::at_steps([(3usize, 9u64)]))
-            .with_watchdog(77)
-            .with_order(MemOrder::AcqRel);
-        assert_eq!(spec.crash_plan().budget(3), Some(9));
-        assert_eq!(spec.watchdog(), Some(77));
-        assert_eq!(spec.order(), MemOrder::AcqRel);
-        let mem = spec.alloc(3);
-        assert_eq!(mem.len(), 3);
+    fn execution_follows_the_threaded_contract() {
+        let k = 6;
+        let procs: Vec<Performer> = (1..=4)
+            .map(|pid| Performer {
+                pid,
+                k,
+                done: 0,
+                terminated: false,
+            })
+            .collect();
+        let plan = CrashPlan::at_steps([(3usize, 2u64), (1, 4)]);
+        let exec = ThreadSpec::new()
+            .with_crash_plan(plan)
+            .run(&AtomicRegisters::new(0), procs);
+        assert_eq!(exec.total_steps, exec.per_proc_steps.iter().sum::<u64>());
+        assert!(exec.restarted.is_empty());
+        assert!(exec.trace.is_empty());
+        assert_eq!(exec.crashed, vec![1, 3], "the planned pids, ascending");
+        assert_eq!(exec.per_proc_steps, vec![4, k + 1, 2, k + 1]);
+        assert!(exec.completed);
+        let pids: Vec<usize> = exec.performed.iter().map(|r| r.pid).collect();
+        assert!(pids.windows(2).all(|w| w[0] <= w[1]), "grouped by pid");
+        for r in &exec.performed {
+            assert!(
+                (1..=exec.per_proc_steps[r.pid - 1]).contains(&r.step),
+                "{r:?} outside its thread's actions"
+            );
+            // Program order: a performer's i-th action performs its i-th job.
+            assert_eq!(r.span, crate::JobSpan::single(1000 * r.pid as u64 + r.step));
+        }
+        assert_eq!(exec.performed.len(), 4 + 6 + 2 + 6);
     }
 }

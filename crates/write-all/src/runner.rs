@@ -8,9 +8,10 @@
 
 use amo_core::ConfigError;
 use amo_iterative::IterConfig;
-use amo_sim::thread::{ThreadExecution, ThreadSpec};
+use amo_sim::thread::ThreadSpec;
 use amo_sim::{
-    Execution, MemWork, ScenarioHooks, ScenarioProcess, ScenarioSpec, Scheduler, VecRegisters,
+    AtomicRegisters, Execution, MemWork, ScenarioHooks, ScenarioProcess, ScenarioSpec, Scheduler,
+    VecRegisters,
 };
 
 use crate::baselines::{baseline_cells, PermutationScanWa, SequentialWa, StaticPartitionWa, TasWa};
@@ -167,7 +168,7 @@ fn wa_fleet(config: &WaConfig, layout: &WaLayout) -> Vec<WaIterativeProcess> {
         .collect()
 }
 
-/// Assembles a [`WaReport`] from a simulated execution and its
+/// Assembles a [`WaReport`] from a simulated or threaded execution and its
 /// certification.
 fn wa_report(exec: Execution, certified: CertifyOutcome, label: &'static str) -> WaReport {
     WaReport {
@@ -215,30 +216,10 @@ generic_adversaries_scenario!(SequentialWa, StaticPartitionWa, TasWa, Permutatio
 /// Runs `WA_IterativeKK(ε)` on OS threads, configured by `spec`.
 pub fn run_wa_threads(config: &WaConfig, spec: &ThreadSpec) -> WaReport {
     let layout = config.layout();
-    let mem = spec.alloc(layout.cells());
+    let mem = AtomicRegisters::new(layout.cells());
     let exec = spec.run(&mem, wa_fleet(config, &layout));
     let certified = certify_snapshot(&mem.snapshot(), layout.wa_base(), config.n());
-    wa_thread_report(exec, certified, "wa-iterative-kk")
-}
-
-/// Assembles a [`WaReport`] from a threaded execution and its
-/// certification.
-fn wa_thread_report(
-    exec: ThreadExecution,
-    certified: CertifyOutcome,
-    label: &'static str,
-) -> WaReport {
-    WaReport {
-        complete: certified.complete,
-        certified,
-        mem_work: exec.mem_work,
-        local_work: exec.local_work,
-        total_steps: exec.per_proc_steps.iter().sum(),
-        crashed: exec.crashed,
-        restarted: Vec::new(),
-        completed: exec.completed,
-        label,
-    }
+    wa_report(exec, certified, "wa-iterative-kk")
 }
 
 /// Runs a Write-All baseline under `spec` in the simulator; the scenario
@@ -295,7 +276,7 @@ pub fn run_baseline_threads(
     spec: &ThreadSpec,
 ) -> WaReport {
     assert!(n > 0 && m > 0, "need jobs and processes");
-    let mem = spec.alloc(baseline_cells(kind.uses_rmw(), n));
+    let mem = AtomicRegisters::new(baseline_cells(kind.uses_rmw(), n));
     let exec = match kind {
         WaBaselineKind::Sequential => spec.run(&mem, vec![SequentialWa::new(1, n as u64)]),
         WaBaselineKind::StaticPartition => {
@@ -316,7 +297,7 @@ pub fn run_baseline_threads(
         }
     };
     let certified = certify_snapshot(&mem.snapshot(), 0, n);
-    wa_thread_report(exec, certified, kind.label())
+    wa_report(exec, certified, kind.label())
 }
 
 #[cfg(test)]

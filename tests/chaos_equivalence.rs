@@ -1,18 +1,19 @@
 //! The chaos-lowering equivalence suite: a **quiet** `ChaosPlan` (no
 //! events) lowered onto any base `ScenarioSpec` must produce a
 //! bit-identical `AmoReport` for every algorithm stack and every runner —
-//! the interleaving engine and the type-erased dyn driver — and a non-quiet plan must lower to *exactly* the spec a
-//! careful human would have built by hand. Together the two pins make the
-//! chaos dimension observationally free until a fault is actually
-//! scheduled, and fully explainable when one is.
+//! the interleaving engine over static and type-erased fleets — and a
+//! non-quiet plan must lower to *exactly* the spec a careful human would
+//! have built by hand. Together the two pins make the chaos dimension
+//! observationally free until a fault is actually scheduled, and fully
+//! explainable when one is.
 
 use at_most_once::baselines::{run_baseline_scenario, AmoBaselineKind};
 use at_most_once::core::{run_scenario_simulated, KkConfig, KkLayout, KkProcess};
 use at_most_once::iterative::{run_iterative_scenario, IterConfig};
 use at_most_once::ostree::FenwickSet;
 use at_most_once::sim::{
-    boxed, run_scenario_dyn, BackendSpec, BoxProcess, ChaosPlan, CrashPlan, NetworkSpec,
-    ScenarioSpec, StorageFault, VecRegisters,
+    boxed, run_scenario, BackendSpec, BoxProcess, ChaosPlan, CrashPlan, NetworkSpec, ScenarioSpec,
+    StorageFault, VecRegisters,
 };
 use at_most_once::write_all::{
     run_baseline_scenario as run_wa_baseline_scenario, run_wa_scenario, WaBaselineKind, WaConfig,
@@ -94,17 +95,17 @@ fn quiet_plan_is_bit_identical_on_the_dyn_driver() {
     let layout = KkLayout::contiguous(config.m(), config.n(), false);
     let quiet = ChaosPlan::quiet();
     let spec = ScenarioSpec::random(7).with_crash_plan(CrashPlan::at_steps([(2usize, 30u64)]));
-    let (want, _, _) = run_scenario_dyn(
+    let (want, _, _) = run_scenario(
         VecRegisters::new(layout.cells()),
         kk_boxed_fleet(&config, layout),
         &spec,
     );
-    let (got, _, _) = run_scenario_dyn(
+    let (got, _, _) = run_scenario(
         VecRegisters::new(layout.cells()),
         kk_boxed_fleet(&config, layout),
         &spec.with_chaos(&quiet),
     );
-    assert_eq!(got, want, "dyn driver diverged under a quiet plan");
+    assert_eq!(got, want, "erased fleet diverged under a quiet plan");
 }
 
 /// A non-quiet plan lowers to exactly the hand-built spec: the chaotic run

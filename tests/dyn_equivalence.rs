@@ -3,11 +3,11 @@
 //!
 //! Two claims are pinned here, cross-crate:
 //!
-//! 1. **Erasure is free.** A homogeneous fleet run through the dyn entry
-//!    points is *bit-identical* (full [`Execution`] equality) to the same
-//!    fleet run statically — across schedulers, batching, crashes, and
-//!    register backends, including hardware [`AtomicRegisters`] and the
-//!    real-thread runtime.
+//! 1. **Erasure is free.** A homogeneous fleet run erased, as a
+//!    `Vec<BoxProcess>`, is *bit-identical* (full [`Execution`] equality)
+//!    to the same fleet run statically — across schedulers, batching,
+//!    crashes, and register backends, including hardware
+//!    [`AtomicRegisters`] and the real-thread runtime.
 //! 2. **Mixing is projection.** In a mixed KKβ + Write-All fleet over one
 //!    register file (disjoint cell regions, no reads across families),
 //!    each family behaves exactly as in its homogeneous twin where the
@@ -19,8 +19,8 @@ use at_most_once::core::{KkConfig, KkLayout, KkProcess};
 use at_most_once::iterative::IterConfig;
 use at_most_once::ostree::FenwickSet;
 use at_most_once::sim::{
-    boxed, run_scenario, run_scenario_dyn, run_scenario_on, AtomicRegisters, BoxProcess, CrashPlan,
-    Execution, JobSpan, MemOrder, ScenarioSpec, ThreadSpec, VecRegisters,
+    boxed, run_scenario, run_scenario_on, AtomicRegisters, BoxProcess, CrashPlan, Execution,
+    JobSpan, ScenarioSpec, ThreadSpec, VecRegisters,
 };
 use at_most_once::write_all::{WaIterativeProcess, WaLayout};
 
@@ -67,7 +67,7 @@ fn boxed_homogeneous_fleet_is_bit_identical_across_schedulers() {
             kk_static_fleet(&config, layout),
             spec,
         );
-        let (got, _, _) = run_scenario_dyn(
+        let (got, _, _) = run_scenario(
             VecRegisters::new(layout.cells()),
             kk_boxed_fleet(&config, layout),
             spec,
@@ -91,12 +91,12 @@ fn boxed_fleet_is_bit_identical_on_hardware_atomics() {
         &spec,
     );
     let (static_exec, _, _) = run_scenario_on(
-        AtomicRegisters::new(layout.cells(), MemOrder::SeqCst),
+        AtomicRegisters::new(layout.cells()),
         kk_static_fleet(&config, layout),
         &spec,
     );
     let (dyn_exec, _, _) = run_scenario_on(
-        AtomicRegisters::new(layout.cells(), MemOrder::SeqCst),
+        AtomicRegisters::new(layout.cells()),
         kk_boxed_fleet(&config, layout),
         &spec,
     );
@@ -111,9 +111,8 @@ fn boxed_fleet_runs_on_real_threads() {
     // the seam the claim service is built on.
     let config = KkConfig::new(128, 4).unwrap();
     let layout = KkLayout::contiguous(config.m(), config.n(), false);
-    let spec = ThreadSpec::new();
-    let mem = spec.alloc(layout.cells());
-    let exec = spec.run(&mem, kk_boxed_fleet(&config, layout));
+    let mem = AtomicRegisters::new(layout.cells());
+    let exec = ThreadSpec::new().run(&mem, kk_boxed_fleet(&config, layout));
     assert!(exec.violations().is_empty());
     assert!(exec.effectiveness() >= config.effectiveness_bound());
 }
@@ -137,7 +136,7 @@ fn mixed_kk_wa_fleet_matches_homogeneous_twins() {
         boxed(WaIterativeProcess::new(3, &iter, wa_layout.clone())),
         boxed(WaIterativeProcess::new(4, &iter, wa_layout.clone())),
     ];
-    let (mixed_exec, _, _) = run_scenario_dyn(VecRegisters::new(cells), mixed, &spec);
+    let (mixed_exec, _, _) = run_scenario(VecRegisters::new(cells), mixed, &spec);
     assert!(mixed_exec.completed, "mixed fleet must terminate");
 
     // Homogeneous twins: the same family over the same cells, with the
