@@ -1,6 +1,6 @@
-//! Regenerates every table of the experiment index (DESIGN.md §3) in order.
-//! Pass `--quick` for the CI-scale grids; the full grids are the ones
-//! recorded in EXPERIMENTS.md.
+//! Regenerates every table of the experiment index (the table in
+//! `amo_bench::experiments`) in order. Pass `--quick` for the CI-scale
+//! grids; without it the full grids run.
 
 fn main() {
     amo_bench::experiment_main("exp_all", amo_bench::experiments::run_all);

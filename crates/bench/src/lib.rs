@@ -1,6 +1,6 @@
 //! Experiment harness: regenerates every quantitative claim of the paper as
-//! a measured table (see DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results).
+//! a measured table. The table in [`experiments`] indexes the experiments
+//! by the paper artefact each one reproduces.
 //!
 //! Each `exp_*` function returns [`Table`]s; the binaries under `src/bin/`
 //! print them (`cargo run --release -p amo-bench --bin exp_all`). Wall-clock
@@ -8,8 +8,8 @@
 //! iterated and Write-All algorithms) and by E8 (real threads against `m`).
 //!
 //! Every experiment takes a [`Scale`]: [`Scale::Quick`] keeps the harness
-//! runnable in CI and in `#[test]`s; [`Scale::Full`] is the configuration
-//! whose output is recorded in EXPERIMENTS.md.
+//! runnable in CI and in `#[test]`s; [`Scale::Full`] runs the full
+//! parameter grids.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,12 +76,12 @@ where
     indexed.into_iter().map(|(_, u)| u).collect()
 }
 
-/// Experiment scale: parameter grids for CI vs the recorded runs.
+/// Experiment scale: parameter grids for CI vs the full runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small grids (seconds): used by tests and smoke runs.
     Quick,
-    /// The full grids recorded in EXPERIMENTS.md (minutes).
+    /// The full parameter grids (minutes).
     Full,
 }
 

@@ -8,6 +8,10 @@ use amo_sim::{BatchOutcome, JobSpan, Process, Registers, StepEvent};
 use crate::config::KkConfig;
 use crate::layout::KkLayout;
 
+/// Log entries `step_batch`'s `gatherDone` walk reads before it merges
+/// them: a chunk of one row's backlog (`kk_mega_rr`'s rows hold about 21).
+const LOG_CHUNK: usize = 64;
+
 /// Which variant of the automaton runs (§3 vs §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KkMode {
@@ -733,13 +737,24 @@ impl<S: OrderedJobSet> KkProcess<S> {
             self.scratch_valid = false;
             self.try_set.clear();
             self.try_src.clear();
-            for q in 1..=self.m {
-                if q == self.pid {
-                    continue;
+            if self.track_collisions {
+                // `try_merge` keeps each job's first source aligned.
+                for q in 1..=self.m {
+                    let v = self.gt_vals[q - 1];
+                    if v > 0 {
+                        self.try_merge(v, q);
+                    }
                 }
-                let v = self.gt_vals[q - 1];
-                if v > 0 {
-                    self.try_merge(v, q);
+            } else {
+                // One pass in `q` order (the own slot is never written, so
+                // it stays 0). Rank-splitting mostly announces in pid
+                // order, so the sort and dedup run only when the pass is
+                // not already strictly increasing.
+                self.try_set
+                    .extend(self.gt_vals.iter().copied().filter(|&v| v > 0));
+                if self.try_set.windows(2).any(|w| w[0] >= w[1]) {
+                    self.try_set.sort_unstable();
+                    self.try_set.dedup();
                 }
             }
             self.gt_dirty = false;
@@ -1014,8 +1029,9 @@ impl<S: OrderedJobSet> KkProcess<S> {
     }
 
     /// The structural part of [`try_insert`](Self::try_insert), without the
-    /// work accounting — used by the epoch cache's sweep-end rebuild, whose
-    /// merges were already charged at the per-visit actions.
+    /// work accounting — also the epoch cache's sweep-end rebuild under
+    /// collision tracking, whose merges were already charged at the
+    /// per-visit actions.
     fn try_merge(&mut self, v: u64, src: usize) {
         match self.try_set.binary_search(&v) {
             Ok(_) => {}
@@ -1038,7 +1054,8 @@ impl<S: OrderedJobSet> KkProcess<S> {
     }
 
     /// Merges job `v`, logged by process `src`, into `DONE` and out of
-    /// `FREE` — the one merge site of the single-step and batched paths.
+    /// `FREE` — the single-step merge, and the batched walk's per-entry
+    /// one where [`merge_backlog`](Self::merge_backlog) cannot batch.
     ///
     /// A physical `DONE` takes the `done.insert` + `free.remove` pair
     /// ([`OrderedJobSet::insert_paired_remove`]). A derived `DONE`
@@ -1078,6 +1095,37 @@ impl<S: OrderedJobSet> KkProcess<S> {
         }
     }
 
+    /// Merges a chunk of jobs that process `src ≠ pid` logged, in log
+    /// order — the one merge site of `step_batch`'s `gatherDone` walk.
+    ///
+    /// A derived `DONE` hands the whole chunk to
+    /// [`OrderedJobSet::remove_many`], which removes and charges exactly as
+    /// the per-entry [`merge_done`](Self::merge_done) sequence would; the
+    /// `DONE` leg's inserts are charged as the removals' own `ops`, and the
+    /// selection hint is repaired by the count removed at or below its
+    /// anchor. A physical `DONE`, or collision tracking (which records each
+    /// merged job's source), takes the per-entry merge.
+    fn merge_backlog(&mut self, jobs: &[u64], src: usize) {
+        if jobs.is_empty() {
+            return;
+        }
+        // Foreign jobs may be `TRY` members: the cached intersection is
+        // no longer trustworthy.
+        self.scratch_valid = false;
+        if self.done_set.is_some() || self.track_collisions {
+            for &v in jobs {
+                self.merge_done(v, src);
+            }
+            return;
+        }
+        let anchor = self.sel_hint.map_or(0, |h| h.anchor);
+        let removed = self.free.remove_many(jobs, anchor);
+        self.local_ops += removed.ops;
+        if let Some(h) = &mut self.sel_hint {
+            h.rank -= removed.at_or_below_anchor;
+        }
+    }
+
     /// Repairs the selection hint's prefix rank after `v` actually left
     /// `FREE`. The removed element is in hand regardless of who performed
     /// it — validity needs the element, not attribution — but the repair
@@ -1103,11 +1151,14 @@ impl<S: OrderedJobSet> KkProcess<S> {
     /// `m − 1` and up to `n` sequential reads per `do` cycle — collapse to
     /// their accounting while the epoch cache's sweep stamps hold, and a
     /// fully stamped cycle collapses into one fused block. Otherwise
-    /// `gatherTry` runs its single-step body once per action and
-    /// `gatherDone` walks each log row in a tight loop; every other phase
-    /// is delegated to the single-action dispatcher. Each shortcut mirrors
-    /// the single-step reference *action for action*, so a batch of `k`
-    /// steps is indistinguishable from `k` engine-driven steps.
+    /// `gatherTry` runs its single-step body once per action, and
+    /// `gatherDone` reads each log row's backlog in chunks of up to
+    /// `LOG_CHUNK` entries and merges each chunk at one site
+    /// ([`merge_backlog`](Self::merge_backlog): one word-grouped
+    /// [`OrderedJobSet::remove_many`] for a derived `DONE`); every other
+    /// phase is delegated to the single-action dispatcher. Each shortcut
+    /// mirrors the single-step reference *action for action*, so a batch of
+    /// `k` steps is indistinguishable from `k` engine-driven steps.
     fn step_batch<R: Registers + ?Sized>(&mut self, mem: &R, budget: u64) -> BatchOutcome {
         debug_assert!(budget >= 1, "step_batch needs a positive budget");
         let mut steps: u64 = 0;
@@ -1267,59 +1318,65 @@ impl<S: OrderedJobSet> KkProcess<S> {
                         };
                     } else {
                         // Per-action path, action-for-action the cache-free
-                        // loop but with the per-row log walk hoisted: a
-                        // backlog of consecutive entries advances the cell
-                        // index by `done_stride` instead of recomputing the
-                        // layout mapping per entry — this walk is the
-                        // algorithm's Θ(n·m) term and dominates simulated
-                        // wall-clock.
+                        // loop: one read per log entry, and one action per
+                        // row or self skip. A row's backlog is read in
+                        // chunks bounded by the budget, the row's end and
+                        // the buffer, with the cell index advanced by
+                        // `done_stride`; each chunk goes to one merge
+                        // (`merge_backlog`). This walk is the algorithm's
+                        // Θ(n·m) term and dominates simulated wall-clock.
                         let stride = self.layout.done_stride();
+                        let mut backlog = [0u64; LOG_CHUNK];
                         let mut reads = 0u64;
-                        'gd: while steps < budget {
-                            if self.q != self.pid {
-                                let idx = self.q - 1;
-                                let pos_q = self.pos[idx];
-                                if pos_q <= n {
-                                    let mut cell = self.layout.done_cell(self.q, pos_q);
-                                    let mut pos = pos_q;
-                                    loop {
-                                        let v = mem.peek(cell);
-                                        reads += 1;
-                                        steps += 1;
-                                        if v > 0 {
-                                            self.merge_done(v, self.q);
-                                            pos += 1;
-                                            // A freshly exhausted row is
-                                            // left for the outer loop: the
-                                            // `POS(q) > n` skip is its own
-                                            // action, as in single-step.
-                                            if steps >= budget || pos > n {
-                                                break;
-                                            }
-                                            cell += stride;
-                                        } else {
-                                            self.q += 1;
-                                            break;
-                                        }
-                                    }
-                                    if pos != pos_q {
-                                        // Row bookkeeping once per walk, not
-                                        // per entry. Foreign jobs were
-                                        // merged, so the cached `TRY ∩ FREE`
-                                        // intersection is stale.
-                                        self.scratch_valid = false;
-                                        self.pos[idx] = pos;
-                                        if pos > n {
-                                            self.gd_open -= 1;
-                                        }
-                                    }
-                                } else {
-                                    self.q += 1;
-                                    steps += 1;
-                                }
-                            } else {
+                        while steps < budget {
+                            let q = self.q;
+                            let pos_q = self.pos[q - 1];
+                            if q == self.pid || pos_q > n {
                                 self.q += 1;
                                 steps += 1;
+                            } else {
+                                let mut cell = self.layout.done_cell(q, pos_q);
+                                let mut pos = pos_q;
+                                loop {
+                                    let room =
+                                        (budget - steps).min(n + 1 - pos).min(LOG_CHUNK as u64)
+                                            as usize;
+                                    let mut len = 0;
+                                    while len < room {
+                                        let v = mem.peek(cell);
+                                        if v == 0 {
+                                            break;
+                                        }
+                                        assert!(v <= n, "insert of {v} outside universe 1..={n}");
+                                        backlog[len] = v;
+                                        len += 1;
+                                        cell += stride;
+                                    }
+                                    self.merge_backlog(&backlog[..len], q);
+                                    reads += len as u64;
+                                    steps += len as u64;
+                                    pos += len as u64;
+                                    if len < room {
+                                        // The zero entry ends the row: its
+                                        // read is one more action.
+                                        reads += 1;
+                                        steps += 1;
+                                        self.q += 1;
+                                        break;
+                                    }
+                                    // A freshly exhausted row is left for
+                                    // the next pass: the `POS(q) > n` skip
+                                    // is its own action, as in single-step.
+                                    if steps >= budget || pos > n {
+                                        break;
+                                    }
+                                }
+                                if pos != pos_q {
+                                    self.pos[q - 1] = pos;
+                                    if pos > n {
+                                        self.gd_open -= 1;
+                                    }
+                                }
                             }
                             if self.q > self.m {
                                 if self.epoch_cache {
@@ -1331,7 +1388,7 @@ impl<S: OrderedJobSet> KkProcess<S> {
                                 } else {
                                     KkPhase::Check
                                 };
-                                break 'gd;
+                                break;
                             }
                         }
                         mem.note_reads(reads);

@@ -13,7 +13,9 @@
 
 use amo_core::{
     kk_fleet, kk_fleet_with, run_fleet_simulated, run_scenario_simulated, AmoReport, KkConfig,
+    KkLayout, KkMode, KkProcess, SpanMap,
 };
+use amo_ostree::FenwickSet;
 use amo_sim::{
     BlockScheduler, CrashPlan, Engine, EngineLimits, Execution, RoundRobin, ScenarioSpec,
     Scheduler, VecRegisters, WithCrashes,
@@ -54,11 +56,66 @@ fn assert_exec_eq(fast: &Execution, reference: &Execution, what: &str) {
     );
 }
 
+/// Which fleet [`check_fleet`] builds for a config.
+#[derive(Debug, Clone, Copy)]
+enum Fleet {
+    /// Plain KKβ (a derived `DONE`), with the epoch cache and collision
+    /// tracking on or off.
+    Plain { cache: bool, collisions: bool },
+    /// An iterated stage whose `FREE` starts as a proper subset of the
+    /// universe (every fifth job is missing), so `DONE` stays physical.
+    PartialFree,
+}
+
+impl Fleet {
+    const BARE: Fleet = Fleet::Plain {
+        cache: false,
+        collisions: false,
+    };
+
+    fn build(self, config: &KkConfig) -> (KkLayout, Vec<KkProcess>) {
+        match self {
+            Fleet::Plain { cache, collisions } => {
+                let (layout, mut fleet) = kk_fleet(config, collisions);
+                for p in &mut fleet {
+                    p.set_epoch_cache(cache);
+                }
+                (layout, fleet)
+            }
+            Fleet::PartialFree => {
+                let (n, m) = (config.n(), config.m());
+                let layout = KkLayout::contiguous(m, n, true);
+                let fleet = (1..=m)
+                    .map(|pid| {
+                        let free =
+                            FenwickSet::with_members(n, (1..=n as u64).filter(|j| j % 5 != 0));
+                        KkProcess::new(
+                            pid,
+                            m,
+                            config.beta(),
+                            layout,
+                            free,
+                            KkMode::IterStep { output_free: false },
+                            SpanMap::Identity,
+                        )
+                    })
+                    .collect();
+                (layout, fleet)
+            }
+        }
+    }
+}
+
 /// Runs one KKβ fleet twice under the same scheduler — batched and forced
 /// single-step — and requires identical executions.
-fn check_fleet<S: Scheduler<amo_core::KkProcess> + Clone>(config: &KkConfig, sched: S, what: &str) {
+fn check_fleet<S: Scheduler<amo_core::KkProcess> + Clone>(
+    config: &KkConfig,
+    kind: Fleet,
+    sched: S,
+    what: &str,
+) {
     let run = |single: bool| {
-        let (layout, fleet) = kk_fleet(config, false);
+        let (layout, fleet) = kind.build(config);
         let mem = VecRegisters::new(layout.cells());
         let mut engine = Engine::new(mem, fleet, sched.clone());
         if single {
@@ -83,6 +140,7 @@ fn exhaustive_small_grid_round_robin_quanta() {
                 for &q in &[2u64, 3, 7, 64, RoundRobin::BATCH_QUANTUM] {
                     check_fleet(
                         &config,
+                        Fleet::BARE,
                         RoundRobin::new().with_quantum(q),
                         &format!("n={n} m={m} beta={beta} rr-quantum={q}"),
                     );
@@ -92,17 +150,39 @@ fn exhaustive_small_grid_round_robin_quanta() {
     }
 }
 
+/// Block bursts over every fleet kind. The batched `gatherDone` walk reads
+/// a row's backlog in chunks of at most 64 entries and merges each chunk
+/// at once, so the grid makes it cut rows everywhere: at n = 300 the
+/// 700-step bursts leave rows longer than a chunk behind (with m = 2 a
+/// stamped cycle is 8 steps, so a burst logs about 87 jobs), and the
+/// short bursts end the budget mid-row, and since a row's jobs are
+/// near-adjacent, mid-word.
 #[test]
 fn exhaustive_small_grid_block_bursts() {
-    for &n in &[16usize, 40] {
+    let kinds = [
+        Fleet::BARE,
+        Fleet::Plain {
+            cache: true,
+            collisions: false,
+        },
+        Fleet::Plain {
+            cache: true,
+            collisions: true,
+        },
+        Fleet::PartialFree,
+    ];
+    for &n in &[16usize, 40, 300] {
         for &m in &[2usize, 4] {
             let config = KkConfig::new(n, m).expect("valid config");
-            for &(seed, burst) in &[(1u64, 2u64), (7, 5), (13, 33)] {
-                check_fleet(
-                    &config,
-                    BlockScheduler::new(seed, burst),
-                    &format!("n={n} m={m} block({seed},{burst})"),
-                );
+            for &(seed, burst) in &[(1u64, 2u64), (7, 5), (13, 33), (5, 700)] {
+                for kind in kinds {
+                    check_fleet(
+                        &config,
+                        kind,
+                        BlockScheduler::new(seed, burst),
+                        &format!("n={n} m={m} block({seed},{burst}) {kind:?}"),
+                    );
+                }
             }
         }
     }
@@ -115,11 +195,13 @@ fn crash_injection_fires_at_the_same_action_under_batching() {
         let plan = CrashPlan::at_steps([(p1, s1), (p2, s2)]);
         check_fleet(
             &config,
+            Fleet::BARE,
             WithCrashes::new(RoundRobin::new().with_quantum(16), plan.clone()),
             &format!("crashes ({p1}@{s1}, {p2}@{s2}) under rr-quantum=16"),
         );
         check_fleet(
             &config,
+            Fleet::BARE,
             WithCrashes::new(BlockScheduler::new(3, 11), plan),
             &format!("crashes ({p1}@{s1}, {p2}@{s2}) under block(3,11)"),
         );

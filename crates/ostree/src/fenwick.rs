@@ -3,7 +3,7 @@ use std::hash::{Hash, Hasher};
 
 use crate::counter::OpCounter;
 use crate::kernels;
-use crate::rank::RankedSet;
+use crate::rank::{RankedSet, Removed};
 
 /// Words per count block: each block covers `8 × 64 = 512` elements.
 ///
@@ -193,6 +193,7 @@ impl FenwickSet {
     /// # Panics
     ///
     /// Panics if `id` is `0` or exceeds the universe.
+    #[inline]
     pub fn insert(&mut self, id: u64) -> bool {
         assert!(
             id >= 1 && id as usize <= self.universe,
@@ -218,6 +219,7 @@ impl FenwickSet {
     }
 
     /// Removes `id`, returning `true` if it was present.
+    #[inline]
     pub fn remove(&mut self, id: u64) -> bool {
         if id == 0 || id as usize > self.universe {
             self.ops.bump();
@@ -509,6 +511,7 @@ impl FenwickSet {
     }
 
     /// Total elementary operations performed so far (see [`OpCounter`]).
+    #[inline]
     pub fn ops(&self) -> u64 {
         self.ops.get()
     }
@@ -593,18 +596,22 @@ impl Hash for FenwickSet {
 }
 
 impl RankedSet for FenwickSet {
+    #[inline]
     fn len(&self) -> usize {
         self.len
     }
 
+    #[inline]
     fn contains(&self, id: u64) -> bool {
         FenwickSet::contains(self, id)
     }
 
+    #[inline]
     fn select(&self, rank: usize) -> Option<u64> {
         FenwickSet::select(self, rank)
     }
 
+    #[inline]
     fn count_le(&self, id: u64) -> usize {
         FenwickSet::count_le(self, id)
     }
@@ -866,18 +873,71 @@ impl crate::rank::OrderedJobSet for FenwickSet {
         FenwickSet::with_all(universe)
     }
 
+    #[inline]
     fn universe(&self) -> usize {
         FenwickSet::universe(self)
     }
 
+    #[inline]
     fn insert(&mut self, id: u64) -> bool {
         FenwickSet::insert(self, id)
     }
 
+    #[inline]
     fn remove(&mut self, id: u64) -> bool {
         FenwickSet::remove(self, id)
     }
 
+    /// One bitmap, block, superblock and length update per run of
+    /// consecutive ids that share a word, instead of one per id: a
+    /// `gatherDone` backlog's near-adjacent jobs mostly share one or two
+    /// words. Charges are the per-id sequence's, as arithmetic: 2 per
+    /// present id, 1 per absent one (outside the universe, already removed,
+    /// or a repeat within the batch).
+    fn remove_many(&mut self, ids: &[u64], anchor: u64) -> Removed {
+        let mut present = 0usize;
+        let mut below = 0usize;
+        let mut k = 0;
+        while k < ids.len() {
+            // `id − 1` wraps for `id == 0`, so that id, like every id past
+            // the last word, indexes no word and is absent. An id past the
+            // universe inside the last word finds its bit clear.
+            let w = ids[k].wrapping_sub(1) / 64;
+            let mut mask = 0u64;
+            while k < ids.len() && ids[k].wrapping_sub(1) / 64 == w {
+                mask |= 1u64 << (ids[k].wrapping_sub(1) % 64);
+                k += 1;
+            }
+            let Some(word) = usize::try_from(w).ok().and_then(|w| self.bits.get_mut(w)) else {
+                continue;
+            };
+            let hit = *word & mask;
+            if hit == 0 {
+                continue;
+            }
+            *word &= !mask;
+            let cnt = hit.count_ones();
+            let b = w as usize / BLOCK_WORDS;
+            self.blk[b] -= cnt;
+            self.sup[b >> self.sup_shift] -= cnt;
+            present += cnt as usize;
+            // Bits of word `w` whose ids are `≤ anchor`.
+            let le_anchor = match anchor.saturating_sub(w * 64) {
+                d if d >= 64 => u64::MAX,
+                d => (1u64 << d) - 1,
+            };
+            below += (hit & le_anchor).count_ones() as usize;
+        }
+        self.len -= present;
+        self.ops.add((ids.len() + present) as u64);
+        Removed {
+            present,
+            at_or_below_anchor: below,
+            ops: 2 * present as u64,
+        }
+    }
+
+    #[inline]
     fn ops(&self) -> u64 {
         FenwickSet::ops(self)
     }

@@ -98,5 +98,5 @@ pub use dense::DenseFenwickSet;
 pub use fenwick::FenwickSet;
 pub use rank::{
     rank_excluding, rank_excluding_members, rank_excluding_members_hinted, OrderedJobSet,
-    RankedSet, SelectHint,
+    RankedSet, Removed, SelectHint,
 };

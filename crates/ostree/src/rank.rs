@@ -177,8 +177,49 @@ pub trait OrderedJobSet:
         (inserted, removed)
     }
 
+    /// Removes every id of `ids` in order, exactly as the sequence of
+    /// [`remove`](Self::remove) calls would — same final set, same
+    /// [`ops`](Self::ops) charges — and reports what it removed against
+    /// `anchor` (see [`Removed`]).
+    ///
+    /// This is how a KKβ process with a derived `DONE` merges one
+    /// `gatherDone` log row's backlog into `FREE`: the backlog is a run of
+    /// near-adjacent jobs, and the selection hint anchored at `anchor` is
+    /// repaired by the returned count. The default body is the per-id
+    /// sequence itself, the exact reference that
+    /// [`DenseFenwickSet`](crate::DenseFenwickSet) runs;
+    /// [`FenwickSet`](crate::FenwickSet) overrides it with one bitmap and
+    /// count update per word of consecutive ids.
+    fn remove_many(&mut self, ids: &[u64], anchor: u64) -> Removed {
+        let mut out = Removed::default();
+        for &id in ids {
+            let before = self.ops();
+            if self.remove(id) {
+                out.present += 1;
+                out.at_or_below_anchor += usize::from(id <= anchor);
+                out.ops += self.ops() - before;
+            }
+        }
+        out
+    }
+
     /// Elementary operations executed so far (the paper's work measure).
     fn ops(&self) -> u64;
+}
+
+/// What one [`OrderedJobSet::remove_many`] call removed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Removed {
+    /// Ids that were members when their turn came (an id repeated in the
+    /// batch is present only the first time).
+    pub present: usize,
+    /// How many of the present ids are `≤ anchor`: the prefix-rank repair
+    /// a [`SelectHint`] anchored there needs.
+    pub at_or_below_anchor: usize,
+    /// The [`ops`](OrderedJobSet::ops) the present ids' removals charged
+    /// (the absent ids' probes not included) — what a derived `DONE`
+    /// charges once more for its own inserts.
+    pub ops: u64,
 }
 
 /// The paper's `rank(SET1, SET2, i)`: the `i`-th smallest element (1-based)

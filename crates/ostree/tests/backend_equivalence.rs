@@ -265,6 +265,225 @@ proptest! {
     }
 }
 
+/// `FenwickSet` with every method forwarded except
+/// [`OrderedJobSet::remove_many`], which keeps the trait's default: the
+/// per-id `remove` sequence the override must reproduce.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PerId(FenwickSet);
+
+impl RankedSet for PerId {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        self.0.contains(id)
+    }
+
+    fn select(&self, rank: usize) -> Option<u64> {
+        self.0.select(rank)
+    }
+
+    fn count_le(&self, id: u64) -> usize {
+        self.0.count_le(id)
+    }
+
+    fn select_excluding(&self, excl: &[u64], i: usize) -> Option<u64> {
+        self.0.select_excluding(excl, i)
+    }
+}
+
+impl OrderedJobSet for PerId {
+    fn empty(universe: usize) -> Self {
+        PerId(FenwickSet::new(universe))
+    }
+
+    fn full(universe: usize) -> Self {
+        PerId(FenwickSet::with_all(universe))
+    }
+
+    fn universe(&self) -> usize {
+        self.0.universe()
+    }
+
+    fn insert(&mut self, id: u64) -> bool {
+        self.0.insert(id)
+    }
+
+    fn remove(&mut self, id: u64) -> bool {
+        self.0.remove(id)
+    }
+
+    fn ops(&self) -> u64 {
+        self.0.ops()
+    }
+}
+
+/// One run of a `remove_many` batch: ids from `start` on, each `step`
+/// (0 to 3) past the previous, so a run repeats ids (`step` 0) and mostly
+/// stays inside one or two words, like a `gatherDone` backlog.
+#[derive(Debug, Clone)]
+struct Run {
+    start: Start,
+    steps: Vec<u64>,
+}
+
+/// Where a [`Run`] starts.
+#[derive(Debug, Clone)]
+enum Start {
+    /// Out of the universe: `0`.
+    Zero,
+    /// Out of the universe: `n + 1`.
+    PastEnd,
+    /// `k·width + offset − 2` for a word (64), block (512) or superblock
+    /// (2048 at the 4000–4300 universes) width, so the run crosses an edge.
+    Edge { width: u64, k: u64, offset: u64 },
+    /// Anywhere in `1..=n`.
+    Any(u64),
+}
+
+/// Where the anchor sits against the word of a chosen batch id.
+#[derive(Debug, Clone)]
+enum Anchor {
+    /// Below the word's first id.
+    Below,
+    /// At one of the word's 64 ids.
+    Inside(u64),
+    /// Past the word's last id.
+    Above(u64),
+}
+
+fn run_strategy() -> impl Strategy<Value = Run> {
+    let start = prop_oneof![
+        Just(Start::Zero),
+        Just(Start::PastEnd),
+        (
+            prop_oneof![Just(64u64), Just(512), Just(2048)],
+            any::<u64>(),
+            0u64..5
+        )
+            .prop_map(|(width, k, offset)| Start::Edge { width, k, offset }),
+        any::<u64>().prop_map(Start::Any),
+    ];
+    (start, prop::collection::vec(0u64..4, 0..24)).prop_map(|(start, steps)| Run { start, steps })
+}
+
+fn anchor_strategy() -> impl Strategy<Value = Anchor> {
+    prop_oneof![
+        Just(Anchor::Below),
+        (0u64..64).prop_map(Anchor::Inside),
+        (0u64..200).prop_map(Anchor::Above),
+    ]
+}
+
+/// The batch's ids: every run's ids in order, capped at `n + 1`.
+fn batch_ids(universe: u64, runs: &[Run]) -> Vec<u64> {
+    let mut ids = Vec::new();
+    for run in runs {
+        let mut id = match run.start {
+            Start::Zero => 0,
+            Start::PastEnd => universe + 1,
+            Start::Edge { width, k, offset } => {
+                ((k % (universe / width + 1)) * width + offset).clamp(2, universe + 2) - 2
+            }
+            Start::Any(x) => x % universe + 1,
+        };
+        ids.push(id);
+        for &step in &run.steps {
+            id = (id + step).min(universe + 1);
+            ids.push(id);
+        }
+    }
+    ids
+}
+
+/// The anchor for a batch: placed against the word of `ids[pick]`.
+fn anchor_for(ids: &[u64], pick: usize, anchor: &Anchor) -> u64 {
+    let word_lo = ids
+        .get(pick % ids.len().max(1))
+        .map_or(0, |&id| id.saturating_sub(1) / 64 * 64);
+    match *anchor {
+        Anchor::Below => word_lo.saturating_sub(1),
+        Anchor::Inside(d) => word_lo + d + 1,
+        Anchor::Above(d) => word_lo + 64 + d,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `FenwickSet::remove_many` (word-grouped) against the trait's default
+    /// per-id sequence on a clone of the same set, and against
+    /// `DenseFenwickSet`, which runs the default: after every batch all
+    /// three hold the same members and return the same counts, and the two
+    /// `FenwickSet`s have charged the same `ops` and report the same
+    /// removal charge. The batches repeat ids within a word, start on
+    /// word, block and superblock edges, include the out-of-universe ids 0
+    /// and n + 1, and anchor below, inside and above a batch id's word.
+    #[test]
+    fn remove_many_matches_the_per_id_sequence(
+        universe in prop_oneof![1usize..80, 450usize..600, 4000usize..4300],
+        holes in prop::collection::vec(any::<u64>(), 0..120),
+        batches in prop::collection::vec(
+            (prop::collection::vec(run_strategy(), 1..6), any::<usize>(), anchor_strategy()),
+            1..6,
+        ),
+    ) {
+        let u = universe as u64;
+        let mut grouped = FenwickSet::with_all(universe);
+        let mut dense = DenseFenwickSet::full(universe);
+        for &h in &holes {
+            grouped.remove(h % u + 1);
+            OrderedJobSet::remove(&mut dense, h % u + 1);
+        }
+        let mut model: BTreeSet<u64> = grouped.iter().collect();
+        for (runs, pick, anchor) in &batches {
+            let ids = batch_ids(u, runs);
+            let anchor = anchor_for(&ids, *pick, anchor);
+            let mut per_id = PerId(grouped.clone());
+            let want_present: BTreeSet<u64> =
+                ids.iter().copied().filter(|id| model.contains(id)).collect();
+            let want = (
+                want_present.len(),
+                want_present.iter().filter(|&&id| id <= anchor).count(),
+            );
+            for id in &want_present {
+                model.remove(id);
+            }
+
+            let before = grouped.ops();
+            let got = grouped.remove_many(&ids, anchor);
+            let reference = per_id.remove_many(&ids, anchor);
+            let from_dense = dense.remove_many(&ids, anchor);
+
+            prop_assert_eq!(got, reference, "ids {:?} anchor {}", &ids, anchor);
+            prop_assert_eq!(grouped.ops(), per_id.ops(), "ops, ids {:?}", &ids);
+            prop_assert_eq!(&grouped, &per_id.0);
+            prop_assert_eq!((got.present, got.at_or_below_anchor), want);
+            prop_assert_eq!(
+                (from_dense.present, from_dense.at_or_below_anchor),
+                want
+            );
+            prop_assert_eq!(grouped.len(), model.len());
+            prop_assert_eq!(RankedSet::len(&dense), model.len());
+            prop_assert!(grouped.iter().eq(model.iter().copied()));
+            prop_assert!((1..=u).all(|x| RankedSet::contains(&dense, x) == model.contains(&x)));
+            // Each present id charged 2 and each absent one 1.
+            prop_assert_eq!(got.ops, 2 * got.present as u64);
+            prop_assert_eq!(grouped.ops() - before, (ids.len() + got.present) as u64);
+            // The count hierarchy: rank probes read the block and
+            // superblock counts the batch decremented.
+            for &id in &ids {
+                prop_assert_eq!(grouped.count_le(id), model.range(..=id).count());
+            }
+            let len = model.len();
+            for r in [1, len / 2 + 1, len] {
+                prop_assert_eq!(grouped.select(r), model.iter().nth(r.wrapping_sub(1)).copied());
+            }
+        }
+    }
+}
+
 /// The charge symmetry a derived `DONE` set relies on: a KKβ process whose
 /// `FREE` starts full keeps `DONE = J \ FREE` implicit and charges each
 /// merge's `DONE` insert as its `FREE` removal's own charge. So, with the
