@@ -30,7 +30,7 @@
 //! and the interleaved minimum is the standard way to estimate the
 //! undisturbed cost of each configuration under the same machine state.
 //! The deterministic fields (`total_steps`, `local_work`, `shared_ops`,
-//! `effectiveness` and the extra protocol counters) are what the CI gate
+//! `effectiveness` and the extra integer counters) are what the CI gate
 //! pins exactly; the ratio fields carry a tolerance and the noisy memory column
 //! (`peak_rss_mb` from Linux procfs) a ±25% band (see the `perf_gate`
 //! binary).
@@ -41,9 +41,8 @@ use amo_core::{run_scenario_simulated, KkConfig, KkLayout, KkProcess};
 use amo_iterative::{run_iterative_scenario, IterConfig};
 use amo_ostree::DenseFenwickSet;
 use amo_sim::{
-    boxed, last_net_stats, run_scenario, run_scenario_on, AtomicRegisters, BackendSpec, BoxProcess,
-    CrashPlan, Engine, EngineLimits, LatencyDist, NetworkSpec, RoundRobin, ScenarioSpec,
-    ThreadSpec, VecRegisters, WithCrashes,
+    boxed, run_scenario, run_scenario_on, AtomicRegisters, BoxProcess, CrashPlan, Engine,
+    EngineLimits, RoundRobin, ScenarioSpec, ThreadSpec, VecRegisters, WithCrashes,
 };
 use amo_write_all::{run_wa_scenario, WaConfig};
 
@@ -74,7 +73,7 @@ struct Entry {
     extra: Vec<(&'static str, u64)>,
     /// When `false`, the speed-ratio fields are omitted from the JSON so
     /// the gate never enforces them — used by workloads whose ratio is a
-    /// cross-backend overhead (wall-clock too machine-sensitive to gate);
+    /// cross-runtime overhead (wall-clock too machine-sensitive to gate);
     /// their deterministic counters stay pinned exactly.
     emit_ratios: bool,
 }
@@ -346,86 +345,6 @@ fn write_all_workload(n: usize, m: usize) -> Entry {
     }
 }
 
-/// The quorum message-passing backend workload (engine-v7): KKβ over a
-/// 3-replica lossless quorum network vs the same run on the plain volatile
-/// file. The two are asserted bit-identical; `single_step_ms` times the
-/// volatile run and `fast_path_ms` the quorum run, so the table's "vs
-/// 1step" column shows the (sub-1x) protocol overhead ratio. That ratio is
-/// *not* emitted to the JSON (`emit_ratios: false`): the protocol run's
-/// wall-clock wobbles ~2x on shared runners, far outside the gate's
-/// tolerance band, so gating it would flake — the timing columns stay as
-/// informational `*_ms` fields. What the gate owns instead are the message
-/// counters of the lossless run and of a deterministic lossy cell (seeded
-/// drops + reordering + replica crashes), emitted as integer fields and
-/// pinned exactly.
-fn quorum_workload(n: usize, m: usize) -> Entry {
-    let config = KkConfig::new(n, m).expect("valid config");
-    let base = ScenarioSpec::round_robin_batched();
-    let lossless = base.clone().with_backend(BackendSpec::quorum(3));
-
-    let mut single_ms = f64::MAX;
-    let mut fast_ms = f64::MAX;
-    let mut pair = None;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        let vec_run = run_scenario_simulated(&config, &base);
-        single_ms = single_ms.min(ms(t));
-        let t = Instant::now();
-        let quorum_run = run_scenario_simulated(&config, &lossless);
-        fast_ms = fast_ms.min(ms(t));
-        pair = Some((vec_run, quorum_run));
-    }
-    let (vec_run, quorum_run) = pair.expect("ROUNDS >= 1");
-    let stats = last_net_stats().expect("quorum runs publish net stats");
-
-    assert!(quorum_run.violations.is_empty(), "quorum safety");
-    assert_eq!(
-        vec_run, quorum_run,
-        "lossless quorum must be bit-identical to the volatile backend"
-    );
-    assert_eq!(stats.atomicity_violations, 0, "protocol oracle agreement");
-    assert_eq!(stats.retransmissions, 0, "lossless runs never retransmit");
-
-    // The deterministic lossy cell: seeded drops, reordering, latency and
-    // replica crashes — still bit-identical, still oracle-clean, and its
-    // traffic counters are a seeded pure function of the execution.
-    let net = NetworkSpec::lossless(5)
-        .with_seed(0x7E57)
-        .with_latency(LatencyDist::Uniform { lo: 1, hi: 4 })
-        .with_drop(150)
-        .with_reorder(200)
-        .with_replica_crashes(2);
-    let lossy_run = run_scenario_simulated(&config, &base.clone().quorum(net));
-    assert_eq!(vec_run, lossy_run, "lossy quorum diverged");
-    let lossy = last_net_stats().expect("quorum runs publish net stats");
-    assert_eq!(lossy.atomicity_violations, 0, "lossy oracle agreement");
-
-    Entry {
-        name: "kk_quorum_net",
-        params: format!("n={n} m={m} k=3 lossless + k=5 lossy"),
-        seed_ms: None,
-        single_ms,
-        fast_ms,
-        total_steps: quorum_run.total_steps,
-        shared_ops: quorum_run.work(),
-        local_work: quorum_run.local_work,
-        effectiveness: Some(quorum_run.effectiveness),
-        peak_rss_kb: None,
-        extra: vec![
-            ("net_messages", stats.messages_sent),
-            ("net_one_round_reads", stats.reads_one_round),
-            ("net_writes", stats.writes),
-            ("lossy_messages", lossy.messages_sent),
-            ("lossy_dropped", lossy.messages_dropped),
-            ("lossy_retransmissions", lossy.retransmissions),
-            ("lossy_read_writebacks", lossy.read_writebacks),
-            ("lossy_fd_packets", lossy.fd_packets),
-            ("lossy_suspicions", lossy.suspicions),
-        ],
-        emit_ratios: false,
-    }
-}
-
 /// The hardware-atomics workload (engine-v8): KKβ over [`AtomicRegisters`].
 ///
 /// Two legs share the fleet construction. The **deterministic leg** runs
@@ -438,10 +357,10 @@ fn quorum_workload(n: usize, m: usize) -> Entry {
 /// threads: genuinely racy, so only its *guarantees* are asserted (zero
 /// violations, the effectiveness floor, termination) and its wall-clock
 /// is reported informationally. `single_step_ms` times the serialized
-/// volatile run and `fast_path_ms` the real-thread run; like the quorum
-/// workload the ratio is a cross-runtime overhead too machine-sensitive
-/// to gate, so `emit_ratios: false` keeps the timing columns out of the
-/// JSON while every deterministic counter stays pinned exactly.
+/// volatile run and `fast_path_ms` the real-thread run; the ratio is a
+/// cross-runtime overhead too machine-sensitive to gate, so
+/// `emit_ratios: false` keeps the timing columns out of the JSON while
+/// every deterministic counter stays pinned exactly.
 fn atomic_threads_workload(n: usize, m: usize) -> Entry {
     let config = KkConfig::new(n, m).expect("valid config");
     let layout = KkLayout::contiguous(m, n, false);
@@ -512,7 +431,7 @@ fn atomic_threads_workload(n: usize, m: usize) -> Entry {
 
 fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"amo-bench/engine-v11\",\n");
+    out.push_str("  \"schema\": \"amo-bench/engine-v12\",\n");
     out.push_str(&format!(
         "  \"scale\": \"{}\",\n",
         if scale.is_quick() { "quick" } else { "full" }
@@ -545,7 +464,7 @@ fn json(entries: &[Entry], scale: amo_bench::Scale) -> String {
         out.push_str(&format!("      \"total_steps\": {},\n", e.total_steps));
         out.push_str(&format!("      \"local_work\": {},\n", e.local_work));
         for (key, v) in &e.extra {
-            // Deterministic protocol counters: integers on purpose, so the
+            // Deterministic counters: integers on purpose, so the
             // gate pins them exactly like the step counters.
             out.push_str(&format!("      \"{key}\": {v},\n"));
         }
@@ -583,7 +502,6 @@ fn main() {
             kk_mega_workload("kk_mega_quick", 100_000, 32),
             iter_workload(10_000, 4),
             write_all_workload(10_000, 4),
-            quorum_workload(20_000, 8),
             atomic_threads_workload(20_000, 8),
         ]
     } else {
@@ -592,7 +510,6 @@ fn main() {
             kk_mega_workload("kk_mega_rr", 1_000_000, 64),
             iter_workload(50_000, 8),
             write_all_workload(50_000, 8),
-            quorum_workload(50_000, 8),
             atomic_threads_workload(50_000, 16),
         ]
     };

@@ -1,4 +1,4 @@
-//! A1/A4 — design-choice ablations (DESIGN.md §4).
+//! A1/A4 — design-choice ablations (DESIGN.md, "Ablations").
 //!
 //! * **A1 (β sweep)** — the paper's central trade-off: raising `β` costs
 //!   effectiveness linearly (Theorem 4.4) but collapses collisions and work

@@ -2,12 +2,12 @@
 //! [`ChaosPlan`]s across all three intensity tiers, through the one
 //! scenario driver.
 //!
-//! Where E9–E11 sweep one fault axis at a time (schedulers, storage
-//! faults, networks), each E12 cell is a *composed* adversarial run: a
+//! Where E9 and E10 sweep one fault axis at a time (schedulers, storage
+//! faults), each E12 cell is a *composed* adversarial run: a
 //! [`ChaosPlan`] drawn deterministically from `(seed, intensity, space)`
-//! may schedule crashes, restarts, a storage blackout **or** a hostile
-//! quorum network, and an adversarial scheduler — all in the same
-//! execution, lowered onto a base [`ScenarioSpec`] by
+//! may schedule crashes, restarts, a storage blackout and an adversarial
+//! scheduler — all in the same execution, lowered onto a base
+//! [`ScenarioSpec`] by
 //! [`ScenarioSpec::with_chaos`]. The sweep pins the chaos layer's two
 //! obligations numerically:
 //!
@@ -31,10 +31,10 @@
 //! (the gate the chaos module documents): restarts only on the Write-All
 //! stacks (the AMO automatons crash permanently), the full adversary
 //! registry only on KKβ (the generic stacks resolve `lockstep` alone),
-//! and the backend axes only where prior PRs proved the combination
-//! (E10/E11 for KKβ, iterated KK and Write-All; the claim-bit TAS
-//! baseline skips the network axis). The AMO comparator baselines run
-//! crash + lockstep chaos on the volatile backend.
+//! and the storage axis only on the stacks E10 runs on the durable
+//! backend (KKβ, iterated KK, Write-All and the claim-bit TAS baseline).
+//! The AMO comparator baselines run crash + lockstep chaos on the
+//! volatile backend.
 //!
 //! The sweep is seed-deterministic end to end: the same `(seed, tier)`
 //! grid always draws the same plans and produces the same table, which
@@ -68,21 +68,14 @@ fn space_for(algo: &str, m: usize, horizon: u64) -> ChaosSpace {
     let base = ChaosSpace::new(m, horizon);
     match algo {
         // KKβ: no restart protocol, but every other axis — including the
-        // full adversary registry and both backend axes.
-        "kk" => base
-            .with_storage()
-            .with_network()
-            .with_adversaries(KNOWN_ADVERSARIES),
-        // Iterated KK: both backends, generic lockstep only.
-        "iterative" => base
-            .with_storage()
-            .with_network()
-            .with_adversaries(&["lockstep"]),
-        // Write-All: the only stack with restarts, plus both backends.
+        // full adversary registry and the storage axis.
+        "kk" => base.with_storage().with_adversaries(KNOWN_ADVERSARIES),
+        // Iterated KK: storage, generic lockstep only.
+        "iterative" => base.with_storage().with_adversaries(&["lockstep"]),
+        // Write-All: restarts, storage and lockstep.
         "write-all" => base
             .with_restarts()
             .with_storage()
-            .with_network()
             .with_adversaries(&["lockstep"]),
         // Claim-bit TAS Write-All: restarts + storage (its E10 axes).
         "wa-tas" => base
@@ -372,8 +365,8 @@ mod tests {
     #[test]
     fn the_sweep_actually_composes_faults() {
         // At least one drawn cell must mix two axes in one run (crash +
-        // backend, crash + adversary, …) — otherwise the sweep degenerates
-        // to the single-axis matrices E9–E11 already pin.
+        // storage, crash + adversary, …) — otherwise the sweep degenerates
+        // to the single-axis matrices E9 and E10 already pin.
         let t = exp_chaos_matrix(Scale::Quick);
         let composed = t
             .column("chaos")

@@ -1,4 +1,5 @@
-//! One module per experiment of the index in DESIGN.md §3.
+//! One module per experiment. The table below is the experiment index;
+//! DESIGN.md's ablations section describes A1, A2 and A4.
 //!
 //! | id | module | paper artefact |
 //! |----|--------|----------------|
@@ -13,7 +14,6 @@
 //! | E8 | [`threads`] | real-thread safety and throughput vs m |
 //! | E9 | [`scenario_matrix`] | cross-algorithm adversary matrix (scenario layer) |
 //! | E10 | [`recovery_matrix`] | storage-fault × restart matrix (durable backend) |
-//! | E11 | [`network_matrix`] | algorithm × network matrix (quorum message-passing backend) |
 //! | E12 | [`chaos_matrix`] | seeded chaos sweep (composed fault schedules, all stacks) |
 
 pub mod ablations;
@@ -22,7 +22,6 @@ pub mod collisions;
 pub mod comparison;
 pub mod effectiveness;
 pub mod iterative;
-pub mod network_matrix;
 pub mod recovery_matrix;
 pub mod safety;
 pub mod scenario_matrix;
@@ -36,7 +35,6 @@ pub use collisions::exp_collisions;
 pub use comparison::exp_comparison;
 pub use effectiveness::exp_effectiveness;
 pub use iterative::exp_iterative;
-pub use network_matrix::exp_network_matrix;
 pub use recovery_matrix::exp_recovery_matrix;
 pub use safety::exp_safety;
 pub use scenario_matrix::exp_scenario_matrix;
@@ -61,7 +59,6 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
     tables.push(exp_threads(scale));
     tables.push(exp_scenario_matrix(scale));
     tables.push(exp_recovery_matrix(scale));
-    tables.push(exp_network_matrix(scale));
     tables.push(exp_chaos_matrix(scale));
     tables
 }

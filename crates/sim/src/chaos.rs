@@ -1,8 +1,7 @@
 //! Composable, seeded chaos plans: one [`ChaosPlan`] schedules faults
 //! across *every* injection point the workspace has — process crashes and
-//! restarts ([`CrashPlan`](crate::CrashPlan)), storage blackout regimes ([`StorageFault`] on
-//! the durable backend), network perturbations and replica crashes
-//! ([`NetworkSpec`] on the quorum backend) and named scheduler
+//! restarts ([`CrashPlan`](crate::CrashPlan)), storage blackout regimes
+//! ([`StorageFault`] on the durable backend) and named scheduler
 //! adversaries — and lowers onto a [`ScenarioSpec`] so every existing
 //! driver accepts the chaos dimension with zero algorithm-crate edits.
 //!
@@ -12,11 +11,9 @@
 //! [`ChaosPlan::lower_onto`] folds them in order: crash/restart events
 //! merge into the spec's [`CrashPlan`](crate::CrashPlan) (later events overwrite earlier
 //! ones for the same pid, exactly like the incremental `CrashPlan`
-//! builders); a storage event selects the durable backend; a network event
-//! selects the quorum backend; an adversary event replaces the scheduler.
-//! A plan may carry **at most one backend axis** — scheduling both a
-//! storage and a network event is a plan bug and panics, because one run
-//! has one register file.
+//! builders); a storage event selects the durable backend; an adversary
+//! event replaces the scheduler. Later storage and adversary events
+//! overwrite earlier ones the same way.
 //!
 //! The **quiet-plan identity** is the anchor of the whole surface: a plan
 //! with no events lowers to a spec that drives a bit-identical
@@ -53,7 +50,6 @@
 //! registry names.
 
 use crate::durable::StorageFault;
-use crate::net::{LatencyDist, NetworkSpec};
 use crate::scenario::{BackendSpec, ScenarioSpec, SchedulerSpec};
 
 /// The adversary names a replayed plan may request: every registry name
@@ -89,12 +85,6 @@ pub enum ChaosEvent {
         fault: StorageFault,
         /// Seed of the fault model's randomness.
         seed: u64,
-    },
-    /// The registers run over a quorum-replicated network (lowers into
-    /// [`BackendSpec::quorum_with`]).
-    Network {
-        /// The simulated network environment.
-        net: NetworkSpec,
     },
     /// The schedule is the named registry adversary (lowers into
     /// [`SchedulerSpec::Adversary`]).
@@ -154,11 +144,6 @@ impl ChaosPlan {
         self.with_event(ChaosEvent::Storage { fault, seed })
     }
 
-    /// Schedules the quorum backend over `net`.
-    pub fn network(self, net: NetworkSpec) -> Self {
-        self.with_event(ChaosEvent::Network { net })
-    }
-
     /// Schedules the named registry adversary as the scheduler.
     pub fn adversary(self, name: &'static str) -> Self {
         self.with_event(ChaosEvent::Adversary { name })
@@ -203,10 +188,6 @@ impl ChaosPlan {
                 ChaosEvent::Storage { fault, .. } => {
                     parts.push(format!("storage({})", fault.label()))
                 }
-                ChaosEvent::Network { net } => parts.push(format!(
-                    "net(k={},drop={}‰,reorder={}‰,crashes={})",
-                    net.replicas, net.drop_per_mille, net.reorder_per_mille, net.replica_crashes
-                )),
                 ChaosEvent::Adversary { name } => parts.push(format!("adversary({name})")),
                 _ => {}
             }
@@ -217,23 +198,8 @@ impl ChaosPlan {
     /// Lowers this plan onto `base`: the returned spec is `base` with every
     /// event folded in (see the module docs for the per-event rules). The
     /// quiet plan returns an exact clone of `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan schedules both a storage and a network event:
-    /// one run has one register file.
     pub fn lower_onto(&self, base: &ScenarioSpec) -> ScenarioSpec {
         let mut spec = base.clone();
-        let mut backend_axis: Option<&'static str> = None;
-        let mut claim_backend = |axis: &'static str| {
-            if let Some(prev) = backend_axis {
-                panic!(
-                    "chaos plan schedules both a {prev} and a {axis} event: one run has \
-                     one register file — split the axes across two plans"
-                );
-            }
-            backend_axis = Some(axis);
-        };
         for event in &self.events {
             match *event {
                 ChaosEvent::Crash { pid, after } => {
@@ -243,12 +209,7 @@ impl ChaosPlan {
                     spec.crash_plan.restart_after(pid, delay);
                 }
                 ChaosEvent::Storage { fault, seed } => {
-                    claim_backend("storage");
                     spec.backend = BackendSpec::durable(fault, seed);
-                }
-                ChaosEvent::Network { net } => {
-                    claim_backend("network");
-                    spec.backend = BackendSpec::quorum_with(net);
                 }
                 ChaosEvent::Adversary { name } => {
                     spec.scheduler = SchedulerSpec::Adversary(name);
@@ -269,23 +230,6 @@ impl ChaosPlan {
                 ChaosEvent::Restart { pid, delay } => format!("restart pid={pid} delay={delay}"),
                 ChaosEvent::Storage { fault, seed } => {
                     format!("storage fault={} seed={seed}", fault.label())
-                }
-                ChaosEvent::Network { net } => {
-                    let latency = match net.latency {
-                        LatencyDist::Zero => "zero".to_string(),
-                        LatencyDist::Fixed(d) => format!("fixed:{d}"),
-                        LatencyDist::Uniform { lo, hi } => format!("uniform:{lo}..{hi}"),
-                    };
-                    format!(
-                        "network replicas={} seed={} drop={} reorder={} crashes={} fd={} \
-                         latency={latency}",
-                        net.replicas,
-                        net.seed,
-                        net.drop_per_mille,
-                        net.reorder_per_mille,
-                        net.replica_crashes,
-                        net.fd_packet_budget
-                    )
                 }
                 ChaosEvent::Adversary { name } => format!("adversary name={name}"),
             };
@@ -360,42 +304,6 @@ impl ChaosPlan {
                         seed: num("seed")?,
                     }
                 }
-                "network" => {
-                    let latency_s = get("latency")?;
-                    let latency = if latency_s == "zero" {
-                        LatencyDist::Zero
-                    } else if let Some(d) = latency_s.strip_prefix("fixed:") {
-                        LatencyDist::Fixed(
-                            d.parse()
-                                .map_err(|e| format!("bad latency `{latency_s}`: {e}"))?,
-                        )
-                    } else if let Some(range) = latency_s.strip_prefix("uniform:") {
-                        let (lo, hi) = range
-                            .split_once("..")
-                            .ok_or_else(|| format!("bad latency `{latency_s}`"))?;
-                        LatencyDist::Uniform {
-                            lo: lo
-                                .parse()
-                                .map_err(|e| format!("bad latency `{latency_s}`: {e}"))?,
-                            hi: hi
-                                .parse()
-                                .map_err(|e| format!("bad latency `{latency_s}`: {e}"))?,
-                        }
-                    } else {
-                        return Err(format!("unknown latency `{latency_s}` in `{line}`"));
-                    };
-                    ChaosEvent::Network {
-                        net: NetworkSpec {
-                            replicas: num("replicas")? as u8,
-                            seed: num("seed")?,
-                            latency,
-                            drop_per_mille: num("drop")? as u16,
-                            reorder_per_mille: num("reorder")? as u16,
-                            replica_crashes: num("crashes")? as u8,
-                            fd_packet_budget: num("fd")? as u32,
-                        },
-                    }
-                }
                 "adversary" => {
                     let name = get("name")?;
                     let known = KNOWN_ADVERSARIES
@@ -419,8 +327,8 @@ impl ChaosPlan {
 
     /// Draws a plan deterministically from `(seed, intensity, space)` —
     /// the same triple always yields the same plan. The intensity tier
-    /// scales how many crashes are scheduled, how hostile the backend axis
-    /// is, and how likely an adversary joins the mix;
+    /// scales how many crashes are scheduled and how likely a storage
+    /// regime and an adversary join the mix;
     /// the space gates which axes may appear at all (see [`ChaosSpace`]).
     /// Crash victims are distinct pids in `1..=space.m` and the total
     /// crash count stays `< m` (the paper's `f < m` model).
@@ -473,20 +381,10 @@ impl ChaosPlan {
             }
         }
 
-        // Backend axis: storage XOR network, a coin when both are allowed.
-        let (storage, network) = match (space.storage, space.network) {
-            (true, true) => {
-                if next() % 2 == 0 {
-                    (true, false)
-                } else {
-                    (false, true)
-                }
-            }
-            other => other,
-        };
-        // The axis engages with tier-scaled probability: 1/3, 2/3, always.
-        let backend_on = next() % 3 < tier + 1;
-        if storage && backend_on {
+        // Storage axis: engages with tier-scaled probability (1/3, 2/3,
+        // always).
+        let storage_on = next() % 3 < tier + 1;
+        if space.storage && storage_on {
             // Injecting faults only — StorageFault::None is the quiet case.
             let injecting: Vec<StorageFault> = StorageFault::ALL
                 .iter()
@@ -495,24 +393,6 @@ impl ChaosPlan {
                 .collect();
             let fault = injecting[(next() as usize) % injecting.len()];
             plan = plan.storage(fault, next());
-        } else if network && backend_on {
-            let replicas = if next() % 2 == 0 { 3 } else { 5 };
-            let mut net = NetworkSpec::lossless(replicas).with_seed(next());
-            let max_drop = [50u64, 150, 300][tier as usize];
-            net = net.with_drop((next() % (max_drop + 1)) as u16);
-            net = net.with_reorder((next() % (max_drop + 1)) as u16);
-            if tier > 0 {
-                net = net.with_latency(LatencyDist::Uniform {
-                    lo: 0,
-                    hi: tier + 1,
-                });
-            }
-            if intensity == Intensity::Heavy {
-                // Clamped to a minority by the model; draw inside it.
-                let minority = u64::from((replicas - 1) / 2);
-                net = net.with_replica_crashes((next() % (minority + 1)) as u8);
-            }
-            plan = plan.network(net);
         }
 
         // Adversary axis: tier-scaled engagement over the space's registry.
@@ -536,11 +416,14 @@ impl ScenarioSpec {
 /// allowed to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intensity {
-    /// At most one crash, mild backend perturbation, adversaries rare.
+    /// At most one crash; a storage regime or an adversary joins one
+    /// plan in three.
     Light,
-    /// Up to `m/2` crashes, moderate loss/latency, adversaries common.
+    /// Up to `m/2` crashes; a storage regime or an adversary joins two
+    /// plans in three.
     Medium,
-    /// Up to `m-1` crashes, hostile networks with replica crashes.
+    /// Up to `m-1` crashes; a storage regime (where allowed) always
+    /// joins, as does an adversary.
     Heavy,
 }
 
@@ -583,8 +466,6 @@ pub struct ChaosSpace {
     pub restarts: bool,
     /// Whether storage-fault events may be drawn (durable backend).
     pub storage: bool,
-    /// Whether network events may be drawn (quorum backend).
-    pub network: bool,
     /// Adversary names the target stack's registry resolves; empty when
     /// none apply.
     pub adversaries: &'static [&'static str],
@@ -599,7 +480,6 @@ impl ChaosSpace {
             horizon,
             restarts: false,
             storage: false,
-            network: false,
             adversaries: &[],
         }
     }
@@ -616,12 +496,6 @@ impl ChaosSpace {
         self
     }
 
-    /// Allows network events.
-    pub fn with_network(mut self) -> Self {
-        self.network = true;
-        self
-    }
-
     /// Allows adversary events over the given registry names.
     pub fn with_adversaries(mut self, names: &'static [&'static str]) -> Self {
         self.adversaries = names;
@@ -632,8 +506,8 @@ impl ChaosSpace {
 /// Delta-debugs `plan` to a minimal plan still satisfying `fails`,
 /// deterministically (see the module docs' shrinker contract): greedy
 /// single-event removal in index order first, then per-event field
-/// halving (crash budgets, restart delays, seeds, network knobs) in
-/// declaration order, iterated to a fixed point. `fails` must be
+/// halving (crash budgets, restart delays, storage seeds) in declaration
+/// order, iterated to a fixed point. `fails` must be
 /// deterministic; it is called once per candidate.
 ///
 /// # Panics
@@ -725,33 +599,6 @@ fn shrink_event_candidates(event: &ChaosEvent) -> Vec<ChaosEvent> {
                 out.push(ChaosEvent::Storage { fault, seed: s });
             }
         }
-        ChaosEvent::Network { net } => {
-            for s in halves(net.seed) {
-                let mut n = net;
-                n.seed = s;
-                out.push(ChaosEvent::Network { net: n });
-            }
-            for d in halves(u64::from(net.drop_per_mille)) {
-                let mut n = net;
-                n.drop_per_mille = d as u16;
-                out.push(ChaosEvent::Network { net: n });
-            }
-            for r in halves(u64::from(net.reorder_per_mille)) {
-                let mut n = net;
-                n.reorder_per_mille = r as u16;
-                out.push(ChaosEvent::Network { net: n });
-            }
-            if net.replica_crashes > 0 {
-                let mut n = net;
-                n.replica_crashes = 0;
-                out.push(ChaosEvent::Network { net: n });
-            }
-            if net.latency != LatencyDist::Zero {
-                let mut n = net;
-                n.latency = LatencyDist::Zero;
-                out.push(ChaosEvent::Network { net: n });
-            }
-        }
         ChaosEvent::Adversary { .. } => {}
     }
     out
@@ -787,7 +634,6 @@ mod tests {
         let space = ChaosSpace::new(4, 100)
             .with_restarts()
             .with_storage()
-            .with_network()
             .with_adversaries(KNOWN_ADVERSARIES);
         for seed in 0..200u64 {
             for tier in Intensity::ALL {
@@ -837,48 +683,22 @@ mod tests {
     }
 
     #[test]
-    fn draw_never_schedules_both_backend_axes() {
-        let space = ChaosSpace::new(4, 100).with_storage().with_network();
-        for seed in 0..300u64 {
-            let plan = ChaosPlan::draw(seed, Intensity::Heavy, &space);
-            let storage = plan
-                .events()
-                .iter()
-                .any(|e| matches!(e, ChaosEvent::Storage { .. }));
-            let network = plan
-                .events()
-                .iter()
-                .any(|e| matches!(e, ChaosEvent::Network { .. }));
-            assert!(!(storage && network), "seed {seed}: both axes drawn");
-            // Every drawn plan must lower cleanly.
-            let _ = plan.lower_onto(&ScenarioSpec::round_robin());
-        }
-    }
-
-    #[test]
     fn lowering_merges_crashes_and_sets_axes() {
-        let net = NetworkSpec::lossless(3).with_drop(100);
         let plan = ChaosPlan::quiet()
             .crash(1, 10)
             .crash(2, 0)
             .restart(1, 5)
-            .network(net)
+            .storage(StorageFault::TornWrite, 3)
             .adversary("lockstep");
         let spec = plan.lower_onto(&ScenarioSpec::round_robin());
         assert_eq!(spec.crash_plan.budget(1), Some(10));
         assert_eq!(spec.crash_plan.budget(2), Some(0));
         assert_eq!(spec.crash_plan.restart_delay(1), Some(5));
-        assert_eq!(spec.backend, BackendSpec::quorum_with(net));
+        assert_eq!(
+            spec.backend,
+            BackendSpec::durable(StorageFault::TornWrite, 3)
+        );
         assert_eq!(spec.scheduler, SchedulerSpec::Adversary("lockstep"));
-    }
-
-    #[test]
-    #[should_panic(expected = "one run has one register file")]
-    fn lowering_rejects_both_backend_axes() {
-        let plan = ChaosPlan::quiet()
-            .storage(StorageFault::TornWrite, 1)
-            .network(NetworkSpec::lossless(3));
-        let _ = plan.lower_onto(&ScenarioSpec::round_robin());
     }
 
     #[test]
@@ -886,7 +706,6 @@ mod tests {
         let space = ChaosSpace::new(6, 200)
             .with_restarts()
             .with_storage()
-            .with_network()
             .with_adversaries(KNOWN_ADVERSARIES);
         for seed in 0..100u64 {
             for tier in Intensity::ALL {
@@ -917,17 +736,6 @@ mod tests {
         };
         let back = ChaosPlan::parse_replay(&plan.to_replay()).unwrap();
         assert_eq!(plan, back);
-        // Network needs its own plan (one backend axis per plan).
-        let netplan = ChaosPlan::quiet().network(
-            NetworkSpec::lossless(5)
-                .with_seed(9)
-                .with_drop(150)
-                .with_reorder(200)
-                .with_latency(LatencyDist::Uniform { lo: 1, hi: 4 })
-                .with_replica_crashes(2),
-        );
-        let back = ChaosPlan::parse_replay(&netplan.to_replay()).unwrap();
-        assert_eq!(netplan, back);
     }
 
     #[test]

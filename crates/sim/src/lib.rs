@@ -31,10 +31,6 @@
 //!   without touching algorithm crates: processes are written once against
 //!   `R:`[`Registers`], and [`run_scenario_on`] drives any fleet over any
 //!   register file.
-//! * [`net`] — simulated message passing: [`QuorumRegisters`] implements
-//!   [`Registers`] over a majority-quorum replica set with one-and-a-half
-//!   round reads, driven by a deterministic seeded [`NetworkModel`] and a
-//!   packet-budgeted Omega-style failure detector.
 //! * [`thread`] — the same fleet on OS threads over [`AtomicRegisters`],
 //!   configured by one [`ThreadSpec`] and returning the same [`Execution`].
 //!
@@ -126,62 +122,19 @@
 //! bit-identical to [`VecRegisters`] (journaling is a pure side effect),
 //! which the equivalence suites pin counter-for-counter.
 //!
-//! # Network-model invariants (the `Quorum` backend)
-//!
-//! [`BackendSpec::Quorum`] implements the
-//! registers by message passing: `k` replica servers each hold a
-//! `(tag, value)` pair per cell, and every register operation runs a quorum
-//! protocol over a seeded [`NetworkModel`] (latency distributions, drops,
-//! reordering, replica crashes). The invariants the suites pin:
-//!
-//! * **Quorum intersection.** Every phase waits for `⌈(k+1)/2⌉` distinct
-//!   replica replies, and any two majorities intersect in at least one
-//!   replica. A completed write leaves its tag at a majority, so every
-//!   later read's query majority contains at least one replica holding a
-//!   tag `≥` it — a newer value can never become invisible, and monotone
-//!   tag application at replicas (`Put` applies only if its tag is larger)
-//!   makes duplicated or reordered retransmissions harmless.
-//! * **Why one-and-a-half-round reads preserve atomicity.** A reader
-//!   returns the maximum `(tag, value)` of its query majority. If *every*
-//!   reply already carried that tag, the value is provably durable at a
-//!   majority and the read completes in one round. Otherwise the reader
-//!   spends the extra half round propagating `(tag, value)` to a majority
-//!   before returning — so a returned value is *always* quorum-durable,
-//!   and no subsequent read can return an older one (the à-la-*Oh-RAM!*
-//!   construction).
-//! * **Failure-detector budget semantics.** Explicit liveness probes go
-//!   only to the current leader (lowest unsuspected replica) and stop
-//!   forever once [`NetworkSpec::fd_packet_budget`] packets were spent;
-//!   liveness otherwise piggybacks on protocol replies, and suspicion is
-//!   raised only after repeated unanswered retransmissions past the
-//!   suspicion horizon. Suspicion is an optimisation, never a safety input:
-//!   quorum thresholds always count over all `k` replicas, suspected
-//!   replicas are merely skipped when broadcasting (with a fall-back to
-//!   everyone when too few unsuspected remain), and replica crashes are
-//!   clamped to a minority so every operation terminates.
-//!
-//! The degenerate network (zero latency, no loss, no crashes) is
-//! bit-identical to [`VecRegisters`] — pinned counter-for-counter by the
-//! `quorum_equivalence` suite — and in *every* regime the protocol result
-//! is cross-checked against the authoritative register file
-//! ([`NetStats::atomicity_violations`], pinned at zero).
-//!
 //! # Chaos invariants (the [`chaos`] module)
 //!
 //! A [`ChaosPlan`] composes every fault axis above into one seeded
-//! schedule — crashes/restarts, a storage blackout regime, a network
-//! environment, a named adversary — and [`ChaosPlan::lower_onto`] folds
-//! it onto any base [`ScenarioSpec`], so every existing driver accepts
-//! the chaos dimension with zero algorithm-crate edits. The contracts the
-//! suites pin:
+//! schedule — crashes/restarts, a storage blackout regime, a named
+//! adversary — and [`ChaosPlan::lower_onto`] folds it onto any base
+//! [`ScenarioSpec`], so every existing driver accepts the chaos dimension
+//! with zero algorithm-crate edits. The contracts the suites pin:
 //!
 //! * **Quiet-plan identity.** A plan with no events lowers to a spec that
 //!   produces a bit-identical [`Execution`] — the chaos dimension is
 //!   observationally free until a fault is actually scheduled (pinned for
 //!   all four algorithm stacks by the workspace `chaos_equivalence`
 //!   suite).
-//! * **One backend axis per run.** A plan scheduling both a storage and a
-//!   network event panics at lowering: one run has one register file.
 //! * **Seeded drawing is a pure function.** [`ChaosPlan::draw`] maps
 //!   `(seed, intensity, space)` to a plan deterministically, gated by a
 //!   [`ChaosSpace`] so a drawn plan is always executable by the stack it
@@ -218,7 +171,6 @@ mod crash;
 mod durable;
 mod engine;
 mod explore;
-pub mod net;
 mod process;
 mod registers;
 pub mod scenario;
@@ -233,12 +185,11 @@ pub use crash::CrashPlan;
 pub use durable::{DurableRegisters, DurableStats, StorageFault};
 pub use engine::{Engine, EngineLimits, Execution, LifeState, PerformRecord, Slot, TraceEntry};
 pub use explore::{explore, ExploreConfig, ExploreOutcome, MemoMode};
-pub use net::{Delivery, LatencyDist, NetStats, NetworkModel, NetworkSpec, QuorumRegisters};
 pub use process::{BatchOutcome, JobSpan, Process, StepEvent};
 pub use registers::{AtomicRegisters, MemWork, Registers, VecRegisters};
 pub use scenario::{
-    boxed, last_net_stats, run_scenario, run_scenario_on, BackendSpec, BoxProcess, DynProcess,
-    ScenarioHooks, ScenarioProcess, ScenarioSpec, SchedulerSpec,
+    boxed, run_scenario, run_scenario_on, BackendSpec, BoxProcess, DynProcess, ScenarioHooks,
+    ScenarioProcess, ScenarioSpec, SchedulerSpec,
 };
 pub use sched::{
     BlockScheduler, Decision, RandomScheduler, RoundRobin, SchedView, Scheduler, ScriptedScheduler,

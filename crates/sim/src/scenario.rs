@@ -51,12 +51,9 @@
 //! assert_eq!(exec.crashed, vec![2]);
 //! ```
 
-use std::cell::Cell;
-
 use crate::crash::CrashPlan;
 use crate::durable::{DurableRegisters, StorageFault};
 use crate::engine::{Engine, EngineLimits, Execution, Slot};
-use crate::net::{NetStats, NetworkSpec, QuorumRegisters};
 use crate::process::Process;
 use crate::registers::{Registers, VecRegisters};
 use crate::sched::{BlockScheduler, RandomScheduler, RoundRobin, Scheduler, WithCrashes};
@@ -118,12 +115,12 @@ impl SchedulerSpec {
 /// [`ThreadSpec`](crate::thread::ThreadSpec), because real threads have no
 /// deterministic scheduler to spec.
 ///
-/// The enum (and its field-carrying variants) are `#[non_exhaustive]`:
-/// downstream code constructs backends through the builder constructors
-/// ([`BackendSpec::durable`], [`BackendSpec::quorum`],
-/// [`BackendSpec::quorum_with`]) and matches with a wildcard arm, so future
-/// backend variants stop breaking struct literals and match arms outside
-/// this crate.
+/// The enum (and its field-carrying variant) are `#[non_exhaustive]`:
+/// downstream code constructs the durable backend through
+/// [`BackendSpec::durable`] and matches with a wildcard arm, so a future
+/// backend variant breaks no struct literal or match arm outside this
+/// crate. A register file outside this enum runs through
+/// [`run_scenario_on`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum BackendSpec {
@@ -145,18 +142,6 @@ pub enum BackendSpec {
         /// truncation cut points, stale-read coin flips).
         seed: u64,
     },
-    /// [`VecRegisters`] wrapped in the quorum-replicated message-passing
-    /// [`QuorumRegisters`]: every register operation runs the one-and-a-half
-    /// round read / two-round write protocol over a seeded network with
-    /// configurable latency, drops, reordering and replica-server crashes
-    /// (see [`crate::net`]). A lossless zero-latency network is
-    /// bit-identical to [`BackendSpec::Vec`], which the equivalence suites
-    /// pin; [`last_net_stats`] surfaces the protocol counters after a run.
-    #[non_exhaustive]
-    Quorum {
-        /// The simulated network environment.
-        net: NetworkSpec,
-    },
 }
 
 impl BackendSpec {
@@ -166,25 +151,11 @@ impl BackendSpec {
         BackendSpec::Durable { fault, seed }
     }
 
-    /// Builder for a quorum backend over `replicas` servers on a lossless
-    /// zero-latency network (the `Vec`-equivalent degenerate case).
-    pub fn quorum(replicas: u8) -> Self {
-        BackendSpec::Quorum {
-            net: NetworkSpec::lossless(replicas),
-        }
-    }
-
-    /// Builder for a quorum backend over an arbitrary network environment.
-    pub fn quorum_with(net: NetworkSpec) -> Self {
-        BackendSpec::Quorum { net }
-    }
-
     /// Human-readable label for report rows.
     pub fn label(&self) -> &'static str {
         match self {
             BackendSpec::Vec => "vec",
             BackendSpec::Durable { .. } => "durable",
-            BackendSpec::Quorum { .. } => "quorum",
         }
     }
 
@@ -192,14 +163,6 @@ impl BackendSpec {
     pub fn fault(&self) -> Option<StorageFault> {
         match self {
             BackendSpec::Durable { fault, .. } => Some(*fault),
-            _ => None,
-        }
-    }
-
-    /// The network environment, when this backend simulates one.
-    pub fn net(&self) -> Option<NetworkSpec> {
-        match self {
-            BackendSpec::Quorum { net } => Some(*net),
             _ => None,
         }
     }
@@ -360,12 +323,6 @@ impl ScenarioSpec {
         self.with_backend(BackendSpec::durable(fault, seed))
     }
 
-    /// Shorthand for the quorum message-passing backend under the given
-    /// network environment.
-    pub fn quorum(self, net: NetworkSpec) -> Self {
-        self.with_backend(BackendSpec::quorum_with(net))
-    }
-
     /// `true` when the configured scheduler grants quanta, i.e. the engine
     /// will drive processes through `step_many` and an announcement-epoch
     /// cache can actually skip work.
@@ -493,16 +450,12 @@ impl<P: ScenarioHooks + ?Sized> ScenarioHooks for Box<P> {
 /// [`run_scenario_on`] drives any `ScenarioHooks + Process<R>` fleet over
 /// any `R: Registers`.)
 pub trait ScenarioProcess:
-    ScenarioHooks + Process<VecRegisters> + Process<DurableRegisters> + Process<QuorumRegisters> + Send
+    ScenarioHooks + Process<VecRegisters> + Process<DurableRegisters> + Send
 {
 }
 
 impl<P> ScenarioProcess for P where
-    P: ScenarioHooks
-        + Process<VecRegisters>
-        + Process<DurableRegisters>
-        + Process<QuorumRegisters>
-        + Send
+    P: ScenarioHooks + Process<VecRegisters> + Process<DurableRegisters> + Send
 {
 }
 
@@ -510,7 +463,8 @@ impl<P> ScenarioProcess for P where
 /// able to do so a `Box<dyn DynProcess>` can go anywhere a concrete process
 /// type goes — through [`run_scenario`] on every built-in backend *and*
 /// onto real OS threads over [`AtomicRegisters`](crate::AtomicRegisters)
-/// (which is how `amo-serve` hosts mixed populations behind one interface).
+/// (which is how `amo-serve`'s workers step their automatons behind one
+/// interface).
 ///
 /// This is [`ScenarioProcess`] minus the non-object-safe registry statics,
 /// plus `Process<AtomicRegisters>` and `Send` for the thread runtime.
@@ -529,7 +483,6 @@ pub trait DynProcess:
     ScenarioHooks
     + Process<VecRegisters>
     + Process<DurableRegisters>
-    + Process<QuorumRegisters>
     + Process<crate::AtomicRegisters>
     + Send
 {
@@ -539,7 +492,6 @@ impl<P> DynProcess for P where
     P: ScenarioHooks
         + Process<VecRegisters>
         + Process<DurableRegisters>
-        + Process<QuorumRegisters>
         + Process<crate::AtomicRegisters>
         + Send
 {
@@ -588,10 +540,9 @@ pub fn run_scenario<P: ScenarioProcess>(
     spec: &ScenarioSpec,
 ) -> (Execution, Vec<Slot<P>>, VecRegisters) {
     // Epoch maintenance on the register file is VecRegisters-specific (the
-    // wrapping backends delegate it verbatim), so it is configured here,
+    // durable wrapper delegates it verbatim), so it is configured here,
     // before the one generic code path takes over.
     mem.set_epoch_tracking(spec.epoch_cache && spec.grants_quanta());
-    LAST_NET_STATS.with(|s| s.set(None));
 
     match spec.backend {
         BackendSpec::Durable { fault, seed } => {
@@ -602,33 +553,8 @@ pub fn run_scenario<P: ScenarioProcess>(
             let (exec, slots, mem) = run_scenario_on(mem, fleet, spec);
             (exec, slots, mem.into_inner())
         }
-        BackendSpec::Quorum { net } => {
-            let mem = QuorumRegisters::new(mem, net);
-            let (exec, slots, mem) = run_scenario_on(mem, fleet, spec);
-            LAST_NET_STATS.with(|s| s.set(Some(mem.net_stats())));
-            (exec, slots, mem.into_inner())
-        }
-        // `Vec` and any future variant without a wrapper: drive the bare
-        // file. (In-crate, the wildcard keeps `#[non_exhaustive]` honest.)
-        _ => run_scenario_on(mem, fleet, spec),
+        BackendSpec::Vec => run_scenario_on(mem, fleet, spec),
     }
-}
-
-thread_local! {
-    static LAST_NET_STATS: Cell<Option<NetStats>> = const { Cell::new(None) };
-}
-
-/// Network/protocol counters of this thread's most recent
-/// [`run_scenario`] over a [`BackendSpec::Quorum`] backend; `None` after a
-/// run on any other backend.
-///
-/// A thread-local side channel, not an [`Execution`] field, on purpose: the
-/// equivalence obligation requires a lossless quorum `Execution` to compare
-/// `==` to its `Vec` twin, so network observability must live outside the
-/// report. Per-thread storage keeps grid runners (`par_map`) safe — each
-/// worker reads the stats of the cell it just ran.
-pub fn last_net_stats() -> Option<NetStats> {
-    LAST_NET_STATS.with(|s| s.get())
 }
 
 /// The single generic code path behind [`run_scenario`]: drives `fleet`
@@ -869,73 +795,6 @@ mod tests {
         assert_eq!(d.label(), "durable");
         assert_eq!(d.fault(), Some(StorageFault::TornWrite));
         assert_eq!(BackendSpec::Vec.fault(), None);
-    }
-
-    #[test]
-    fn quorum_builders_and_accessors() {
-        let q = BackendSpec::quorum(5);
-        assert_eq!(q.label(), "quorum");
-        assert_eq!(q.fault(), None);
-        let net = q.net().expect("quorum carries a network spec");
-        assert_eq!(net.replicas, 5);
-        assert!(!net.is_lossy());
-        assert_eq!(BackendSpec::Vec.net(), None);
-
-        let lossy = NetworkSpec::lossless(3).with_drop(120).with_seed(9);
-        assert_eq!(BackendSpec::quorum_with(lossy).net(), Some(lossy));
-        assert_eq!(
-            ScenarioSpec::round_robin().quorum(lossy).backend.label(),
-            "quorum"
-        );
-    }
-
-    #[test]
-    fn quorum_backend_is_bit_identical_to_vec_when_lossless() {
-        for base in [
-            ScenarioSpec::round_robin(),
-            ScenarioSpec::round_robin_batched(),
-            ScenarioSpec::random(5).with_quantum(7),
-            ScenarioSpec::block(2, 3),
-        ] {
-            let base = base.with_crash_plan(CrashPlan::at_steps([(1usize, 3u64)]));
-            let (mem, fleet) = writers(12);
-            let (vec_exec, _, _) = run_scenario(mem, fleet, &base);
-            assert!(last_net_stats().is_none(), "vec runs leave no net stats");
-            let (mem, fleet) = writers(12);
-            let quorum = base.clone().with_backend(BackendSpec::quorum(3));
-            let (q_exec, _, mem) = run_scenario(mem, fleet, &quorum);
-            assert_eq!(vec_exec, q_exec, "{}", base.label());
-            assert_eq!(mem.read(1), 2, "unwrapped file carries final state");
-            let stats = last_net_stats().expect("quorum runs publish net stats");
-            assert_eq!(stats.atomicity_violations, 0);
-            assert_eq!(stats.read_writebacks, 0, "lossless reads take one round");
-            assert!(stats.messages_sent > 0);
-        }
-    }
-
-    #[test]
-    fn lossy_quorum_matches_vec_execution_with_zero_violations() {
-        // Drops, reordering, latency and replica crashes change the traffic,
-        // never the execution: the register file stays authoritative and the
-        // protocol result is cross-checked against it.
-        let net = NetworkSpec::lossless(5)
-            .with_seed(23)
-            .with_latency(crate::net::LatencyDist::Uniform { lo: 1, hi: 5 })
-            .with_drop(150)
-            .with_reorder(200)
-            .with_replica_crashes(2);
-        let base = ScenarioSpec::round_robin();
-        let (mem, fleet) = writers(20);
-        let (vec_exec, _, _) = run_scenario(mem, fleet, &base);
-        let (mem, fleet) = writers(20);
-        let (q_exec, _, _) = run_scenario(mem, fleet, &base.clone().quorum(net));
-        assert_eq!(vec_exec, q_exec);
-        let stats = last_net_stats().expect("quorum runs publish net stats");
-        assert_eq!(stats.atomicity_violations, 0);
-        assert!(
-            stats.messages_dropped > 0,
-            "the lossy cell must actually drop traffic"
-        );
     }
 
     #[test]

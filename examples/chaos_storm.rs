@@ -3,8 +3,8 @@
 //!
 //! Every earlier example injects one fault axis at a time. This one drives
 //! the chaos layer (`at_most_once::sim::chaos`), where a single seeded
-//! [`ChaosPlan`] composes crashes, a storage blackout *or* a hostile
-//! quorum network, and an adversarial scheduler into one run. The tour:
+//! [`ChaosPlan`] composes crashes, a storage blackout and an adversarial
+//! scheduler into one run. The tour:
 //!
 //!   1. the quiet-plan identity — a fault-free plan is observationally
 //!      free (bit-identical report to the plain spec);
@@ -42,10 +42,9 @@ fn main() {
 
     // ── 2. Seeded storms per intensity tier ─────────────────────────────
     // KKβ's space: no restarts (no on_restart), but every adversary the
-    // registry knows plus both backend axes (storage XOR network per plan).
+    // registry knows plus the storage axis.
     let space = ChaosSpace::new(m, n as u64)
         .with_storage()
-        .with_network()
         .with_adversaries(KNOWN_ADVERSARIES);
     let bound = config.effectiveness_bound();
     println!("KKβ n={n} m={m}: Theorem 4.4 floor n − (β + m − 2) = {bound}");

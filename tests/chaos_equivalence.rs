@@ -12,8 +12,8 @@ use at_most_once::core::{run_scenario_simulated, KkConfig, KkLayout, KkProcess};
 use at_most_once::iterative::{run_iterative_scenario, IterConfig};
 use at_most_once::ostree::FenwickSet;
 use at_most_once::sim::{
-    boxed, run_scenario, BackendSpec, BoxProcess, ChaosPlan, CrashPlan, NetworkSpec, ScenarioSpec,
-    StorageFault, VecRegisters,
+    boxed, run_scenario, BackendSpec, BoxProcess, ChaosPlan, CrashPlan, ScenarioSpec, StorageFault,
+    VecRegisters,
 };
 use at_most_once::write_all::{
     run_baseline_scenario as run_wa_baseline_scenario, run_wa_scenario, WaBaselineKind, WaConfig,
@@ -140,16 +140,6 @@ fn lowered_faults_match_hand_built_specs() {
         run_scenario_simulated(&config, &base.with_chaos(&plan)),
         run_scenario_simulated(&config, &hand),
         "storage lowering diverged from the hand-built spec"
-    );
-
-    // Network axis.
-    let net = NetworkSpec::lossless(3).with_seed(5).with_drop(120);
-    let plan = ChaosPlan::quiet().network(net);
-    let hand = ScenarioSpec::round_robin_batched().quorum(net);
-    assert_eq!(
-        run_scenario_simulated(&config, &base.with_chaos(&plan)),
-        run_scenario_simulated(&config, &hand),
-        "network lowering diverged from the hand-built spec"
     );
 
     // Adversary axis.

@@ -14,13 +14,20 @@
 //!    other family's pids crash before their first step: under strict
 //!    round-robin the other family only occupies schedule slots, so the
 //!    per-pid projections must agree record for record.
+//!
+//! The suite also pins the backend seam: a *fourth* register-file
+//! implementation defined right here in the test — never seen by any
+//! algorithm crate — drives an unmodified KKβ fleet through
+//! `run_scenario_on`.
 
-use at_most_once::core::{KkConfig, KkLayout, KkProcess};
+use std::cell::Cell;
+
+use at_most_once::core::{kk_fleet, KkConfig, KkLayout, KkProcess};
 use at_most_once::iterative::IterConfig;
 use at_most_once::ostree::FenwickSet;
 use at_most_once::sim::{
     boxed, run_scenario, run_scenario_on, AtomicRegisters, BoxProcess, CrashPlan, Execution,
-    JobSpan, ScenarioSpec, ThreadSpec, VecRegisters,
+    JobSpan, MemWork, Registers, ScenarioSpec, ThreadSpec, VecRegisters,
 };
 use at_most_once::write_all::{WaIterativeProcess, WaLayout};
 
@@ -198,4 +205,78 @@ fn mixed_kk_wa_fleet_matches_homogeneous_twins() {
             "pid {pid} performed nothing in the mixed fleet"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The fourth backend: defined here, unknown to every algorithm crate.
+// ---------------------------------------------------------------------------
+
+/// A register file no algorithm crate has ever heard of: delegates to
+/// [`VecRegisters`] and counts mutations. Driving an unmodified KKβ fleet
+/// over it through [`run_scenario_on`] is the API-seam acceptance test —
+/// backends plug in without a single algorithm-crate edit.
+struct CountingRegisters {
+    inner: VecRegisters,
+    mutations: Cell<u64>,
+}
+
+impl CountingRegisters {
+    fn new(cells: usize) -> Self {
+        Self {
+            inner: VecRegisters::new(cells),
+            mutations: Cell::new(0),
+        }
+    }
+}
+
+impl Registers for CountingRegisters {
+    fn read(&self, cell: usize) -> u64 {
+        self.inner.read(cell)
+    }
+    fn peek(&self, cell: usize) -> u64 {
+        self.inner.peek(cell)
+    }
+    fn note_reads(&self, reads: u64) {
+        self.inner.note_reads(reads);
+    }
+    fn epochs_enabled(&self) -> bool {
+        self.inner.epochs_enabled()
+    }
+    fn global_epoch(&self) -> u64 {
+        self.inner.global_epoch()
+    }
+    fn write(&self, cell: usize, value: u64) {
+        self.mutations.set(self.mutations.get() + 1);
+        self.inner.write(cell, value);
+    }
+    fn swap(&self, cell: usize, value: u64) -> u64 {
+        self.mutations.set(self.mutations.get() + 1);
+        self.inner.swap(cell, value)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn work(&self) -> MemWork {
+        self.inner.work()
+    }
+}
+
+#[test]
+fn a_fourth_backend_needs_no_algorithm_crate_edits() {
+    let config = KkConfig::new(96, 3).unwrap();
+    let spec = ScenarioSpec::round_robin();
+
+    let (layout, fleet) = kk_fleet(&config, false);
+    let mem = VecRegisters::new(layout.cells());
+    let (vec_exec, _, _) = run_scenario(mem, fleet, &spec);
+
+    // Same fleet type, brand-new backend, generic driver — no adapter, no
+    // trait impls beyond `Registers` itself.
+    let (layout, fleet) = kk_fleet(&config, false);
+    let mem = CountingRegisters::new(layout.cells());
+    let (count_exec, _, mem) = run_scenario_on(mem, fleet, &spec);
+
+    assert_eq!(vec_exec, count_exec, "delegating backend diverged");
+    assert!(mem.mutations.get() > 0, "the fleet wrote through the seam");
+    assert!(count_exec.violations().is_empty());
 }
