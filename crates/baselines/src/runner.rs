@@ -50,7 +50,7 @@ impl AmoBaselineKind {
     }
 
     /// Worst-case effectiveness of this comparator under `f` crashes (the
-    /// analytic prediction printed next to measurements in Table 6).
+    /// analytic prediction printed next to measurements in Table E6).
     ///
     /// `None` when no closed form applies (the randomized ablation shares
     /// KKβ's bound).

@@ -125,7 +125,7 @@ struct Cell {
     violations: usize,
 }
 
-/// Runs E12 and returns the sweep table.
+/// Runs E12 and returns Table E12.
 pub fn exp_chaos_matrix(scale: Scale) -> Table {
     let (n, m, draws) = match scale {
         Scale::Quick => (400usize, 4usize, 3usize),
@@ -133,7 +133,7 @@ pub fn exp_chaos_matrix(scale: Scale) -> Table {
     };
     let horizon = n as u64;
     let mut t = Table::new(
-        "Table 12 (E12): seeded chaos sweep — composed fault schedules × every algorithm",
+        "Table E12: seeded chaos sweep — composed fault schedules × every algorithm",
         &[
             "algorithm",
             "tier",

@@ -25,14 +25,14 @@ use amo_sim::{ScenarioSpec, VecRegisters};
 
 use crate::{fmt_ratio, par_map, Scale, Table};
 
-/// Runs E7 and returns Table 7.
+/// Runs E7 and returns Table E7.
 pub fn exp_collisions(scale: Scale) -> Table {
     let (n, ms): (usize, Vec<usize>) = match scale {
         Scale::Quick => (1 << 11, vec![4]),
         Scale::Full => (1 << 13, vec![4, 8]),
     };
     let mut t = Table::new(
-        "Table 7 (E7, Lemma 5.5): pairwise collisions at β = 3m² vs 2·⌈n/(m·d)⌉",
+        "Table E7 (Lemma 5.5): pairwise collisions at β = 3m² vs 2·⌈n/(m·d)⌉",
         &[
             "n",
             "m",

@@ -22,14 +22,14 @@ use amo_sim::{CrashPlan, ScenarioSpec};
 
 use crate::{par_map, Scale, Table};
 
-/// Runs E6 and returns Table 6.
+/// Runs E6 and returns Table E6.
 pub fn exp_comparison(scale: Scale) -> Table {
     let (n, ms): (usize, Vec<usize>) = match scale {
         Scale::Quick => (1024, vec![2, 4, 8]),
         Scale::Full => (4096, vec![2, 4, 8, 16, 32]),
     };
     let mut t = Table::new(
-        "Table 6 (E6, §1): worst-case effectiveness under f = m−1 crashes",
+        "Table E6 (§1): worst-case effectiveness under f = m−1 crashes",
         &[
             "m",
             "f",

@@ -12,14 +12,14 @@ use amo_sim::ScenarioSpec;
 
 use crate::{par_map, Scale, Table};
 
-/// Runs E1 and returns Table 1.
+/// Runs E1 and returns Table E1.
 pub fn exp_effectiveness(scale: Scale) -> Table {
     let (ns, ms): (Vec<usize>, Vec<usize>) = match scale {
         Scale::Quick => (vec![256, 1024], vec![2, 4, 8]),
         Scale::Full => (vec![256, 1024, 4096, 16384], vec![2, 4, 8, 16, 32]),
     };
     let mut t = Table::new(
-        "Table 1 (E1, Thm 4.4): worst-case effectiveness of KKβ — measured vs n−(β+m−2)",
+        "Table E1 (Thm 4.4): worst-case effectiveness of KKβ — measured vs n−(β+m−2)",
         &[
             "n",
             "m",

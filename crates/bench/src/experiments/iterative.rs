@@ -11,7 +11,7 @@ use amo_sim::{CrashPlan, ScenarioSpec};
 
 use crate::{fmt_f64, fmt_ratio, par_map, Scale, Table};
 
-/// Runs E4 and returns Tables 4a and 4b.
+/// Runs E4 and returns Tables E4a and E4b.
 pub fn exp_iterative(scale: Scale) -> Vec<Table> {
     let (ns, ms, inv_epss): (Vec<usize>, Vec<usize>, Vec<u32>) = match scale {
         Scale::Quick => (vec![1 << 11, 1 << 13], vec![2, 4], vec![1]),
@@ -19,7 +19,7 @@ pub fn exp_iterative(scale: Scale) -> Vec<Table> {
     };
 
     let mut loss = Table::new(
-        "Table 4a (E4, Thm 6.4): IterativeKK(ε) job loss vs the m²·log n·log m envelope",
+        "Table E4a (Thm 6.4): IterativeKK(ε) job loss vs the m²·log n·log m envelope",
         &[
             "n",
             "m",
@@ -32,7 +32,7 @@ pub fn exp_iterative(scale: Scale) -> Vec<Table> {
         ],
     );
     let mut work = Table::new(
-        "Table 4b (E4, Thm 6.4): IterativeKK(ε) work — work/n must flatten as n grows",
+        "Table E4b (Thm 6.4): IterativeKK(ε) work — work/n must flatten as n grows",
         &[
             "n",
             "m",

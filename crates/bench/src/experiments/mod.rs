@@ -10,7 +10,7 @@
 //! | E5 | [`write_all`] | Theorem 7.1 (Write-All work + baseline crossover) |
 //! | E6 | [`comparison`] | §1 ordering vs prior work |
 //! | E7 | [`collisions`] | Lemma 5.5 (pairwise collision bound) |
-//! | A1/A4 | [`ablations`] | DESIGN.md design-choice ablations |
+//! | A1/A2/A4 | [`ablations`] | DESIGN.md design-choice ablations |
 //! | E8 | [`threads`] | real-thread safety and throughput vs m |
 //! | E9 | [`scenario_matrix`] | cross-algorithm adversary matrix (scenario layer) |
 //! | E10 | [`recovery_matrix`] | storage-fault × restart matrix (durable backend) |
@@ -29,7 +29,7 @@ pub mod threads;
 pub mod work;
 pub mod write_all;
 
-pub use ablations::{exp_beta_ablation, exp_pick_ablation};
+pub use ablations::{exp_beta_ablation, exp_pick_ablation, exp_set_ablation};
 pub use chaos_matrix::exp_chaos_matrix;
 pub use collisions::exp_collisions;
 pub use comparison::exp_comparison;
@@ -55,6 +55,7 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
     tables.push(exp_comparison(scale));
     tables.push(exp_collisions(scale));
     tables.push(exp_beta_ablation(scale));
+    tables.push(exp_set_ablation(scale));
     tables.push(exp_pick_ablation(scale));
     tables.push(exp_threads(scale));
     tables.push(exp_scenario_matrix(scale));

@@ -73,14 +73,14 @@ struct Cell {
     restarted: usize,
 }
 
-/// Runs E10 and returns the matrix table.
+/// Runs E10 and returns Table E10.
 pub fn exp_recovery_matrix(scale: Scale) -> Table {
     let (n, m) = match scale {
         Scale::Quick => (400usize, 4usize),
         Scale::Full => (10_000, 6),
     };
     let mut t = Table::new(
-        "Table 10 (E10): storage-fault × restart recovery matrix on the durable backend",
+        "Table E10: storage-fault × restart recovery matrix on the durable backend",
         &[
             "algorithm",
             "fault",

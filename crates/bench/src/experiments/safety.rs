@@ -16,10 +16,10 @@ use amo_sim::{explore, CrashPlan, ExploreConfig, ScenarioSpec, VecRegisters};
 
 use crate::{par_map, Scale, Table};
 
-/// Runs E2 and returns Table 2.
+/// Runs E2 and returns Table E2.
 pub fn exp_safety(scale: Scale) -> Table {
     let mut t = Table::new(
-        "Table 2 (E2, Lemma 4.1): at-most-once violations by execution class (must all be 0)",
+        "Table E2 (Lemma 4.1): at-most-once violations by execution class (must all be 0)",
         &[
             "class",
             "instances",

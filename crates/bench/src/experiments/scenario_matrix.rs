@@ -51,14 +51,14 @@ fn crash_cell(m: usize, f: usize) -> CrashPlan {
     CrashPlan::at_steps((1..=f.min(m.saturating_sub(1))).map(|p| (p, 37 * p as u64)))
 }
 
-/// Runs E9 and returns the matrix table.
+/// Runs E9 and returns Table E9.
 pub fn exp_scenario_matrix(scale: Scale) -> Table {
     let (n, m) = match scale {
         Scale::Quick => (600usize, 4usize),
         Scale::Full => (20_000, 8),
     };
     let mut t = Table::new(
-        "Table 9 (E9): algorithm × scheduler × crash cells through the one scenario driver",
+        "Table E9: algorithm × scheduler × crash cells through the one scenario driver",
         &[
             "algorithm",
             "sched",

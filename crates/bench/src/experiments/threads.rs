@@ -9,7 +9,7 @@ use amo_sim::thread::ThreadSpec;
 
 use crate::{fmt_f64, Scale, Table};
 
-/// Runs E8 and returns Table 10.
+/// Runs E8 and returns Table E8.
 ///
 /// Unlike the simulator grids, this experiment is intentionally *not*
 /// fanned out with [`crate::par_map`]: every cell spawns a real OS-thread
@@ -22,7 +22,7 @@ pub fn exp_threads(scale: Scale) -> Table {
         Scale::Full => (8192, vec![1, 2, 4, 8, 16], 10),
     };
     let mut t = Table::new(
-        "Table 10 (E8): KKβ on real threads — safety and throughput vs m",
+        "Table E8: KKβ on real threads — safety and throughput vs m",
         &[
             "n",
             "m",

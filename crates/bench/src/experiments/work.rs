@@ -11,14 +11,14 @@ use amo_sim::{ScenarioSpec, SchedulerSpec};
 
 use crate::{fmt_f64, fmt_ratio, par_map, Scale, Table};
 
-/// Runs E3 and returns Table 3.
+/// Runs E3 and returns Table E3.
 pub fn exp_work_kk(scale: Scale) -> Table {
     let (ns, ms): (Vec<usize>, Vec<usize>) = match scale {
         Scale::Quick => (vec![1 << 10, 1 << 12], vec![2, 4]),
         Scale::Full => (vec![1 << 10, 1 << 12, 1 << 14, 1 << 16], vec![2, 4, 8]),
     };
     let mut t = Table::new(
-        "Table 3 (E3, Thm 5.6): measured work of KK(3m²) vs the n·m·log n·log m envelope",
+        "Table E3 (Thm 5.6): measured work of KK(3m²) vs the n·m·log n·log m envelope",
         &[
             "n",
             "m",

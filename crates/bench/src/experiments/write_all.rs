@@ -1,8 +1,8 @@
 //! E5 — Theorem 7.1: WA_IterativeKK(ε) solves Write-All with work
 //! `O(n + m^{3+ε}·log n)`; §7's comparison against the baselines.
 //!
-//! Table 5a sweeps `n` and `m` with and without crashes: WA_IterativeKK
-//! must always certify complete, with work/n flattening in `n`. Table 5b
+//! Table E5a sweeps `n` and `m` with and without crashes: WA_IterativeKK
+//! must always certify complete, with work/n flattening in `n`. Table E5b
 //! pits it against the baselines: who completes under crashes, at what
 //! work and redundancy — the shape to reproduce is that static partition
 //! *fails* under crashes, TAS needs RMW, the permutation scan pays `Θ(nm)`
@@ -13,7 +13,7 @@ use amo_write_all::{run_baseline_scenario, run_wa_scenario, WaBaselineKind, WaCo
 
 use crate::{fmt_f64, fmt_ratio, par_map, Scale, Table};
 
-/// Runs E5 and returns Tables 5a and 5b.
+/// Runs E5 and returns Tables E5a and E5b.
 pub fn exp_write_all(scale: Scale) -> Vec<Table> {
     let (ns, ms): (Vec<usize>, Vec<usize>) = match scale {
         Scale::Quick => (vec![1 << 10, 1 << 12], vec![2, 4]),
@@ -21,7 +21,7 @@ pub fn exp_write_all(scale: Scale) -> Vec<Table> {
     };
 
     let mut scaling = Table::new(
-        "Table 5a (E5, Thm 7.1): WA_IterativeKK(ε=1) completes; work/n flattens in n",
+        "Table E5a (Thm 7.1): WA_IterativeKK(ε=1) completes; work/n flattens in n",
         &[
             "n",
             "m",
@@ -63,7 +63,7 @@ pub fn exp_write_all(scale: Scale) -> Vec<Table> {
     }
 
     let mut cmp = Table::new(
-        "Table 5b (E5, §7): Write-All algorithms, each fleet crashing all but one process (n fixed; f = crashes taken)",
+        "Table E5b (§7): Write-All algorithms, each fleet crashing all but one process (n fixed; f = crashes taken)",
         &[
             "algorithm",
             "n",

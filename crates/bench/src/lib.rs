@@ -3,9 +3,10 @@
 //! by the paper artefact each one reproduces.
 //!
 //! Each `exp_*` function returns [`Table`]s; the binaries under `src/bin/`
-//! print them (`cargo run --release -p amo-bench --bin exp_all`). Wall-clock
-//! is timed by the `perf_smoke` binary (the engine, the set structures, the
-//! iterated and Write-All algorithms) and by E8 (real threads against `m`).
+//! print them (`cargo run --release -p amo-bench --bin exp_all`).
+//! Whole-system wall-clock is measured by the repository benchmark
+//! (`perfbench/`); inside this crate only E8 (real threads against `m`) and
+//! A2 (the two ordered-set structures) report it, and neither asserts it.
 //!
 //! Every experiment takes a [`Scale`]: [`Scale::Quick`] keeps the harness
 //! runnable in CI and in `#[test]`s; [`Scale::Full`] runs the full
@@ -17,8 +18,6 @@
 mod table;
 
 pub mod experiments;
-pub mod gate;
-pub mod mem;
 
 pub use table::{fmt_f64, fmt_ratio, Table};
 
@@ -95,15 +94,10 @@ impl Scale {
         }
         Scale::Full
     }
-
-    /// `true` for [`Scale::Quick`].
-    pub fn is_quick(self) -> bool {
-        self == Scale::Quick
-    }
 }
 
 /// The [`Scale`] parsed from this process's argv — the shared
-/// `--quick`/`-q` prologue of every experiment and bench binary.
+/// `--quick`/`-q` prologue of every experiment binary.
 pub fn cli_scale() -> Scale {
     Scale::from_args(std::env::args().skip(1))
 }

@@ -85,11 +85,14 @@ impl Table {
     }
 
     /// Renders as a fixed-width markdown table with the title above.
+    /// Widths count characters, not bytes, so cells holding `×` or `β`
+    /// pad like ASCII ones.
     pub fn to_markdown(&self) -> String {
-        let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
+        let width = |cell: &String| cell.chars().count();
+        let mut widths: Vec<usize> = self.columns.iter().map(width).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
+                *w = (*w).max(width(cell));
             }
         }
         let mut out = String::new();
@@ -101,7 +104,7 @@ impl Table {
             for (cell, w) in cells.iter().zip(widths) {
                 line.push(' ');
                 line.push_str(cell);
-                line.push_str(&" ".repeat(w - cell.len() + 1));
+                line.push_str(&" ".repeat(w - width(cell) + 1));
                 line.push('|');
             }
             line.push('\n');
@@ -180,11 +183,18 @@ mod tests {
         let mut t = Table::new("T", &["a", "long-column"]);
         t.row(["1", "2"]);
         t.row(["333", "4"]);
+        t.row(["β × 2", "n−(β+m−2)"]);
         let md = t.to_markdown();
         assert!(md.starts_with("### T\n"));
-        let lines: Vec<&str> = md.lines().collect();
+        let lines: Vec<&str> = md.lines().skip(1).collect();
         assert_eq!(lines.len(), 5);
-        assert_eq!(lines[1].len(), lines[3].len(), "rows padded to equal width");
+        for line in &lines {
+            assert_eq!(
+                line.chars().count(),
+                lines[0].chars().count(),
+                "rows padded to equal width: {line:?}"
+            );
+        }
     }
 
     #[test]

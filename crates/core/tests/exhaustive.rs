@@ -25,18 +25,20 @@ fn check(n: usize, m: usize, beta: u64, max_crashes: usize, max_states: usize) {
         out.violation,
         out.violation_trace
     );
-    if out.complete {
-        // Wait-freedom (Lemma 4.3): every complete path terminates, so the
-        // search reaches terminal states; and the worst path respects the
-        // Theorem 4.4 effectiveness bound.
-        assert!(out.terminal_states > 0);
-        let bound = config.effectiveness_bound();
-        assert!(
-            out.min_effectiveness.unwrap() >= bound,
-            "min effectiveness {} below bound {bound}",
-            out.min_effectiveness.unwrap()
-        );
-    }
+    assert!(
+        out.complete,
+        "n={n} m={m} beta={beta} f={max_crashes}: search incomplete under its {max_states}-state cap"
+    );
+    // Wait-freedom (Lemma 4.3): every complete path terminates, so the
+    // search reaches terminal states; and the worst path respects the
+    // Theorem 4.4 effectiveness bound.
+    assert!(out.terminal_states > 0);
+    let bound = config.effectiveness_bound();
+    assert!(
+        out.min_effectiveness.unwrap() >= bound,
+        "min effectiveness {} below bound {bound}",
+        out.min_effectiveness.unwrap()
+    );
 }
 
 #[test]
@@ -70,15 +72,12 @@ fn three_procs_three_jobs_no_crashes() {
 }
 
 #[test]
-fn three_procs_four_jobs_bounded() {
-    // State space is large; a capped search is still a strong randomized-
-    // beyond check: every state visited is a distinct reachable global
-    // state, and no path to any of them may double-perform.
+fn three_procs_four_jobs() {
     check(4, 3, 3, 0, 2_000_000);
 }
 
 #[test]
-fn three_procs_with_crashes_bounded() {
+fn three_procs_with_crashes() {
     check(3, 3, 3, 2, 2_000_000);
 }
 

@@ -17,11 +17,10 @@ use crate::rank::RankedSet;
 /// [`FenwickSet`](crate::FenwickSet) instead (O(1) updates, linear-scan
 /// rank over per-block counts), which is markedly faster at simulation
 /// scale because the hot operations are insert/remove. This structure is
-/// the exact reference next to it: the data-structure ablation (A2), timed
-/// by `perf_smoke` as `kk_plain_rr`'s `seed_equivalent_ms` against its
-/// `single_step_ms`; the seed-equivalent baseline that `perf_smoke`
-/// measures the engine fast path against; and the oracle of the
-/// `FenwickSet` equivalence suites.
+/// the exact reference next to it: one side of the structure ablation A2
+/// (`amo-bench`'s `exp_set_ablation`, which runs both structures under the
+/// same single-step schedule and reports each one's local work and time),
+/// and the oracle of the `FenwickSet` equivalence suites.
 ///
 /// [`insert`]: DenseFenwickSet::insert
 /// [`remove`]: DenseFenwickSet::remove

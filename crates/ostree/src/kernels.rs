@@ -17,12 +17,13 @@
 //! # Counter-neutrality invariant
 //!
 //! The deterministic `ops` charges of the set structures are pinned by the
-//! perf gate and the equivalence suites, so no primitive here charges
-//! anything. Each is a pure function of its inputs, and its callers derive
-//! the charge of the logical walk (words probed, entries summed) from slice
-//! lengths and returned positions. The `kernel_equivalence` suite pins every
-//! primitive to a naive bit-loop reference over word, block and superblock
-//! boundaries, ragged tails and empty or full words.
+//! work pins (`tests/work_pins.rs`) and the equivalence suites, so no
+//! primitive here charges anything. Each is a pure function of its inputs,
+//! and its callers derive the charge of the logical walk (words probed,
+//! entries summed) from slice lengths and returned positions. The
+//! `kernel_equivalence` suite pins every primitive to a naive bit-loop
+//! reference over word, block and superblock boundaries, ragged tails and
+//! empty or full words.
 
 use std::cell::Cell;
 

@@ -18,10 +18,9 @@
 //!   uses as the paper's "basic operations" (Definition 2.5) when measuring
 //!   work complexity.
 //! * [`DenseFenwickSet`] — the per-element Fenwick (binary indexed) tree
-//!   with `O(log n)` everything: the paper-faithful reference and the
-//!   structure ablation (A2), which `perf_smoke` times as `kk_plain_rr`'s
-//!   `seed_equivalent_ms` against its `single_step_ms` (the same
-//!   single-step schedule over [`FenwickSet`]).
+//!   with `O(log n)` everything: the paper-faithful reference and one side
+//!   of the structure ablation A2 (`amo-bench`'s `exp_set_ablation`),
+//!   which runs it and [`FenwickSet`] under the same single-step schedule.
 //!
 //! Both implement [`RankedSet`] and [`OrderedJobSet`] (the mutable
 //! interface the KKβ automaton is generic over), and [`rank_excluding`] /
@@ -60,7 +59,7 @@
 //!
 //! The binding invariant is **counter-neutrality**: the deterministic
 //! `ops` charges of the set structures are part of the observable the
-//! equivalence suites and the perf gate pin, so kernels only do the
+//! equivalence suites and the work pins hold, so kernels only do the
 //! physical scan — all work accounting stays at the logical-walk layer,
 //! derived from slice lengths and returned positions. The
 //! `kernel_equivalence` suite pins each primitive to a naive bit-loop

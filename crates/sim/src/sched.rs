@@ -225,7 +225,7 @@ impl<P> Scheduler<P> for RoundRobin {
 /// Uniform random choice among running processes (seeded, reproducible).
 ///
 /// Random schedules are fair with probability 1 and are the workhorse of the
-/// randomized safety experiments (Table 2 / experiment E2).
+/// randomized safety experiments (Table E2).
 ///
 /// A decision costs O(1): one RNG draw indexes [`SchedView::live`].
 ///

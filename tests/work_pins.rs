@@ -1,5 +1,5 @@
 //! Absolute work pins: `(total_steps, reads, writes, local_work,
-//! effectiveness)` of small fixed instances, asserted against constants.
+//! effectiveness)` of fixed instances, asserted against constants.
 //!
 //! Every equivalence suite compares two runs of the same build, so a
 //! change that drops or doubles a charge in both runs alike passes them
@@ -17,13 +17,20 @@
 //! * physical (the initial `FREE` is a proper subset): `IterativeKK`, whose
 //!   first stage does real work, so later stages start from its output.
 //!
+//! Five larger instances pin the batched fast path under quantized
+//! round-robin: plain KKβ at `β = 3m²` (n = 2·10⁴ and n = 10⁵), plain KKβ
+//! at the default β on the row-major `done` layout, `IterativeKK` and
+//! Write-All.
+//!
 //! Debug and release builds pin the same figures: the set layer's debug
 //! assertions probe membership off the bitmap, uncharged.
 //!
 //! A constant moves only with a deliberate change to the algorithm or its
 //! accounting, which must update it in the same commit.
 
-use at_most_once::core::{run_scenario_simulated, AmoReport, KkConfig, KkLayout, KkProcess};
+use at_most_once::core::{
+    kk_fleet, run_fleet_simulated, run_scenario_simulated, AmoReport, KkConfig, KkLayout, KkProcess,
+};
 use at_most_once::iterative::{run_iterative_scenario, IterConfig};
 use at_most_once::ostree::DenseFenwickSet;
 use at_most_once::sim::{
@@ -172,6 +179,95 @@ fn iterative_kk_with_a_working_first_stage() {
             writes: 1709,
             local_work: 33886,
             effectiveness: 1909,
+        }
+    );
+}
+
+#[test]
+fn plain_kk_work_optimal_beta_batched() {
+    let config = KkConfig::with_beta(20_000, 8, KkConfig::work_optimal_beta(8)).unwrap();
+    let report = run_scenario_simulated(&config, &ScenarioSpec::round_robin_batched());
+    assert_eq!(
+        amo_work(&report),
+        Work {
+            total_steps: 554_761,
+            reads: 416_054,
+            writes: 39_627,
+            local_work: 1_197_757,
+            effectiveness: 19_812,
+        }
+    );
+}
+
+#[test]
+fn plain_kk_at_scale_batched() {
+    let config = KkConfig::with_beta(100_000, 32, KkConfig::work_optimal_beta(32)).unwrap();
+    let spec = ScenarioSpec::round_robin_batched().with_max_steps(2_000_000_000);
+    let report = run_scenario_simulated(&config, &spec);
+    assert_eq!(
+        amo_work(&report),
+        Work {
+            total_steps: 9_694_243,
+            reads: 9_015_564,
+            writes: 193_897,
+            local_work: 19_821_082,
+            effectiveness: 96_946,
+        }
+    );
+}
+
+#[test]
+fn plain_kk_row_major_batched() {
+    let config = KkConfig::new(20_000, 8).unwrap();
+    assert_eq!(config.effectiveness_bound(), 19_986);
+    let (layout, fleet) = kk_fleet(&config, false);
+    let report = run_fleet_simulated(
+        VecRegisters::new(layout.cells()),
+        fleet,
+        config.n(),
+        &ScenarioSpec::round_robin_batched(),
+    );
+    assert_eq!(
+        amo_work(&report),
+        Work {
+            total_steps: 559_910,
+            reads: 419_917,
+            writes: 39_994,
+            local_work: 1_209_922,
+            effectiveness: 19_995,
+        }
+    );
+}
+
+#[test]
+fn iterative_kk_batched() {
+    let config = IterConfig::new(10_000, 4, 1).unwrap();
+    let report = run_iterative_scenario(&config, &ScenarioSpec::round_robin_batched());
+    assert_eq!(
+        amo_work(&report),
+        Work {
+            total_steps: 51_049,
+            reads: 30_028,
+            writes: 5_994,
+            local_work: 144_231,
+            effectiveness: 9_951,
+        }
+    );
+}
+
+#[test]
+fn write_all_batched() {
+    let config = WaConfig::new(10_000, 4, 1).unwrap();
+    let report = run_wa_scenario(&config, &ScenarioSpec::round_robin_batched());
+    assert!(report.complete, "Write-All incomplete");
+    assert_eq!(
+        wa_work(&report),
+        Work {
+            total_steps: 62_500,
+            reads: 30_693,
+            writes: 16_442,
+            local_work: 145_947,
+            effectiveness: 10_000,
         }
     );
 }
