@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// A printable results table (markdown-ish and CSV renderings).
+/// A printable results table, rendered as markdown.
 ///
 /// # Examples
 ///
@@ -10,7 +10,6 @@ use std::fmt;
 /// let mut t = Table::new("Table X: demo", &["n", "m", "result"]);
 /// t.row(["256", "4", "ok"]);
 /// assert!(t.to_markdown().contains("| 256"));
-/// assert_eq!(t.to_csv().lines().count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -32,11 +31,6 @@ impl Table {
             columns: columns.iter().map(|c| (*c).to_owned()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Number of data rows.
@@ -123,27 +117,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (header row first; cells are escaped naively by
-    /// replacing commas — cells in this harness never contain them).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| s.replace(',', ";");
-        out.push_str(
-            &self
-                .columns
-                .iter()
-                .map(|c| esc(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -195,13 +168,6 @@ mod tests {
                 "rows padded to equal width: {line:?}"
             );
         }
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new("T", &["x", "y"]);
-        t.row(["1", "a,b"]);
-        assert_eq!(t.to_csv(), "x,y\n1,a;b\n");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The build environment has no crates.io access, so this workspace-local
 //! crate provides the exact API surface the simulator uses: [`rngs::StdRng`]
 //! seeded via [`SeedableRng::seed_from_u64`], [`Rng::gen_range`] over integer
-//! ranges, and [`seq::SliceRandom`] (`shuffle`/`choose`).
+//! ranges, [`distributions::UniformIndex`] for repeated draws from one index
+//! range, and [`seq::SliceRandom`] (`shuffle`/`choose`).
 //!
 //! The generator is xoshiro256** seeded through splitmix64 — deterministic,
 //! reproducible, and statistically solid for scheduling/permutation use.
@@ -55,7 +56,10 @@ pub trait Rng: RngCore {
 
 impl<T: RngCore> Rng for T {}
 
-/// Range-sampling support for [`Rng::gen_range`].
+/// Range-sampling support for [`Rng::gen_range`], and [`UniformIndex`]
+/// for repeated draws from one index range.
+///
+/// [`UniformIndex`]: distributions::UniformIndex
 pub mod distributions {
     use super::RngCore;
 
@@ -89,6 +93,150 @@ pub mod distributions {
     }
 
     impl_sample_range!(u8, u16, u32, u64, usize);
+
+    /// Repeated uniform draws of an index in `0..len`: the value
+    /// `gen_range(0..len)` returns from the same draw, without its
+    /// division.
+    ///
+    /// [`new`](Self::new) computes the 128-bit reciprocal
+    /// `c = ⌈2¹²⁸ / len⌉` once. [`sample`](Self::sample) then takes the
+    /// remainder `x mod len` of a draw `x` as the high 64 bits of
+    /// `((c·x) mod 2¹²⁸)·len`: four 64-bit multiplications instead of a
+    /// 64-bit `%`. This is exact for every 64-bit numerator and divisor
+    /// (Lemire, Kaser and Kurz, *Faster remainder by direct computation*,
+    /// 2019, Theorem 1 with `F = 128 = N + log₂ 2⁶⁴`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rand::distributions::UniformIndex;
+    /// use rand::rngs::StdRng;
+    /// use rand::{Rng, SeedableRng};
+    ///
+    /// let pick = UniformIndex::new(5);
+    /// let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+    /// for _ in 0..100 {
+    ///     assert_eq!(pick.sample(&mut a), b.gen_range(0..5usize));
+    /// }
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct UniformIndex {
+        len: u64,
+        /// `⌈2¹²⁸ / len⌉ mod 2¹²⁸` (0 for `len = 1`, whose remainder is 0).
+        recip: u128,
+    }
+
+    impl UniformIndex {
+        /// A sampler over `0..len`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `len` is zero, as `gen_range(0..0)` does.
+        #[inline]
+        pub fn new(len: usize) -> Self {
+            Self::over(len as u64)
+        }
+
+        #[inline]
+        fn over(len: u64) -> Self {
+            assert!(len > 0, "cannot sample empty range");
+            Self {
+                len,
+                recip: (u128::MAX / u128::from(len)).wrapping_add(1),
+            }
+        }
+
+        /// The range's length.
+        #[inline]
+        pub fn len(&self) -> usize {
+            self.len as usize
+        }
+
+        /// Always `false`: the range holds at least one index.
+        #[inline]
+        pub fn is_empty(&self) -> bool {
+            false
+        }
+
+        /// `rng.next_u64() % len`.
+        #[inline]
+        pub fn sample<R: RngCore>(&self, rng: &mut R) -> usize {
+            self.rem(rng.next_u64()) as usize
+        }
+
+        /// `x % len`, by the reciprocal.
+        #[inline]
+        fn rem(&self, x: u64) -> u64 {
+            let low = self.recip.wrapping_mul(u128::from(x));
+            let d = u128::from(self.len);
+            // The high 64 bits of the 192-bit product `low · len`; the sum
+            // is below 2¹²⁸, since `(2⁶⁴ − 1)² + 2⁶⁴ − 1 < 2¹²⁸`.
+            let mid = ((low >> 64) * d) + (((low as u64 as u128) * d) >> 64);
+            (mid >> 64) as u64
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::UniformIndex;
+
+        /// `rem` equals `%` on the divisors and draws that a reciprocal is
+        /// most likely to get wrong: the smallest divisors, powers of two,
+        /// both neighbours of `2³²`, and `u64::MAX`, each against 0,
+        /// `len − 1`, `len`, `len + 1`, `2·len`, `u64::MAX` and 256
+        /// pseudo-random draws.
+        #[test]
+        fn remainder_equals_the_division() {
+            let mut lens: Vec<u64> = vec![1, 2, 3, 5, 7, 10, 16, 1000];
+            lens.extend((1..64).map(|k| 1u64 << k));
+            lens.extend((1..64).map(|k| (1u64 << k) + 1));
+            lens.extend((2..64).map(|k| (1u64 << k) - 1));
+            lens.extend([(1 << 32) - 1, 1 << 32, (1 << 32) + 1]);
+            lens.extend([u64::MAX / 3, u64::MAX - 1, u64::MAX]);
+            for &len in &lens {
+                let s = UniformIndex::over(len);
+                let mut draws = vec![
+                    0,
+                    1,
+                    len - 1,
+                    len,
+                    len.wrapping_add(1),
+                    len.wrapping_mul(2),
+                    len.wrapping_mul(2).wrapping_sub(1),
+                    u64::MAX - 1,
+                    u64::MAX,
+                ];
+                let mut x = len ^ 0x9E37_79B9_7F4A_7C15;
+                for _ in 0..256 {
+                    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9).wrapping_add(1);
+                    draws.push(x);
+                }
+                for x in draws {
+                    assert_eq!(s.rem(x), x % len, "{x} % {len}");
+                }
+            }
+        }
+
+        /// `sample` consumes one draw and returns its remainder.
+        #[test]
+        fn sample_is_the_remainder_of_one_draw() {
+            use crate::rngs::StdRng;
+            use crate::{RngCore, SeedableRng};
+            for len in [1usize, 2, 3, 16, 17, 1 << 40, usize::MAX] {
+                let s = UniformIndex::new(len);
+                let (mut a, mut b) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+                for _ in 0..1000 {
+                    assert_eq!(s.sample(&mut a) as u64, b.next_u64() % len as u64);
+                }
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "empty range")]
+        fn empty_range_panics() {
+            let _ = UniformIndex::new(0);
+        }
+    }
 }
 
 /// Named RNG implementations.

@@ -1032,14 +1032,21 @@ impl<S: OrderedJobSet> KkProcess<S> {
     /// work accounting — also the epoch cache's sweep-end rebuild under
     /// collision tracking, whose merges were already charged at the
     /// per-visit actions.
+    ///
+    /// A `v` above TRY's last element is pushed without a search:
+    /// rank-splitting mostly announces in pid order and the sweep visits
+    /// `q` in order, so that is the common case. Otherwise a binary search
+    /// finds its slot.
     fn try_merge(&mut self, v: u64, src: usize) {
-        match self.try_set.binary_search(&v) {
-            Ok(_) => {}
-            Err(i) => {
-                self.try_set.insert(i, v);
-                if self.track_collisions {
-                    self.try_src.insert(i, src);
-                }
+        if self.try_set.last().map_or(true, |&last| last < v) {
+            self.try_set.push(v);
+            if self.track_collisions {
+                self.try_src.push(src);
+            }
+        } else if let Err(i) = self.try_set.binary_search(&v) {
+            self.try_set.insert(i, v);
+            if self.track_collisions {
+                self.try_src.insert(i, src);
             }
         }
     }

@@ -81,19 +81,43 @@ fn three_procs_with_crashes() {
     check(3, 3, 3, 2, 2_000_000);
 }
 
+/// The default `MemoMode::StateOnly` key leaves out the performed jobs,
+/// which is sound for KKβ only because they are a function of the global
+/// state. If they are, adding them to the key (`StateAndHistory`) splits
+/// no state: both searches visit the same states and reach the same
+/// terminal states and effectiveness range.
 #[test]
 fn history_memo_mode_agrees() {
     let config = KkConfig::new(3, 2).unwrap();
-    let (layout, fleet) = kk_fleet(&config, false);
-    let mem = VecRegisters::new(layout.cells());
-    let cfg = ExploreConfig {
-        max_crashes: 1,
-        memo: MemoMode::StateAndHistory,
-        max_states: 8_000_000,
-        ..ExploreConfig::default()
+    let search = |memo| {
+        let (layout, fleet) = kk_fleet(&config, false);
+        let cfg = ExploreConfig {
+            max_crashes: 1,
+            memo,
+            max_states: 8_000_000,
+            ..ExploreConfig::default()
+        };
+        explore(VecRegisters::new(layout.cells()), fleet, cfg)
     };
-    let out = explore(mem, fleet, cfg);
-    assert!(out.violation.is_none());
+    let state = search(MemoMode::StateOnly);
+    let history = search(MemoMode::StateAndHistory);
+    for (mode, out) in [("state", &state), ("history", &history)] {
+        assert!(
+            out.verified(),
+            "{mode}: complete {}, violation {:?}",
+            out.complete,
+            out.violation
+        );
+    }
+    let summary = |out: &amo_sim::ExploreOutcome| {
+        (
+            out.states_visited,
+            out.terminal_states,
+            out.min_effectiveness,
+            out.max_effectiveness,
+        )
+    };
+    assert_eq!(summary(&state), summary(&history));
 }
 
 #[test]

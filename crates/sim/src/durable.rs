@@ -58,7 +58,6 @@
 //! matrix measures for claim-bit algorithms.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 
 use crate::registers::{MemWork, Registers, VecRegisters};
 
@@ -164,14 +163,20 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// The deterministic in-memory stable-storage model: base snapshot, WAL,
 /// and per-actor soft-record index.
+///
+/// A journaled write costs one WAL push and one push onto its actor's
+/// soft list. A barrier marks the actor's soft records durable and empties
+/// its list in place, so the list's capacity serves the actor's next
+/// writes without a new allocation.
 #[derive(Debug, Default)]
 struct StorageModel {
     /// Cell values with every checkpointed (all-durable) WAL prefix folded
     /// in.
     base: Vec<u64>,
     wal: Vec<WalRecord>,
-    /// Indices into `wal` of each actor's soft records, in write order.
-    soft: BTreeMap<usize, Vec<usize>>,
+    /// Indices into `wal` of each actor's soft records, in write order,
+    /// indexed by actor (grown on the actor's first record).
+    soft: Vec<Vec<usize>>,
     stats: DurableStats,
 }
 
@@ -196,7 +201,10 @@ impl StorageModel {
             checksum: record_checksum(actor, cell, value),
             durable: false,
         });
-        self.soft.entry(actor).or_default().push(idx);
+        if actor >= self.soft.len() {
+            self.soft.resize_with(actor + 1, Vec::new);
+        }
+        self.soft[actor].push(idx);
         self.stats.journaled += 1;
     }
 
@@ -204,9 +212,9 @@ impl StorageModel {
     /// durable.
     fn barrier(&mut self, actor: usize) {
         self.stats.barriers += 1;
-        if let Some(idxs) = self.soft.remove(&actor) {
+        if let Some(idxs) = self.soft.get_mut(actor) {
             self.stats.flushed += idxs.len() as u64;
-            for i in idxs {
+            for i in idxs.drain(..) {
                 self.wal[i].durable = true;
             }
         }
@@ -230,7 +238,7 @@ impl StorageModel {
         for rec in self.wal.drain(..cut) {
             self.base[rec.cell] = rec.value;
         }
-        for idxs in self.soft.values_mut() {
+        for idxs in &mut self.soft {
             for i in idxs {
                 *i -= cut;
             }
@@ -246,7 +254,11 @@ impl StorageModel {
             return None;
         }
         self.stats.blackouts += 1;
-        let soft = self.soft.remove(&actor).unwrap_or_default();
+        let soft = self
+            .soft
+            .get_mut(actor)
+            .map(std::mem::take)
+            .unwrap_or_default();
         let keep = match fault {
             StorageFault::None => unreachable!("handled above"),
             StorageFault::DroppedFlush => 0,
@@ -309,10 +321,12 @@ impl StorageModel {
             }
         }
         self.wal = kept;
-        self.soft.clear();
+        for idxs in &mut self.soft {
+            idxs.clear();
+        }
         for (i, rec) in self.wal.iter().enumerate() {
             if !rec.durable {
-                self.soft.entry(rec.actor).or_default().push(i);
+                self.soft[rec.actor].push(i);
             }
         }
         Some(self.replay_prefix(self.wal.len()))
@@ -398,7 +412,7 @@ impl DurableRegisters {
 
     /// Journaled records not yet flushed to stable storage.
     pub fn soft_len(&self) -> usize {
-        self.store.borrow().soft.values().map(Vec::len).sum()
+        self.store.borrow().soft.iter().map(Vec::len).sum()
     }
 
     /// Snapshot of the volatile cell values.

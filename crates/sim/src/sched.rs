@@ -1,3 +1,4 @@
+use rand::distributions::UniformIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -227,7 +228,10 @@ impl<P> Scheduler<P> for RoundRobin {
 /// Random schedules are fair with probability 1 and are the workhorse of the
 /// randomized safety experiments (Table E2).
 ///
-/// A decision costs O(1): one RNG draw indexes [`SchedView::live`].
+/// A decision costs O(1): one RNG draw indexes [`SchedView::live`]. The
+/// draw's index is `gen_range(0..live.len())`'s, taken without a division:
+/// the scheduler keeps a [`UniformIndex`], which multiplies by a reciprocal
+/// of the live count, and rebuilds it only when that count changes.
 ///
 /// A quantum may be attached with [`with_quantum`](Self::with_quantum):
 /// each decision then grants the chosen process that many consecutive
@@ -238,6 +242,9 @@ impl<P> Scheduler<P> for RoundRobin {
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     rng: StdRng,
+    /// Draws an index into [`SchedView::live`]; its range is the live count
+    /// of the last decision.
+    pick: UniformIndex,
     quantum: u64,
 }
 
@@ -246,6 +253,7 @@ impl RandomScheduler {
     pub fn new(seed: u64) -> Self {
         Self {
             rng: StdRng::seed_from_u64(seed),
+            pick: UniformIndex::new(1),
             quantum: 1,
         }
     }
@@ -264,7 +272,11 @@ impl RandomScheduler {
 
 impl<P> Scheduler<P> for RandomScheduler {
     fn decide(&mut self, view: &SchedView<'_, P>) -> Decision {
-        Decision::Step(view.live[self.rng.gen_range(0..view.live.len())])
+        if self.pick.len() != view.live.len() {
+            // Panics on an empty live list, as `gen_range(0..0)` would.
+            self.pick = UniformIndex::new(view.live.len());
+        }
+        Decision::Step(view.live[self.pick.sample(&mut self.rng)])
     }
 
     fn quantum(&self, _view: &SchedView<'_, P>, _chosen: usize) -> u64 {

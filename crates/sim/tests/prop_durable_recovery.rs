@@ -1,11 +1,15 @@
 //! Property tests for the durable-register recovery layer: recovery is
 //! idempotent, blackouts under every fault regime reduce to a prefix cut
-//! of the crasher's soft suffix (flushed work is never un-performed), and
-//! the fault-free wrapper is observationally identical to the bare
-//! volatile file under arbitrary operation sequences.
+//! of the crasher's soft suffix (flushed work is never un-performed), also
+//! after checkpoints have folded the journal's durable prefix around other
+//! processes' soft records, and the fault-free wrapper is observationally
+//! identical to the bare volatile file under arbitrary operation sequences.
 
 use amo_sim::{DurableRegisters, Registers, StorageFault, VecRegisters};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 const CELLS: usize = 8;
 
@@ -222,5 +226,146 @@ proptest! {
         prop_assert_eq!(plain.work(), wrapped.work());
         prop_assert_eq!(plain.global_epoch(), wrapped.global_epoch());
         prop_assert_eq!(wrapped.recover_image(), wrapped.snapshot());
+    }
+}
+
+/// Pids of the checkpoint property: more actors than the short sequences
+/// above ever name.
+const FOLD_PIDS: usize = 20;
+/// Cells the churn writes, each write flushed at once.
+const CHURN_CELLS: usize = 16;
+/// Cells owned by each pid, which only that pid writes.
+const OWN_CELLS: usize = 4;
+/// Churn records journaled in all, at least. The journal folds its durable
+/// prefix into the base snapshot at a barrier once it holds 4096 records.
+/// The first two holders' soft records follow gaps of under 700 churn
+/// records each, so the first fold finds at least two actors' records
+/// soft, and the journal stays above the fold length after it.
+const CHURN: usize = 4900;
+
+fn own_cell(pid: usize, i: usize) -> usize {
+    CHURN_CELLS + (pid - 1) * OWN_CELLS + i
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Checkpoints fold the journal's durable prefix while several actors'
+    /// records stay soft, and later barriers and blackouts still see each
+    /// actor's soft suffix. Holder pids flush a floor value into each of
+    /// their own cells, then write soft records into those cells at
+    /// staggered points of a churn of flushed writes by the other pids
+    /// (pids up to 20, past 4096 records). Then each holder, in a drawn
+    /// order, either flushes or crashes, under each injecting fault:
+    /// - a crash keeps a prefix of the holder's soft records, and its other
+    ///   cells return to their floor (none survive a dropped flush);
+    /// - every other cell, including other holders' soft records, is
+    ///   unchanged;
+    /// - recovery replays to the volatile file after every step, and once
+    ///   every buffer is flushed it is idempotent and equals `snapshot()`.
+    #[test]
+    fn checkpoints_fold_around_other_actors_soft_records(
+        holder_draws in proptest::collection::btree_set(1usize..=FOLD_PIDS, 3..8),
+        soft_counts in proptest::collection::vec(1usize..=OWN_CELLS, 7..8),
+        gaps in proptest::collection::vec(1usize..700, 7..8),
+        crash_mask in any::<u32>(),
+        plan_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+    ) {
+        let holders: Vec<usize> = holder_draws.into_iter().collect();
+        prop_assume!(holders.len() >= 2);
+        let churners: Vec<usize> = (1..=FOLD_PIDS).filter(|p| !holders.contains(p)).collect();
+        let mut order: Vec<usize> = (0..holders.len()).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(plan_seed));
+        for fault in StorageFault::ALL.into_iter().filter(|f| f.injects()) {
+            let what = fault.label();
+            let mem = DurableRegisters::new(
+                VecRegisters::new(CHURN_CELLS + FOLD_PIDS * OWN_CELLS),
+                fault,
+                fault_seed,
+            );
+            let mut rng = StdRng::seed_from_u64(plan_seed);
+            let mut value = 0u64;
+            let mut next_value = || {
+                value += 1;
+                value
+            };
+            // Floors: durable, and folded into the base by the first checkpoint.
+            for (h, &pid) in holders.iter().enumerate() {
+                mem.note_actor(pid);
+                for i in 0..soft_counts[h] {
+                    mem.write(own_cell(pid, i), next_value());
+                }
+                mem.perform_barrier();
+            }
+            let floor = mem.snapshot();
+            // Churn, with each holder's soft records after its gap.
+            let mut soft: Vec<Vec<(usize, u64)>> = vec![Vec::new(); holders.len()];
+            let mut churned = 0;
+            let mut churn = |n: usize, next_value: &mut dyn FnMut() -> u64| {
+                for _ in 0..n {
+                    let pid = churners[rng.gen_range(0..churners.len())];
+                    mem.note_actor(pid);
+                    mem.write(churned % CHURN_CELLS, next_value());
+                    mem.perform_barrier();
+                    churned += 1;
+                }
+            };
+            for (h, &pid) in holders.iter().enumerate() {
+                churn(gaps[h], &mut next_value);
+                mem.note_actor(pid);
+                for i in 0..soft_counts[h] {
+                    let v = next_value();
+                    mem.write(own_cell(pid, i), v);
+                    soft[h].push((own_cell(pid, i), v));
+                }
+            }
+            churn(CHURN.saturating_sub(gaps[..holders.len()].iter().sum()), &mut next_value);
+            let held: usize = soft.iter().map(Vec::len).sum();
+            prop_assert!(mem.stats().checkpoints >= 1, "{}: no fold", what);
+            prop_assert_eq!(mem.soft_len(), held, "{}: the fold kept every soft record", what);
+            prop_assert!(mem.wal_len() >= 4096, "{}: the journal stays past the fold length", what);
+            prop_assert_eq!(mem.recover_image(), mem.snapshot());
+            for &h in &order {
+                let pid = holders[h];
+                let before = mem.snapshot();
+                if crash_mask >> h & 1 == 0 {
+                    mem.note_actor(pid);
+                    mem.perform_barrier();
+                    prop_assert_eq!(mem.snapshot(), before, "{}: a flush changes no value", what);
+                } else {
+                    mem.crash_blackout(pid);
+                    let after = mem.snapshot();
+                    let recs = &soft[h];
+                    let cut = recs.iter().position(|&(c, v)| after[c] != v).unwrap_or(recs.len());
+                    for &(c, _) in &recs[cut..] {
+                        prop_assert_eq!(after[c], floor[c], "{}: pid {} cell {} rolls back to its floor", what, pid, c);
+                    }
+                    if fault == StorageFault::DroppedFlush {
+                        prop_assert_eq!(cut, 0, "{}: nothing survives", what);
+                    }
+                    for c in 0..after.len() {
+                        if !recs.iter().any(|&(rc, _)| rc == c) {
+                            prop_assert_eq!(after[c], before[c], "{}: pid {}'s crash moved cell {}", what, pid, c);
+                        }
+                    }
+                    mem.crash_blackout(pid);
+                    prop_assert_eq!(mem.snapshot(), after, "{}: a second blackout is a no-op", what);
+                }
+                prop_assert_eq!(mem.recover_image(), mem.snapshot(), "{}: replay after pid {}", what, pid);
+            }
+            for pid in 0..=FOLD_PIDS {
+                mem.note_actor(pid);
+                mem.perform_barrier();
+            }
+            prop_assert_eq!(mem.soft_len(), 0);
+            prop_assert_eq!(mem.recover_image(), mem.recover_image());
+            prop_assert_eq!(mem.recover_image(), mem.snapshot(), "{}: flushed replay", what);
+            let flushed = mem.snapshot();
+            for pid in 1..=FOLD_PIDS {
+                mem.crash_blackout(pid);
+            }
+            prop_assert_eq!(mem.snapshot(), flushed, "{}: blackouts after a full flush", what);
+        }
     }
 }
